@@ -60,6 +60,24 @@ def _vector_from_pairs(pairs) -> np.ndarray:
     return arr[:, 0] + 1j * arr[:, 1]
 
 
+def _field(entry, key: str, path: str):
+    """``entry[key]``, or a ConfigError naming the JSON path when it is absent."""
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{path} must be an object")
+    if key not in entry:
+        raise ConfigError(f"{path}.{key} is missing")
+    return entry[key]
+
+
+def _kind_at(entry, path: str) -> CongruenceKind:
+    value = _field(entry, "kind", path)
+    try:
+        return CongruenceKind(value)
+    except ValueError:
+        choices = ", ".join(repr(k.value) for k in CongruenceKind)
+        raise ConfigError(f"{path}.kind must be one of {choices}, got {value!r}") from None
+
+
 # ---------------------------------------------------------------------------
 # matrix sets
 
@@ -88,9 +106,10 @@ def matrix_set_from_dict(doc: dict) -> list:
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed matrix-set document: missing {exc}") from exc
     out = []
-    for entry in raw:
-        kind = CongruenceKind(entry["kind"])
-        out.append(TaggedMatrix(_matrix_from_pairs(entry["entries"], m, m), kind))
+    for i, entry in enumerate(raw):
+        kind = _kind_at(entry, f"matrices[{i}]")
+        entries = _field(entry, "entries", f"matrices[{i}]")
+        out.append(TaggedMatrix(_matrix_from_pairs(entries, m, m), kind))
     if not out:
         raise ConfigError("matrix-set document lists no matrices")
     return out
@@ -121,9 +140,9 @@ def stacks_from_dict(doc: dict):
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"malformed spectra document: missing {exc}") from exc
     sym_rows, herm_rows = [], []
-    for entry in raw:
-        kind = CongruenceKind(entry["kind"])
-        diag = _vector_from_pairs(entry["diag"])
+    for i, entry in enumerate(raw):
+        kind = _kind_at(entry, f"spectra[{i}]")
+        diag = _vector_from_pairs(_field(entry, "diag", f"spectra[{i}]"))
         if diag.size != m:
             raise ConfigError(f"diagonal length {diag.size} != m = {m}")
         (sym_rows if kind is CongruenceKind.TRANSPOSE else herm_rows).append(diag)

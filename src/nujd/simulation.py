@@ -570,14 +570,33 @@ def run_trial(config: ExperimentConfig, trial: int) -> dict:
     return record
 
 
+def worker_count(value: Optional[str], trials: int) -> int:
+    """Batch threads for a ``NUJD_THREADS`` value: unset or empty means 1.
+
+    Raises ConfigError unless the value is an integer >= 1, and clamps it to
+    [1, min(trials, cpu count)].
+    """
+    if value is None or not value.strip():
+        return 1
+    invalid = ConfigError(f"NUJD_THREADS must be an integer >= 1, got {value!r}")
+    try:
+        requested = int(value)
+    except ValueError:
+        raise invalid from None
+    if requested < 1:
+        raise invalid
+    return max(1, min(requested, trials, os.cpu_count() or 1))
+
+
 def run_experiment(config: ExperimentConfig) -> dict:
     """Run the configured batch and aggregate demixing quality.
 
     Per-trial errors are recorded, not fatal.  The NUJD_THREADS environment
-    variable caps batch parallelism; results are identical either way
-    because every trial owns an independent (seed, trial) stream.
+    variable caps batch parallelism (see :func:`worker_count`); results are
+    identical either way because every trial owns an independent
+    (seed, trial) stream.
     """
-    workers = int(os.environ.get("NUJD_THREADS", "1") or "1")
+    workers = worker_count(os.environ.get("NUJD_THREADS"), config.trials)
     trials = list(range(config.trials))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -18,12 +18,25 @@ Witnesses are built by extracting the kernels, snapping the moduli, and
 factoring each (product, conjugate-product) pair back into a row; every
 witness is verified against the reconstructed matrix set before it is
 returned.
+
+One engine serves every entry point.  Each family's Gram matrix is formed
+once and gives the |cosine| matrix and the norms of its position vectors; the
+Thm 1, Thm 2 and Thm 3 pair conditions are then boolean m x m arrays over the
+upper triangle.  A decision costs O(n m^2) for the Gram matrices and O(m^2)
+for the pair tests.  Thm 1 fires at the pair of largest |cosine|, Thm 2 and
+the mixed scan at the first matching pair in row-major order.  One witness is
+built at the chosen pair and verified once, with the same checks as ever: it
+is certified invertible (``GLElement``), its joint-diagonality residual on the
+reconstructed set is at most max(1e-10, tol), and it is not essentially
+equivalent to the identity.  The residual is computed from the (n, m) spectra
+with the congruences and the re-symmetrization of ``apply_congruence``.  The
+theorem-named functions are thin shims that fix the rule label.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -33,13 +46,12 @@ from .core import (
     GLElement,
     TAU_RHO,
     TAU_PATTERN,
-    TaggedMatrix,
-    is_essentially_equivalent,
-    offdiag_residual,
+    _pattern_test,
 )
 from .errors import (
     DimensionMismatch,
     InvalidPrecondition,
+    NonFiniteEntries,
     SingularMatrix,
     WitnessVerificationError,
 )
@@ -106,6 +118,51 @@ def _cosine_abs_matrix(spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(c, 1.0), norms
 
 
+def _family(stack: DiagonalStack) -> tuple[np.ndarray, np.ndarray]:
+    """|cosine| matrix and norms of a family; an empty one imposes no constraint."""
+    if stack.n:
+        return _cosine_abs_matrix(stack.spectra)
+    return np.ones((stack.m, stack.m)), np.zeros(stack.m)
+
+
+def _require_pairs(m: int) -> None:
+    if m < 2:
+        raise InvalidPrecondition(
+            "collinearity needs at least two diagonal positions (m >= 2); "
+            "a single source is vacuously ambiguous"
+        )
+
+
+def _max_pair(c: np.ndarray) -> tuple[float, tuple]:
+    """Largest upper-triangle entry and its (k, l), the first on ties."""
+    iu, ju = np.triu_indices(c.shape[0], k=1)
+    vals = c[iu, ju]
+    best = int(np.argmax(vals))
+    return float(vals[best]), (int(iu[best]), int(ju[best]))
+
+
+def _first_pair(hits: np.ndarray) -> Optional[tuple]:
+    """First True pair k < l in row-major order, or None."""
+    found = np.argwhere(np.triu(hits, k=1))
+    return (int(found[0, 0]), int(found[0, 1])) if found.size else None
+
+
+# The pair tests below are written as "not separated", so that a comparison
+# left undefined by overflow (a NaN) never certifies uniqueness: the pair goes
+# to witness verification, which rejects it.
+
+
+def _collinear(c: np.ndarray, tol: float) -> np.ndarray:
+    return ~(c < 1.0 - tol)
+
+
+def _ratios_match(x: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
+    """Pairs with x_k y_l = x_l y_k up to a relative margin ``tol``."""
+    a = np.outer(x, y)
+    b = a.T
+    return ~(np.abs(a - b) > tol * np.maximum(np.maximum(a, b), np.finfo(float).tiny))
+
+
 def collinearity(stack: DiagonalStack) -> float:
     """Largest |cosine| between position-vectors of the stack, in [0, 1]."""
     rho, _ = _collinearity_with_pair(stack)
@@ -113,32 +170,22 @@ def collinearity(stack: DiagonalStack) -> float:
 
 
 def _collinearity_with_pair(stack: DiagonalStack) -> tuple[float, tuple]:
-    if stack.m < 2:
-        raise InvalidPrecondition(
-            "collinearity needs at least two diagonal positions (m >= 2); "
-            "a single source is vacuously ambiguous"
-        )
+    _require_pairs(stack.m)
     if stack.n == 0:
         raise InvalidPrecondition("collinearity of an empty stack is undefined")
-    c, _ = _cosine_abs_matrix(stack.spectra)
-    iu, ju = np.triu_indices(stack.m, k=1)
-    vals = c[iu, ju]
-    best = int(np.argmax(vals))
-    return float(vals[best]), (int(iu[best]), int(ju[best]))
+    return _max_pair(_cosine_abs_matrix(stack.spectra)[0])
 
 
 # ---------------------------------------------------------------------------
 # witness machinery
 
 
-def _diag_tagged(spectra: np.ndarray, kind: CongruenceKind) -> list[TaggedMatrix]:
-    return [TaggedMatrix(np.diag(row), kind) for row in spectra]
-
-
-def _pair_kernel(rows: Optional[np.ndarray], scale: float, tol: float):
-    """Null direction of an (n, 2) coefficient block, or None when unconstrained."""
-    if rows is None or rows.shape[0] == 0:
+def _pair_kernel(spectra: np.ndarray, pair: tuple, tol: float):
+    """Null direction of a family's (n, 2) system at the pair, or None when unconstrained."""
+    if spectra.shape[0] == 0:
         return None
+    rows = spectra[:, list(pair)]
+    scale = float(np.max(np.abs(spectra)))
     if float(np.max(np.abs(rows))) <= tol * max(scale, np.finfo(float).tiny):
         return None
     _, _, vh = np.linalg.svd(rows)
@@ -193,38 +240,102 @@ def _pair_witness_block(t_kernel, h_kernel) -> np.ndarray:
     return block
 
 
-def _build_and_verify_witness(
-    m: int,
-    pair: tuple,
-    t_rows: Optional[np.ndarray],
-    h_rows: Optional[np.ndarray],
-    t_scale: float,
-    h_scale: float,
-    verify_set: Sequence[TaggedMatrix],
-    tol: float,
+def _spectra_residual(x: np.ndarray, t_spectra: np.ndarray, h_spectra: np.ndarray) -> float:
+    """``offdiag_residual`` of the reconstructed diagonal set under ``x``.
+
+    Row i of a family stands for diag(row i).  The congruences and the exact
+    re-symmetrization are those of ``apply_congruence``, batched over rows.
+    """
+    xc = x.conj()
+    num = den = 0.0
+    for spectra, right, hermitian in ((t_spectra, xc, False), (h_spectra, x, True)):
+        if spectra.shape[0] == 0:
+            continue
+        t = np.einsum("ja,ij,jb->iab", xc, spectra, right)
+        t = (t + (t.conj() if hermitian else t).swapaxes(1, 2)) / 2.0
+        diag = np.arange(x.shape[0])
+        t[:, diag, diag] = 0.0
+        num += float(np.sum(np.abs(t) ** 2))
+        den += float(np.sum(np.abs(spectra) ** 2))
+    if den == 0.0:
+        return 0.0
+    return float(np.sqrt(num / den))
+
+
+def _witness(
+    pair: tuple, t_spectra: np.ndarray, h_spectra: np.ndarray, tol: float
 ) -> tuple[GLElement, float]:
+    """Build the witness at ``pair`` and verify it on the (n, m) spectra.
+
+    An empty family (n = 0) imposes no constraint and is not verified against.
+    """
     k, l = pair
-    t_kernel = _pair_kernel(np.conj(t_rows) if t_rows is not None else None, t_scale, tol)
-    h_kernel = _pair_kernel(h_rows.real if h_rows is not None else None, h_scale, tol)
-    block = _pair_witness_block(t_kernel, h_kernel)
+    block = _pair_witness_block(
+        _pair_kernel(np.conj(t_spectra), pair, tol),
+        _pair_kernel(h_spectra.real, pair, tol),
+    )
+    m = t_spectra.shape[1] if t_spectra.shape[0] else h_spectra.shape[1]
     x = np.eye(m, dtype=np.complex128)
     x[np.ix_([k, l], [k, l])] = block
     try:
         witness = GLElement(x)
     except SingularMatrix as exc:
         raise WitnessVerificationError(f"witness block is singular: {exc}") from exc
-    residual = offdiag_residual(list(verify_set), witness)
+    residual = _spectra_residual(witness.matrix, t_spectra, h_spectra)
     rtol = max(1e-10, tol)
-    if residual > rtol:
+    if not residual <= rtol:
         raise WitnessVerificationError(
             f"witness fails joint diagonality: residual {residual:.3e} > {rtol:.0e}"
         )
-    trivial, _ = is_essentially_equivalent(
-        witness, GLElement(np.eye(m)), TAU_PATTERN
-    )
-    if trivial:
+    # X is essentially equivalent to I iff X itself has the G(m) pattern
+    if _pattern_test(witness.matrix, TAU_PATTERN)[0]:
         raise WitnessVerificationError("witness is essentially equivalent to I")
     return witness, residual
+
+
+def _report(rule, pair, t_spectra, h_spectra, tol, rho_t=None, rho_h=None):
+    """Unique when ``pair`` is None, else NotUnique with the verified witness."""
+    if pair is None:
+        return UniquenessReport(
+            verdict="Unique", rule_fired=rule, rho_transpose=rho_t, rho_hermitian=rho_h
+        )
+    witness, residual = _witness(pair, t_spectra, h_spectra, tol)
+    return UniquenessReport(
+        verdict="NotUnique",
+        rule_fired=rule,
+        rho_transpose=rho_t,
+        rho_hermitian=rho_h,
+        violating_pair=pair,
+        witness=witness,
+        witness_residual=residual,
+    )
+
+
+def _by_kind(stack: DiagonalStack) -> tuple[np.ndarray, np.ndarray]:
+    """(transpose, Hermitian) spectra of a single-kind stack."""
+    empty = np.zeros((0, stack.m), dtype=np.complex128)
+    if stack.kind is CongruenceKind.TRANSPOSE:
+        return stack.spectra, empty
+    return empty, stack.spectra
+
+
+def _thm2_diagonals(omega1, omega2) -> tuple[np.ndarray, np.ndarray]:
+    w1 = np.asarray(omega1, dtype=np.complex128).ravel()
+    w2 = np.asarray(omega2, dtype=np.complex128).ravel()
+    scale = float(np.max(np.abs(w2))) if w2.size else 0.0
+    if scale > 0 and float(np.max(np.abs(w2.imag))) > 1e-8 * scale:
+        raise InvalidPrecondition(
+            "the Hermitian-side diagonal must be real; split the matrix first"
+        )
+    if w1.shape != w2.shape:
+        raise DimensionMismatch("omega1 and omega2 must have equal length")
+    if not (np.all(np.isfinite(w1)) and np.all(np.isfinite(w2))):
+        raise NonFiniteEntries("the diagonals contain NaN or infinite entries")
+    return w1, w2.real
+
+
+# ---------------------------------------------------------------------------
+# witnesses at a given pair
 
 
 def witness_thm1(stack: DiagonalStack, pair: tuple, tol: float = TAU_RHO) -> GLElement:
@@ -239,18 +350,7 @@ def witness_thm1(stack: DiagonalStack, pair: tuple, tol: float = TAU_RHO) -> GLE
         raise InvalidPrecondition(
             f"pair ({k}, {l}) is not collinear: |c| = {c[k, l]:.12f}"
         )
-    rows = stack.spectra[:, [k, l]]
-    scale = float(np.max(np.abs(stack.spectra)))
-    verify = _diag_tagged(stack.spectra, stack.kind)
-    if stack.kind is CongruenceKind.TRANSPOSE:
-        w, _ = _build_and_verify_witness(
-            stack.m, pair, rows, None, scale, 0.0, verify, tol
-        )
-    else:
-        w, _ = _build_and_verify_witness(
-            stack.m, pair, None, rows, 0.0, scale, verify, tol
-        )
-    return w
+    return _witness(pair, *_by_kind(stack), tol)[0]
 
 
 def witness_thm2(omega1, omega2, pair: tuple, tol: float = TAU_RHO) -> GLElement:
@@ -261,33 +361,14 @@ def witness_thm2(omega1, omega2, pair: tuple, tol: float = TAU_RHO) -> GLElement
     rotation composed with phase halving) and the singular cases come out of
     the same kernel machinery.
     """
-    w1 = np.asarray(omega1, dtype=np.complex128).ravel()
-    w2 = _require_real_diag(omega2)
-    if w1.shape != w2.shape:
-        raise DimensionMismatch("omega1 and omega2 must have equal length")
+    w1, w2 = _thm2_diagonals(omega1, omega2)
     k, l = pair
-    a = abs(w1[k]) * abs(w2[l])
-    b = abs(w1[l]) * abs(w2[k])
-    if abs(a - b) > tol * max(a, b, np.finfo(float).tiny):
+    if not _ratios_match(np.abs(w1), np.abs(w2), tol)[k, l]:
         raise InvalidPrecondition(
             f"pair ({k}, {l}) satisfies the strict modulus inequality; "
             "no witness exists"
         )
-    verify = [
-        TaggedMatrix(np.diag(w1), CongruenceKind.TRANSPOSE),
-        TaggedMatrix(np.diag(w2), CongruenceKind.HERMITIAN),
-    ]
-    w, _ = _build_and_verify_witness(
-        w1.size,
-        pair,
-        w1[None, [k, l]],
-        w2[None, [k, l]],
-        float(np.max(np.abs(w1))),
-        float(np.max(np.abs(w2))),
-        verify,
-        tol,
-    )
-    return w
+    return _witness(pair, w1[None, :], w2[None, :], tol)[0]
 
 
 def witness_thm3(
@@ -299,35 +380,17 @@ def witness_thm3(
     (the proportionality constants share one modulus r).  Degenerate
     zero-vector positions fall back to the single-family construction.
     """
-    ok, why = _thm3_pair_condition(sym, herm, pair, tol)
-    if not ok:
-        raise InvalidPrecondition(f"pair {pair} does not match: {why}")
-    w, _ = _witness_mixed(sym, herm, pair, tol)
-    return w
-
-
-def _witness_mixed(sym, herm, pair, tol):
     k, l = pair
-    verify = _diag_tagged(sym.spectra, CongruenceKind.TRANSPOSE) + _diag_tagged(
-        herm.spectra, CongruenceKind.HERMITIAN
-    )
-    t_rows = sym.spectra[:, [k, l]] if sym.n else None
-    h_rows = herm.spectra[:, [k, l]] if herm.n else None
-    t_scale = float(np.max(np.abs(sym.spectra))) if sym.n else 0.0
-    h_scale = float(np.max(np.abs(herm.spectra))) if herm.n else 0.0
-    return _build_and_verify_witness(
-        sym.m if sym.n else herm.m, pair, t_rows, h_rows, t_scale, h_scale, verify, tol
-    )
-
-
-def _require_real_diag(omega) -> np.ndarray:
-    w = np.asarray(omega, dtype=np.complex128).ravel()
-    scale = float(np.max(np.abs(w))) if w.size else 0.0
-    if scale > 0 and float(np.max(np.abs(w.imag))) > 1e-8 * scale:
-        raise InvalidPrecondition(
-            "the Hermitian-side diagonal must be real; split the matrix first"
-        )
-    return w.real
+    (c_s, n_s), (c_h, n_h) = _family(sym), _family(herm)
+    if c_s[k, l] < 1.0 - tol:
+        why = f"transpose family not collinear (|c| = {c_s[k, l]:.12f})"
+    elif c_h[k, l] < 1.0 - tol:
+        why = f"Hermitian family not collinear (|c| = {c_h[k, l]:.12f})"
+    elif not _ratios_match(n_s, n_h, tol)[k, l]:
+        why = "norm ratios differ"
+    else:
+        return _witness(pair, sym.spectra, herm.spectra, tol)[0]
+    raise InvalidPrecondition(f"pair {pair} does not match: {why}")
 
 
 # ---------------------------------------------------------------------------
@@ -341,23 +404,14 @@ def unique_thm1(stack: DiagonalStack, tol: float = TAU_RHO) -> UniquenessReport:
     Hermitian-congruence case with real spectra, which share the criterion.
     """
     rho, pair = _collinearity_with_pair(stack)
-    rule = RULE_THM1A if stack.kind is CongruenceKind.TRANSPOSE else RULE_THM1B
-    rho_t = rho if stack.kind is CongruenceKind.TRANSPOSE else None
-    rho_h = rho if stack.kind is CongruenceKind.HERMITIAN else None
-    if rho < 1.0 - tol:
-        return UniquenessReport(
-            verdict="Unique", rule_fired=rule, rho_transpose=rho_t, rho_hermitian=rho_h
-        )
-    witness = witness_thm1(stack, pair, tol)
-    residual = offdiag_residual(_diag_tagged(stack.spectra, stack.kind), witness)
-    return UniquenessReport(
-        verdict="NotUnique",
-        rule_fired=rule,
-        rho_transpose=rho_t,
-        rho_hermitian=rho_h,
-        violating_pair=pair,
-        witness=witness,
-        witness_residual=residual,
+    transpose = stack.kind is CongruenceKind.TRANSPOSE
+    return _report(
+        RULE_THM1A if transpose else RULE_THM1B,
+        None if rho < 1.0 - tol else pair,
+        *_by_kind(stack),
+        tol,
+        rho_t=rho if transpose else None,
+        rho_h=None if transpose else rho,
     )
 
 
@@ -367,66 +421,11 @@ def unique_thm2(omega1, omega2, tol: float = TAU_RHO) -> UniquenessReport:
     Essentially unique iff |w1_k| |w2_l| != |w1_l| |w2_k| for every pair
     k != l, with a relative margin of ``tol``.
     """
-    w1 = np.asarray(omega1, dtype=np.complex128).ravel()
-    w2 = _require_real_diag(omega2)
-    if w1.shape != w2.shape:
-        raise DimensionMismatch("omega1 and omega2 must have equal length")
-    m = w1.size
-    if m < 2:
+    w1, w2 = _thm2_diagonals(omega1, omega2)
+    if w1.size < 2:
         raise InvalidPrecondition("need m >= 2 diagonal positions")
-    a1 = np.abs(w1)
-    a2 = np.abs(w2)
-    for k in range(m):
-        for l in range(k + 1, m):
-            a = a1[k] * a2[l]
-            b = a1[l] * a2[k]
-            if abs(a - b) <= tol * max(a, b, np.finfo(float).tiny):
-                witness = witness_thm2(w1, w2, (k, l), tol)
-                residual = offdiag_residual(
-                    [
-                        TaggedMatrix(np.diag(w1), CongruenceKind.TRANSPOSE),
-                        TaggedMatrix(np.diag(w2), CongruenceKind.HERMITIAN),
-                    ],
-                    witness,
-                )
-                return UniquenessReport(
-                    verdict="NotUnique",
-                    rule_fired=RULE_THM2,
-                    violating_pair=(k, l),
-                    witness=witness,
-                    witness_residual=residual,
-                )
-    return UniquenessReport(verdict="Unique", rule_fired=RULE_THM2)
-
-
-def _thm3_pair_condition(sym, herm, pair, tol):
-    """Both families collinear at the pair and norm cross-ratios equal.
-
-    The norm condition is the proof's form ||z_k|| ||z'_l|| = ||z_l|| ||z'_k||
-    (equal proportionality moduli), which reduces to the two-matrix modulus
-    test when each family has one matrix.  Empty families contribute zero
-    norms and unit cosines, imposing no constraint.
-    """
-    k, l = pair
-    if sym.n:
-        c_s, n_s = _cosine_abs_matrix(sym.spectra)
-        cos_s, nk_s, nl_s = c_s[k, l], n_s[k], n_s[l]
-    else:
-        cos_s, nk_s, nl_s = 1.0, 0.0, 0.0
-    if herm.n:
-        c_h, n_h = _cosine_abs_matrix(herm.spectra)
-        cos_h, nk_h, nl_h = c_h[k, l], n_h[k], n_h[l]
-    else:
-        cos_h, nk_h, nl_h = 1.0, 0.0, 0.0
-    if cos_s < 1.0 - tol:
-        return False, f"transpose family not collinear (|c| = {cos_s:.12f})"
-    if cos_h < 1.0 - tol:
-        return False, f"Hermitian family not collinear (|c| = {cos_h:.12f})"
-    a = nk_s * nl_h
-    b = nl_s * nk_h
-    if abs(a - b) > tol * max(a, b, np.finfo(float).tiny):
-        return False, f"norm ratios differ ({a:.6e} vs {b:.6e})"
-    return True, ""
+    pair = _first_pair(_ratios_match(np.abs(w1), np.abs(w2), tol))
+    return _report(RULE_THM2, pair, w1[None, :], w2[None, :], tol)
 
 
 def unique_thm3(
@@ -444,35 +443,13 @@ def unique_thm3(
         raise InvalidPrecondition("unique_thm3 needs both stacks non-empty")
     if sym.m != herm.m:
         raise DimensionMismatch("stacks must share the dimension m")
-    rho_s, _ = _collinearity_with_pair(sym)
-    rho_h, _ = _collinearity_with_pair(herm)
-    if rho_s < 1.0 - tol or rho_h < 1.0 - tol:
+    rep = _mixed(sym, herm, tol, RULE_THM3)
+    if rep.rule_fired != RULE_THM3:
         raise InvalidPrecondition(
             "unique_thm3 requires both collinearities equal to one; "
             "use identifiability_master for the general dispatch"
         )
-    return _thm3_scan(sym, herm, rho_s, rho_h, tol, RULE_THM3)
-
-
-def _thm3_scan(sym, herm, rho_s, rho_h, tol, rule):
-    m = sym.m if sym.n else herm.m
-    for k in range(m):
-        for l in range(k + 1, m):
-            ok, _ = _thm3_pair_condition(sym, herm, (k, l), tol)
-            if ok:
-                witness, residual = _witness_mixed(sym, herm, (k, l), tol)
-                return UniquenessReport(
-                    verdict="NotUnique",
-                    rule_fired=rule,
-                    rho_transpose=rho_s,
-                    rho_hermitian=rho_h,
-                    violating_pair=(k, l),
-                    witness=witness,
-                    witness_residual=residual,
-                )
-    return UniquenessReport(
-        verdict="Unique", rule_fired=rule, rho_transpose=rho_s, rho_hermitian=rho_h
-    )
+    return rep
 
 
 def identifiability_master(
@@ -495,23 +472,23 @@ def identifiability_master(
         raise InvalidPrecondition("both stacks are empty")
     if sym.m != herm.m:
         raise DimensionMismatch("stacks must share the dimension m")
-    rho_s = _collinearity_with_pair(sym)[0] if sym.n else None
-    rho_h = _collinearity_with_pair(herm)[0] if herm.n else None
+    return _mixed(sym, herm, tol, RULE_MASTER_III)
+
+
+def _mixed(sym, herm, tol, rule_iii):
+    """Branches i and ii on the collinearities, then the Thm 3 pair scan."""
+    _require_pairs(sym.m)
+    (c_s, n_s), (c_h, n_h) = _family(sym), _family(herm)
+    rho_s = _max_pair(c_s)[0] if sym.n else None
+    rho_h = _max_pair(c_h)[0] if herm.n else None
     if rho_s is not None and rho_s < 1.0 - tol:
-        return UniquenessReport(
-            verdict="Unique",
-            rule_fired=RULE_MASTER_I,
-            rho_transpose=rho_s,
-            rho_hermitian=rho_h,
-        )
+        return _report(RULE_MASTER_I, None, None, None, tol, rho_s, rho_h)
     if rho_h is not None and rho_h < 1.0 - tol:
-        return UniquenessReport(
-            verdict="Unique",
-            rule_fired=RULE_MASTER_II,
-            rho_transpose=rho_s,
-            rho_hermitian=rho_h,
-        )
-    return _thm3_scan(sym, herm, rho_s, rho_h, tol, RULE_MASTER_III)
+        return _report(RULE_MASTER_II, None, None, None, tol, rho_s, rho_h)
+    hits = _collinear(c_s, tol) & _collinear(c_h, tol) & _ratios_match(n_s, n_h, tol)
+    return _report(
+        rule_iii, _first_pair(hits), sym.spectra, herm.spectra, tol, rho_s, rho_h
+    )
 
 
 def _coerce_stack(stack, kind, other):

@@ -72,6 +72,26 @@ class TestCheck:
         res = invoke(runner, "check", str(path))
         assert res.exit_code == 0
 
+    @pytest.mark.parametrize(
+        "doc, path",
+        [
+            ({"m": 2, "spectra": [{"kind": "bogus", "diag": [[1, 0], [2, 0]]}]}, "spectra[0].kind"),
+            ({"m": 2, "spectra": [{"diag": [[1, 0], [2, 0]]}]}, "spectra[0].kind"),
+            (
+                {"m": 2, "matrices": [{"kind": "bogus", "entries": [[1, 0], [0, 0], [0, 0], [2, 0]]}]},
+                "matrices[0].kind",
+            ),
+            ({"m": 2, "matrices": [{"entries": [[1, 0], [0, 0], [0, 0], [2, 0]]}]}, "matrices[0].kind"),
+        ],
+    )
+    def test_bad_kind_exits_1_naming_the_json_path(self, runner, tmp_path, doc, path):
+        src = tmp_path / "k.json"
+        nio.write_json(doc, src)
+        for command in ("check", "solve") if "matrices" in doc else ("check",):
+            res = invoke(runner, command, str(src))
+            assert res.exit_code == 1
+            assert f"error: {path}" in res.output
+
     def test_non_diagonal_matrix_set_rejected(self, runner, tmp_path):
         items = [TaggedMatrix(np.array([[1.0, 0.5], [0.5, 2.0]]), CongruenceKind.HERMITIAN)]
         path = tmp_path / "nd.json"
@@ -232,6 +252,13 @@ class TestSimulate:
         cfg = self._config(tmp_path, solver="banana")
         res = runner.invoke(main, ["simulate", str(cfg)])
         assert res.exit_code == 1
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
+    def test_invalid_thread_count_exits_1(self, runner, tmp_path, monkeypatch, value):
+        monkeypatch.setenv("NUJD_THREADS", value)
+        res = invoke(runner, "simulate", str(self._config(tmp_path)))
+        assert res.exit_code == 1
+        assert "error: NUJD_THREADS" in res.output
 
     def test_seed_override_changes_report(self, runner, tmp_path):
         cfg = self._config(tmp_path)

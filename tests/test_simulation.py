@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from nujd.simulation import (
     population_stacks,
     run_experiment,
     run_trial,
+    worker_count,
 )
 from nujd.solvers import put, put_identifiability_check
 from nujd.statistics import circularity_coefficient
@@ -287,3 +290,23 @@ class TestRunExperiment:
         )
         rec = run_trial(cfg, 0)
         assert rec["identifiability"] == "unavailable"
+
+
+class TestWorkerCount:
+    # a pure function of the NUJD_THREADS value: no thread pool is started
+    def test_unset_or_empty_means_one(self):
+        assert worker_count(None, 8) == 1
+        assert worker_count("", 8) == 1
+
+    def test_clamped_to_trials_and_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert worker_count("3", 8) == 3
+        assert worker_count("100000", 8) == 4
+        assert worker_count("100000", 2) == 2
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert worker_count("3", 8) == 1
+
+    @pytest.mark.parametrize("value", ["abc", "2.5", "0", "-1"])
+    def test_invalid_values_rejected(self, value):
+        with pytest.raises(ConfigError, match="NUJD_THREADS"):
+            worker_count(value, 8)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -12,7 +12,12 @@ from nujd.core import (
     is_essentially_equivalent,
     offdiag_residual,
 )
-from nujd.errors import DimensionMismatch, InvalidPrecondition
+from nujd.errors import (
+    DimensionMismatch,
+    InvalidPrecondition,
+    NonFiniteEntries,
+    WitnessVerificationError,
+)
 from nujd.uniqueness import (
     collinearity,
     complex_cosine,
@@ -176,6 +181,10 @@ class TestThm2:
             rep, sym=transpose_stack([[1, 0]]), herm=hermitian_stack([[1, 0]])
         )
 
+    def test_non_finite_diagonal_rejected(self):
+        with pytest.raises(NonFiniteEntries):
+            unique_thm2([np.nan, 1], [1, 1])
+
     def test_witness_rejects_separated_pair(self):
         with pytest.raises(InvalidPrecondition):
             witness_thm2([1 + 1j, 2], [1, 1], (0, 1))
@@ -277,6 +286,15 @@ class TestMaster:
             rep_2 = unique_thm2(w1, w2)
             assert rep_m.verdict == rep_2.verdict
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_spectra_get_no_witness_with_nan_residual(self):
+        # the Gram matrix and the residual overflow: the NaN residual must
+        # fail verification instead of passing as "not above the bound"
+        with pytest.raises(WitnessVerificationError):
+            identifiability_master(
+                transpose_stack([[1e200, 1e200]]), hermitian_stack([[1e200, 2e200]])
+            )
+
     def test_both_empty_rejected(self):
         with pytest.raises(InvalidPrecondition):
             identifiability_master(None, None)
@@ -308,3 +326,189 @@ class TestSoundness:
         assert rep.verdict == "NotUnique"
         # witness residual is only as small as the margin allows
         assert rep.witness_residual <= 1e-3
+
+
+# ---------------------------------------------------------------------------
+# the vectorized engine against a brute-force per-pair loop
+
+from nujd.uniqueness import _cosine_abs_matrix
+import nujd.uniqueness as uniqueness_module
+
+
+def _loop_rho(stack):
+    """Largest |cos| over pairs k < l, the first on ties, by a per-pair loop."""
+    best = None
+    for k in range(stack.m):
+        for l in range(k + 1, stack.m):
+            c = _cosine_abs_matrix(stack.spectra)[0][k, l]
+            if best is None or c > best[0]:
+                best = (float(c), (k, l))
+    return best
+
+
+def _loop_pair_condition(sym, herm, k, l, tol):
+    """Thm 3 at one pair, recomputing both |cos| matrices for this pair alone."""
+    if sym.n:
+        c_s, n_s = _cosine_abs_matrix(sym.spectra)
+        cos_s, nk_s, nl_s = c_s[k, l], n_s[k], n_s[l]
+    else:
+        cos_s, nk_s, nl_s = 1.0, 0.0, 0.0
+    if herm.n:
+        c_h, n_h = _cosine_abs_matrix(herm.spectra)
+        cos_h, nk_h, nl_h = c_h[k, l], n_h[k], n_h[l]
+    else:
+        cos_h, nk_h, nl_h = 1.0, 0.0, 0.0
+    if cos_s < 1.0 - tol or cos_h < 1.0 - tol:
+        return False
+    a = nk_s * nl_h
+    b = nl_s * nk_h
+    return abs(a - b) <= tol * max(a, b, np.finfo(float).tiny)
+
+
+def loop_master(sym, herm, tol):
+    """(verdict, rule, pair, rho_t, rho_h) of the identifiability decision."""
+    m = sym.m if sym is not None else herm.m
+    sym = sym if sym is not None else transpose_stack(np.zeros((0, m)))
+    herm = herm if herm is not None else hermitian_stack(np.zeros((0, m)))
+    rho_s = _loop_rho(sym)[0] if sym.n else None
+    rho_h = _loop_rho(herm)[0] if herm.n else None
+    if rho_s is not None and rho_s < 1.0 - tol:
+        return "Unique", "Identifiability-i", None, rho_s, rho_h
+    if rho_h is not None and rho_h < 1.0 - tol:
+        return "Unique", "Identifiability-ii", None, rho_s, rho_h
+    for k in range(m):
+        for l in range(k + 1, m):
+            if _loop_pair_condition(sym, herm, k, l, tol):
+                return "NotUnique", "Identifiability-iii", (k, l), rho_s, rho_h
+    return "Unique", "Identifiability-iii", None, rho_s, rho_h
+
+
+def loop_thm2(w1, w2, tol):
+    a1, a2 = np.abs(w1), np.abs(w2)
+    for k in range(len(w1)):
+        for l in range(k + 1, len(w1)):
+            a, b = a1[k] * a2[l], a1[l] * a2[k]
+            if abs(a - b) <= tol * max(a, b, np.finfo(float).tiny):
+                return (k, l)
+    return None
+
+
+_VALUES = [0.0, 1.0, -1.0, 2.0, 0.5, -3.0, 1j, 1 + 1j, 2 - 1j, -0.5j]
+
+
+@st.composite
+def stacks_pair(draw):
+    """(sym, herm, tol): small-valued stacks, often with a planted matched pair.
+
+    Draws cover empty families, multi-row families, zero position vectors
+    and coincident pairs (collinear in both families, equal norm ratios).
+    """
+    m = draw(st.integers(2, 6))
+    ns, nh = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    if ns == nh == 0:
+        ns = 1
+    cells = st.sampled_from(_VALUES)
+    sym = np.array(draw(st.lists(cells, min_size=ns * m, max_size=ns * m)), dtype=complex)
+    herm = np.array(
+        draw(st.lists(cells.map(lambda z: z.real), min_size=nh * m, max_size=nh * m))
+    )
+    sym, herm = sym.reshape(ns, m), herm.reshape(nh, m)
+    if draw(st.booleans()):
+        k, l = sorted(draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2, unique=True)))
+        r = draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+        sym[:, l] = r * draw(st.sampled_from([1, -1, 1j, np.exp(0.3j)])) * sym[:, k]
+        herm[:, l] = r * draw(st.sampled_from([1.0, -1.0])) * herm[:, k]
+    for col in draw(st.lists(st.integers(0, m - 1), max_size=2)):
+        sym[:, col] = 0.0
+    assume(ns == 0 or np.any(sym != 0))
+    assume(nh == 0 or np.any(herm != 0))
+    tol = draw(st.sampled_from([1e-10, 1e-3]))
+    return (
+        transpose_stack(sym) if ns else None,
+        hermitian_stack(herm) if nh else None,
+        tol,
+    )
+
+
+class TestEngineEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(stacks_pair())
+    def test_master_matches_the_pair_loop(self, case):
+        sym, herm, tol = case
+        rep = identifiability_master(sym, herm, tol)
+        got = (rep.verdict, rep.rule_fired, rep.violating_pair, rep.rho_transpose, rep.rho_hermitian)
+        assert got == loop_master(sym, herm, tol)
+        if not rep.unique:
+            mats = reconstructed(sym, herm)
+            assert rep.witness_residual <= max(1e-10, tol)
+            assert abs(rep.witness_residual - offdiag_residual(mats, rep.witness)) <= 1e-12
+            same, _ = is_essentially_equivalent(rep.witness, GLElement(np.eye(rep.witness.m)))
+            assert not same
+
+    @settings(max_examples=150, deadline=None)
+    @given(stacks_pair())
+    def test_single_kind_and_two_matrix_match_the_loop(self, case):
+        sym, herm, tol = case
+        for stack in (sym, herm):
+            if stack is not None:
+                rep = unique_thm1(stack, tol)
+                rho, pair = _loop_rho(stack)
+                assert (rep.rho_transpose, rep.rho_hermitian) == (
+                    (rho, None) if stack.kind is CongruenceKind.TRANSPOSE else (None, rho)
+                )
+                assert rep.violating_pair == (None if rho < 1.0 - tol else pair)
+        if sym is not None and herm is not None and sym.n == herm.n == 1:
+            w1, w2 = sym.spectra[0], herm.spectra[0].real
+            rep = unique_thm2(w1, w2, tol)
+            assert rep.violating_pair == loop_thm2(w1, w2, tol)
+            if not rep.unique:
+                assert rep.witness_residual <= max(1e-10, tol)
+
+
+class TestVerdictInvariance:
+    @settings(max_examples=200, deadline=None)
+    @given(stacks_pair(), st.randoms(use_true_random=False))
+    def test_permutation_scaling_and_conjugation(self, case, rnd):
+        # A -> A P D maps D_i to P^T D_i P scaled by d_k^2 (transpose kind)
+        # and |d_k|^2 (Hermitian kind): the verdict must not move
+        sym, herm, tol = case
+        m = (sym if sym is not None else herm).m
+        base = identifiability_master(sym, herm, tol)
+        perm = list(range(m))
+        rnd.shuffle(perm)
+        d = np.array([rnd.uniform(0.5, 2.0) * np.exp(1j * rnd.uniform(0, 2 * np.pi)) for _ in range(m)])
+        moved_sym = transpose_stack(sym.spectra[:, perm] * d**2) if sym is not None else None
+        moved_herm = (
+            hermitian_stack(herm.spectra[:, perm].real * np.abs(d) ** 2) if herm is not None else None
+        )
+        moved = identifiability_master(moved_sym, moved_herm, tol)
+        assert (moved.verdict, moved.rule_fired) == (base.verdict, base.rule_fired)
+        if sym is not None:
+            conj = identifiability_master(transpose_stack(sym.spectra.conj()), herm, tol)
+            assert (conj.verdict, conj.rule_fired) == (base.verdict, base.rule_fired)
+
+
+class TestEngineCost:
+    @pytest.mark.parametrize("coincident", [False, True])
+    def test_one_gram_matrix_per_family(self, monkeypatch, coincident):
+        # the pair scan must not rebuild the |cos| matrices pair by pair
+        m = 16
+        rng = np.random.default_rng(16)
+        h = rng.uniform(0.5, 2.0, m)
+        t = np.exp(0.1 * np.arange(m)) * h * np.exp(2j * np.pi * rng.uniform(size=m))
+        if coincident:
+            t[m - 1] = t[m - 2] * h[m - 1] / h[m - 2]
+        calls = []
+
+        def counting(spectra):
+            calls.append(spectra.shape)
+            return _cosine_abs_matrix(spectra)
+
+        monkeypatch.setattr(uniqueness_module, "_cosine_abs_matrix", counting)
+        rep = identifiability_master(transpose_stack([t]), hermitian_stack([h]))
+        assert rep.rule_fired == "Identifiability-iii"
+        assert rep.violating_pair == ((m - 2, m - 1) if coincident else None)
+        assert len(calls) <= 2
+        calls.clear()
+        identifiability_master(None, hermitian_stack([h]))
+        assert len(calls) <= 1
