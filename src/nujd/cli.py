@@ -74,7 +74,7 @@ def cmd_check(input_path, tol, margin, out_path):
     doc = _load_json(input_path)
     use_tol = margin if margin is not None else tol
     try:
-        if "spectra" in doc:
+        if not isinstance(doc, dict) or "spectra" in doc:
             sym, herm, _ = nio.stacks_from_dict(doc)
         elif "matrices" in doc:
             sym, herm = _stacks_from_matrix_set(doc, use_tol)

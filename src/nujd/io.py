@@ -44,29 +44,55 @@ def _pairs_from_matrix(mat: np.ndarray) -> list:
     return [_pair(z) for z in np.asarray(mat).ravel()]
 
 
-def _matrix_from_pairs(pairs, rows: int, cols: int) -> np.ndarray:
-    arr = np.asarray(pairs, dtype=float)
+def _floats(pairs, path: str) -> np.ndarray:
+    try:
+        return np.asarray(pairs, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{path} must hold numeric [re, im] pairs") from None
+
+
+def _matrix_from_pairs(pairs, rows: int, cols: int, path: str) -> np.ndarray:
+    arr = _floats(pairs, path)
     if arr.shape != (rows * cols, 2):
         raise ConfigError(
-            f"expected {rows * cols} [re, im] entries, got shape {arr.shape}"
+            f"{path}: expected {rows * cols} [re, im] entries, got shape {arr.shape}"
         )
     return (arr[:, 0] + 1j * arr[:, 1]).reshape(rows, cols)
 
 
-def _vector_from_pairs(pairs) -> np.ndarray:
-    arr = np.asarray(pairs, dtype=float)
+def _vector_from_pairs(pairs, path: str) -> np.ndarray:
+    arr = _floats(pairs, path)
     if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ConfigError("expected a list of [re, im] pairs")
+        raise ConfigError(f"{path} must be a list of [re, im] pairs")
     return arr[:, 0] + 1j * arr[:, 1]
 
 
-def _field(entry, key: str, path: str):
-    """``entry[key]``, or a ConfigError naming the JSON path when it is absent."""
+def _field(entry, key: str, path: str = ""):
+    """``entry[key]``, or a ConfigError naming the JSON path when it is absent.
+
+    ``path`` is the JSON path of ``entry``; the empty path is the document.
+    """
     if not isinstance(entry, dict):
-        raise ConfigError(f"{path} must be an object")
+        raise ConfigError(f"{path or 'document'} must be an object")
     if key not in entry:
-        raise ConfigError(f"{path}.{key} is missing")
+        raise ConfigError(f"{path}.{key} is missing" if path else f"{key} is missing")
     return entry[key]
+
+
+def _count(doc, key: str) -> int:
+    """A top-level positive-integer field; JSON booleans and floats are rejected."""
+    value = _field(doc, key)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{key} must be a positive integer, got {value!r}")
+    return value
+
+
+def _list(doc, key: str) -> list:
+    """A top-level list field."""
+    value = _field(doc, key)
+    if not isinstance(value, list):
+        raise ConfigError(f"{key} must be a list")
+    return value
 
 
 def _kind_at(entry, path: str) -> CongruenceKind:
@@ -100,16 +126,13 @@ def matrix_set_to_dict(items: Sequence[TaggedMatrix], provenance: Optional[dict]
 
 
 def matrix_set_from_dict(doc: dict) -> list:
-    try:
-        m = int(doc["m"])
-        raw = doc["matrices"]
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"malformed matrix-set document: missing {exc}") from exc
+    m = _count(doc, "m")
     out = []
-    for i, entry in enumerate(raw):
-        kind = _kind_at(entry, f"matrices[{i}]")
-        entries = _field(entry, "entries", f"matrices[{i}]")
-        out.append(TaggedMatrix(_matrix_from_pairs(entries, m, m), kind))
+    for i, entry in enumerate(_list(doc, "matrices")):
+        path = f"matrices[{i}]"
+        kind = _kind_at(entry, path)
+        entries = _field(entry, "entries", path)
+        out.append(TaggedMatrix(_matrix_from_pairs(entries, m, m, f"{path}.entries"), kind))
     if not out:
         raise ConfigError("matrix-set document lists no matrices")
     return out
@@ -134,17 +157,14 @@ def stacks_to_dict(sym: Optional[DiagonalStack], herm: Optional[DiagonalStack]) 
 
 
 def stacks_from_dict(doc: dict):
-    try:
-        m = int(doc["m"])
-        raw = doc["spectra"]
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"malformed spectra document: missing {exc}") from exc
+    m = _count(doc, "m")
     sym_rows, herm_rows = [], []
-    for i, entry in enumerate(raw):
-        kind = _kind_at(entry, f"spectra[{i}]")
-        diag = _vector_from_pairs(_field(entry, "diag", f"spectra[{i}]"))
+    for i, entry in enumerate(_list(doc, "spectra")):
+        path = f"spectra[{i}]"
+        kind = _kind_at(entry, path)
+        diag = _vector_from_pairs(_field(entry, "diag", path), f"{path}.diag")
         if diag.size != m:
-            raise ConfigError(f"diagonal length {diag.size} != m = {m}")
+            raise ConfigError(f"{path}.diag has length {diag.size}, m = {m}")
         (sym_rows if kind is CongruenceKind.TRANSPOSE else herm_rows).append(diag)
     sym = (
         DiagonalStack(CongruenceKind.TRANSPOSE, np.vstack(sym_rows))
@@ -177,19 +197,16 @@ def signal_to_dict(block, truth: Optional[dict] = None) -> dict:
 def signal_from_dict(doc: dict):
     from .statistics import SignalBlock
 
-    try:
-        m = int(doc["m"])
-        t = int(doc["T"])
-        channels = doc["channels"]
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"malformed signal document: missing {exc}") from exc
+    m = _count(doc, "m")
+    t = _count(doc, "T")
+    channels = _list(doc, "channels")
     if len(channels) != m:
-        raise ConfigError(f"channel count {len(channels)} != m = {m}")
+        raise ConfigError(f"channels has {len(channels)} entries, m = {m}")
     rows = []
-    for ch in channels:
-        v = _vector_from_pairs(ch)
+    for i, ch in enumerate(channels):
+        v = _vector_from_pairs(ch, f"channels[{i}]")
         if v.size != t:
-            raise ConfigError(f"channel length {v.size} != T = {t}")
+            raise ConfigError(f"channels[{i}] has length {v.size}, T = {t}")
         rows.append(v)
     return SignalBlock(np.vstack(rows))
 
@@ -220,8 +237,8 @@ def uniqueness_report_to_dict(rep: UniquenessReport) -> dict:
 
 
 def gl_from_dict(doc: dict) -> GLElement:
-    m = int(doc["m"])
-    return GLElement(_matrix_from_pairs(doc["entries"], m, m))
+    m = _count(doc, "m")
+    return GLElement(_matrix_from_pairs(_field(doc, "entries"), m, m, "entries"))
 
 
 def put_result_to_dict(res: PutResult, method: str, digest: Optional[str]) -> dict:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import GLElement, KAPPA_MAX, SIGMA_MIN, TAU_SYM, as_complex_matrix
 from .errors import (
@@ -52,8 +51,14 @@ def _unitary_sqrt(s: np.ndarray) -> np.ndarray:
     """Principal square root of a (numerically) unitary matrix.
 
     Schur form of a normal matrix is diagonal, so this is eigenphase halving
-    in an orthonormal basis; the branch maps arg to (-pi/2, pi/2].
+    in an orthonormal basis; the branch maps arg to (-pi/2, pi/2].  A 1x1
+    block is its own Schur form (t = s, z = [[1]]), so its root is the
+    scalar principal root, bit for bit what the Schur path returns.
     """
+    if s.shape[0] == 1:
+        return np.sqrt(s)
+    import scipy.linalg  # only clusters of size >= 2 need it
+
     t, z = scipy.linalg.schur(s, output="complex")
     return z @ (np.sqrt(np.diag(t))[:, None] * z.conj().T)
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.signal
 
 from .core import CongruenceKind, DiagonalStack, GLElement, TaggedMatrix, is_essentially_equivalent
 from .errors import ConfigError, NujdError
@@ -120,6 +119,8 @@ def _generate_channel(spec: SourceSpec, rng, t: int) -> np.ndarray:
         x, y = _gaussian_pair(rng, t)
         return (ax * x + 1j * bx * y) * root_p
     if spec.kind == "ar1_noncircular":
+        import scipy.signal  # imported here: it costs about 1 s of start-up
+
         lam, a = spec.circularity, spec.coefficient
         ax = math.sqrt((1.0 + lam) / 2.0)
         bx = math.sqrt((1.0 - lam) / 2.0)

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import nujd
 from nujd import io as nio
 from nujd.cli import main
 from nujd.core import CongruenceKind, DiagonalStack, TaggedMatrix
@@ -99,6 +103,67 @@ class TestCheck:
         res = runner.invoke(main, ["check", str(path)])
         assert res.exit_code == 1
         assert "solve" in res.output
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        ("check", {"m": 2, "matrices": 5}, "matrices must be a list"),
+        ("check", {"m": "x", "spectra": []}, "m must be a positive integer, got 'x'"),
+        ("check", 5, "document must be an object"),
+        ("solve", {"m": 2, "matrices": 5}, "matrices must be a list"),
+        ("estimate", {"m": 2, "T": 100, "channels": 7}, "channels must be a list"),
+    ],
+)
+def test_malformed_document_exits_1_naming_the_field(runner, tmp_path, command, doc, message):
+    src = tmp_path / "bad.json"
+    nio.write_json(doc, src)
+    extra = ["--cov"] if command == "estimate" else []
+    res = invoke(runner, command, str(src), *extra)
+    assert res.exit_code == 1
+    assert f"error: {message}" in res.output
+
+
+_STARTUP_PROBE = """
+import json, sys
+import nujd, nujd.io, nujd.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+after_import = scipy_modules()
+codes = []
+for args in json.loads(sys.argv[1]):
+    try:
+        nujd.cli.main(args, standalone_mode=False)
+    except SystemExit as exc:
+        codes.append(exc.code)
+print(json.dumps({"after_import": after_import, "after_commands": scipy_modules(), "codes": codes}))
+"""
+
+
+class TestStartup:
+    def test_import_and_generic_commands_load_no_scipy(self, tmp_path, rng):
+        spectra = tmp_path / "s.json"
+        write_spectra(spectra, collinear=False)
+        a = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / np.sqrt(2)
+        items = [
+            TaggedMatrix(a @ a.conj().T, CongruenceKind.HERMITIAN),
+            TaggedMatrix(a @ np.diag([0.9, 0.3]) @ a.T, CongruenceKind.TRANSPOSE),
+        ]
+        pair = tmp_path / "set.json"
+        nio.write_json(nio.matrix_set_to_dict(items), pair)
+        commands = [["check", str(spectra)], ["solve", str(pair), "--method", "sut"]]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nujd.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", _STARTUP_PROBE, json.dumps(commands)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert out["codes"] == [0, 0]
+        assert out["after_import"] == []
+        assert not {"scipy.linalg", "scipy.signal"} & set(out["after_commands"])
 
 
 class TestEstimateAndSolve:

@@ -8,6 +8,7 @@ from nujd.errors import (
     SymmetryViolation,
 )
 from nujd.linalg import (
+    _unitary_sqrt,
     general_evd,
     hermitian_evd,
     principal_inv_sqrt_diag,
@@ -38,6 +39,16 @@ class TestTakagi:
         tf = takagi(c)
         assert tf.sigma[0] == pytest.approx(2.0)
         assert tf.u[0, 0] == pytest.approx(np.exp(0.35j))
+
+    def test_scalar_cluster_root_matches_schur_bitwise(self):
+        import scipy.linalg
+
+        rng = np.random.default_rng(11)
+        for theta in rng.uniform(-np.pi, np.pi, 500):
+            s = np.array([[np.exp(1j * theta)]])
+            t, z = scipy.linalg.schur(s, output="complex")
+            schur_root = z @ (np.sqrt(np.diag(t))[:, None] * z.conj().T)
+            assert _unitary_sqrt(s).tobytes() == schur_root.tobytes()
 
     def test_rejects_nonsymmetric(self):
         with pytest.raises(SymmetryViolation):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nujd.core import (
     CongruenceKind,
@@ -106,6 +108,22 @@ class TestPut:
                 GLElement(q @ res_q.x.matrix), res.x, 1e-6
             )
             assert same
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 8))
+    def test_equivariance_under_permutation_and_scaling_of_mixing(self, seed, m):
+        # A -> A P D maps the population pair to A (P |D|^2 w1 P^T) A^H and
+        # A (P D^2 w2 P^T) A^T: the same modulus ratios, permuted, so the
+        # Thm 2 separation is kept and both demixers must agree up to G(m).
+        rng = np.random.default_rng(seed)
+        a, w1, w2 = put_pair(rng, m)
+        p = np.eye(m)[rng.permutation(m)]
+        d = rng.uniform(0.5, 2.0, m) * np.exp(2j * np.pi * rng.uniform(size=m))
+        res = put(*tagged_put_pair(a, w1, w2))
+        res_pd = put(*tagged_put_pair(a @ p @ np.diag(d), w1, w2))
+        same, _ = is_essentially_equivalent(res_pd.x, res.x, 1e-6)
+        assert same
 
 
 class TestSut:
