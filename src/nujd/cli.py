@@ -236,10 +236,10 @@ def cmd_simulate(input_path, seed, out_path):
     """Run a seeded batch experiment from a config file into a report file."""
     doc = _load_json(input_path)
     try:
-        if seed is not None:
-            doc = dict(doc, seed=seed)
-        config = nio.config_from_dict(doc)
+        config = nio.config_from_dict(doc, seed)
         report = run_experiment(config)
+    except ValueError as exc:
+        _fail(2, str(exc))
     except NujdError as exc:
         _fail(1, str(exc))
     text = nio.write_json(report, out_path)

@@ -36,6 +36,15 @@ KAPPA_MAX = 1e8       # condition-number ceiling for certified invertibility
 SIGMA_MIN = 1e-12     # relative singular-value floor
 
 
+def require_finite(a: np.ndarray, message: str) -> None:
+    """Raise NonFiniteEntries(message) unless every entry of ``a`` is finite.
+
+    On a complex array ``np.isfinite`` checks both parts at once.
+    """
+    if not np.isfinite(a).all():
+        raise NonFiniteEntries(message)
+
+
 def as_complex_matrix(a, *, square: bool = False) -> np.ndarray:
     """Validate and return a dense complex128 matrix (finite entries only)."""
     m = np.asarray(a, dtype=np.complex128)
@@ -43,8 +52,7 @@ def as_complex_matrix(a, *, square: bool = False) -> np.ndarray:
         raise DimensionMismatch(f"expected a 2-d matrix, got ndim={m.ndim}")
     if square and m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        raise NonFiniteEntries("matrix contains NaN or infinite entries")
+    require_finite(m, "matrix contains NaN or infinite entries")
     m = m.copy()
     m.flags.writeable = False
     return m
@@ -138,8 +146,7 @@ class DiagonalStack:
         s = np.asarray(self.spectra, dtype=np.complex128)
         if s.ndim != 2:
             raise DimensionMismatch("spectra must be a 2-d (n, m) array")
-        if not np.all(np.isfinite(s.real)) or not np.all(np.isfinite(s.imag)):
-            raise NonFiniteEntries("spectra contain NaN or infinite entries")
+        require_finite(s, "spectra contain NaN or infinite entries")
         if s.shape[0] > 0:
             scale = float(np.max(np.abs(s)))
             if scale == 0.0:

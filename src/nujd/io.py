@@ -18,6 +18,7 @@ import numpy as np
 from .core import CongruenceKind, DiagonalStack, GLElement, TaggedMatrix
 from .errors import ConfigError
 from .simulation import ExperimentConfig, SourceSpec
+from .statistics import _as_pattern
 from .solvers import PutResult
 from .uniqueness import UniquenessReport
 
@@ -67,6 +68,10 @@ def _vector_from_pairs(pairs, path: str) -> np.ndarray:
     return arr[:, 0] + 1j * arr[:, 1]
 
 
+def _at(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
 def _field(entry, key: str, path: str = ""):
     """``entry[key]``, or a ConfigError naming the JSON path when it is absent.
 
@@ -75,24 +80,55 @@ def _field(entry, key: str, path: str = ""):
     if not isinstance(entry, dict):
         raise ConfigError(f"{path or 'document'} must be an object")
     if key not in entry:
-        raise ConfigError(f"{path}.{key} is missing" if path else f"{key} is missing")
+        raise ConfigError(f"{_at(path, key)} is missing")
     return entry[key]
 
 
+def _int(value, name: str, low: int = 1, high: Optional[int] = None) -> int:
+    """An integer in [low, high]; JSON booleans and floats are rejected."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or value < low
+        or (high is not None and value > high)
+    ):
+        if high is not None:
+            want = f"an integer in {low}..{high}"
+        else:
+            want = "a positive integer" if low == 1 else "a non-negative integer"
+        raise ConfigError(f"{name} must be {want}, got {value!r}")
+    return value
+
+
+def _number(value, name: str):
+    """A JSON number; booleans and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return value
+
+
 def _count(doc, key: str) -> int:
-    """A top-level positive-integer field; JSON booleans and floats are rejected."""
-    value = _field(doc, key)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"{key} must be a positive integer, got {value!r}")
-    return value
+    """A top-level positive-integer field."""
+    return _int(_field(doc, key), key)
 
 
-def _list(doc, key: str) -> list:
-    """A top-level list field."""
-    value = _field(doc, key)
+def _list(doc, key: str, path: str = "") -> list:
+    """A list field."""
+    value = _field(doc, key, path)
     if not isinstance(value, list):
-        raise ConfigError(f"{key} must be a list")
+        raise ConfigError(f"{_at(path, key)} must be a list")
     return value
+
+
+def _ints(
+    value, name: str, low: int, high: Optional[int] = None, size: Optional[int] = None
+) -> tuple:
+    """A list of integers in [low, high], of length ``size`` when given."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a list")
+    if size is not None and len(value) != size:
+        raise ConfigError(f"{name} must list {size} integers, got {len(value)}")
+    return tuple(_int(v, f"{name}[{i}]", low, high) for i, v in enumerate(value))
 
 
 def _kind_at(entry, path: str) -> CongruenceKind:
@@ -279,48 +315,89 @@ def file_digest(path) -> str:
 # experiment configs
 
 
-def _source_from_dict(doc: dict) -> SourceSpec:
-    known = {"kind", "power", "circularity", "coefficient", "variance_profile"}
-    extra = set(doc) - known
+_SOURCE_NUMBERS = ("power", "circularity", "coefficient")
+
+
+def _source_from_dict(entry, path: str) -> SourceSpec:
+    kwargs = {"kind": _field(entry, "kind", path)}
+    extra = set(entry) - {"kind", "variance_profile", *_SOURCE_NUMBERS}
     if extra:
-        raise ConfigError(f"unknown source fields: {sorted(extra)}")
-    kwargs = dict(doc)
-    if "variance_profile" in kwargs and kwargs["variance_profile"] is not None:
-        kwargs["variance_profile"] = tuple(kwargs["variance_profile"])
-    return SourceSpec(**kwargs)
+        raise ConfigError(f"{path} has unknown fields {sorted(extra)}")
+    for key in _SOURCE_NUMBERS:
+        if entry.get(key) is not None:
+            kwargs[key] = _number(entry[key], f"{path}.{key}")
+    if entry.get("variance_profile") is not None:
+        profile = _list(entry, "variance_profile", path)
+        kwargs["variance_profile"] = tuple(
+            _number(v, f"{path}.variance_profile[{i}]") for i, v in enumerate(profile)
+        )
+    try:
+        return SourceSpec(**kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
-def _statistic_from_dict(doc: dict) -> dict:
-    stat = dict(doc)
-    name = stat.get("statistic")
-    if name in ("cumulant_slice", "lagged_cumulant_slice"):
-        try:
-            stat["axes"] = tuple(int(a) - 1 for a in stat["axes"])
-        except KeyError as exc:
-            raise ConfigError("cumulant slices need 'axes'") from exc
-        stat["fixed"] = tuple(int(c) - 1 for c in stat.get("fixed", ()))
+def _pattern_length(entry, path: str) -> int:
+    value = _field(entry, "pattern", path)
+    if not isinstance(value, (str, list)):
+        raise ConfigError(f"{path}.pattern must be a string or a list of 0/1 bits")
+    try:
+        return len(_as_pattern(value))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}.pattern: {exc}") from None
+
+
+def _statistic_from_dict(entry, path: str, m: int) -> dict:
+    """One recipe entry, with 1-based slots and channels made 0-based."""
+    name = _field(entry, "statistic", path)
+    stat = dict(entry)
+    if entry.get("part", "hermitian") not in ("hermitian", "skew"):
+        raise ConfigError(f"{path}.part must be 'hermitian' or 'skew', got {entry['part']!r}")
+    if name in ("autocorrelation", "pseudo_autocorrelation"):
+        stat["lag"] = _int(_field(entry, "lag", path), f"{path}.lag", 0)
+    elif name == "windowed_covariance":
+        windows = _list(entry, "windows", path) if "windows" in entry else []
+        stat["windows"] = [
+            _ints(w, f"{path}.windows[{i}]", 0, size=2) for i, w in enumerate(windows)
+        ]
+    elif name in ("cumulant_slice", "lagged_cumulant_slice"):
+        k = _pattern_length(entry, path)
+        axes = _ints(_field(entry, "axes", path), f"{path}.axes", 1, k, size=2)
+        if axes[0] == axes[1]:
+            raise ConfigError(f"{path}.axes must name two different slots, got {list(axes)}")
+        stat["axes"] = tuple(a - 1 for a in axes)
+        fixed = _ints(entry.get("fixed", []), f"{path}.fixed", 1, m, size=k - 2)
+        stat["fixed"] = tuple(c - 1 for c in fixed)
         if name == "lagged_cumulant_slice":
-            stat["offsets"] = tuple(int(t) for t in stat.get("offsets", ()))
-    if name == "windowed_covariance":
-        stat["windows"] = [tuple(int(v) for v in w) for w in stat.get("windows", ())]
+            stat["offsets"] = _ints(_field(entry, "offsets", path), f"{path}.offsets", 0, size=k)
     return stat
 
 
-def config_from_dict(doc: dict) -> ExperimentConfig:
-    try:
-        sources = tuple(_source_from_dict(s) for s in doc["sources"])
-        statistics = tuple(_statistic_from_dict(s) for s in doc["statistics"])
-        return ExperimentConfig(
-            sources=sources,
-            T=int(doc["T"]),
-            seed=int(doc["seed"]),
-            statistics=statistics,
-            solver=doc.get("solver", "put"),
-            trials=int(doc.get("trials", 1)),
-            margin=float(doc.get("margin", 1e-3)),
-            cond_cap=float(doc.get("cond_cap", 100.0)),
-            noise_snr_db=doc.get("noise_snr_db"),
-            equiv_tol=float(doc.get("equiv_tol", 1e-2)),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"config is missing required field {exc}") from exc
+def config_from_dict(doc: dict, seed: Optional[int] = None) -> ExperimentConfig:
+    """Decode an experiment config; ``seed``, when given, replaces its seed.
+
+    Every malformed field raises ConfigError naming its JSON path.
+    """
+    sources = tuple(
+        _source_from_dict(s, f"sources[{i}]") for i, s in enumerate(_list(doc, "sources"))
+    )
+    statistics = tuple(
+        _statistic_from_dict(s, f"statistics[{i}]", len(sources))
+        for i, s in enumerate(_list(doc, "statistics"))
+    )
+
+    def number(key, default):
+        return default if doc.get(key) is None else float(_number(doc[key], key))
+
+    return ExperimentConfig(
+        sources=sources,
+        T=_count(doc, "T"),
+        seed=_int(_field(doc, "seed") if seed is None else seed, "seed", 0),
+        statistics=statistics,
+        solver=doc.get("solver", "put"),
+        trials=_count(doc, "trials") if "trials" in doc else 1,
+        margin=number("margin", 1e-3),
+        cond_cap=number("cond_cap", 100.0),
+        noise_snr_db=number("noise_snr_db", None),
+        equiv_tol=number("equiv_tol", 1e-2),
+    )

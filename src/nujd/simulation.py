@@ -129,8 +129,12 @@ def _generate_channel(spec: SourceSpec, rng, t: int) -> np.ndarray:
         x0, y0 = rng.standard_normal(2)
         s0 = (ax * x0 + 1j * bx * y0) * root_p
         s = scipy.signal.lfilter([1.0], [1.0, -a], innov)
-        # superpose the exact stationary initial condition
-        return s + s0 * np.power(a, np.arange(1, t + 1))
+        # superpose the exact stationary initial condition s0 * a^k.  Past
+        # k = n, |a|^k < 2^-1080 is below half the smallest subnormal, so
+        # a^k is a signed zero and adding s0 * a^k would change no sample.
+        n = 0 if a == 0 else min(t, math.ceil(1080 / -math.log2(abs(a))))
+        s[:n] += s0 * np.power(a, np.arange(1, n + 1))
+        return s
     # block_nonstationary
     prof = spec.variance_profile
     nb = len(prof)

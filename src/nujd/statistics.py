@@ -13,6 +13,9 @@ Cumulants use the full partition-sum formula
 
 with conjugation applied per slot before multiplication.  Partitions are
 enumerated exactly (Bell(6) = 203 at the order cap) and cached per order.
+A slice computes each distinct block moment once: blocks whose slots read
+the same series (channel, conjugation bit and time offset) in the same
+order share one moment.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import CongruenceKind, TaggedMatrix, hermitian_skew_split
-from .errors import DimensionMismatch, NonFiniteEntries, ZeroPowerChannel
+from .core import CongruenceKind, TaggedMatrix, hermitian_skew_split, require_finite
+from .errors import DimensionMismatch, ZeroPowerChannel
 from .errors import RankDeficiencyWarning
 
 MAX_CUMULANT_ORDER = 6
@@ -42,8 +45,7 @@ class SignalBlock:
         d = np.asarray(self.data, dtype=np.complex128)
         if d.ndim != 2:
             raise DimensionMismatch("signal data must be a 2-d (m, T) array")
-        if not np.all(np.isfinite(d.real)) or not np.all(np.isfinite(d.imag)):
-            raise NonFiniteEntries("signal contains NaN or infinite samples")
+        require_finite(d, "signal contains NaN or infinite samples")
         d = d.copy()
         d.flags.writeable = False
         object.__setattr__(self, "data", d)
@@ -257,40 +259,55 @@ def cumulant(channels: Sequence, pattern) -> complex:
     return complex(total)
 
 
-def _slice_from_series(series, p, q, m, length):
-    """Partition-sum slice over axis slots (p, q) given per-slot series.
+def _moment(axis_series, fixed_series, n):
+    """Time average of a block's product: a scalar, an m-vector or an m x m matrix.
 
-    ``series[r]`` is an (m, length) array for the axis slots and a
-    (length,) array for fixed slots.
+    The fixed series multiply left to right into a base.  With no axis
+    series the moment is the scalar mean of the base, with one it is the
+    per-channel mean of that series times the base, and with two it is
+    (first * base) @ second.T / n.
     """
+    base = None
+    for s in fixed_series:
+        base = s if base is None else base * s
+    if not axis_series:
+        return complex(base.mean())
+    left = axis_series[0] if base is None else axis_series[0] * base
+    if len(axis_series) == 2:
+        return left @ axis_series[1].T / n
+    return left.mean(axis=1)
+
+
+def _slice_from_series(xc, reads, p, q, n):
+    """Partition-sum slice over axis slots (p, q) of the centred signal ``xc``.
+
+    ``reads[r] = (channel, conjugated, offset)`` says what slot r reads:
+    ``xc[channel, offset:offset + n]``, or every channel when ``channel`` is
+    None (the two axis slots), conjugated when the bit is set.  A block's
+    moment depends only on what its slots read, so blocks that read the same
+    series in the same order share one moment.
+    """
+    # one series per slot, conjugated copies included: numpy computes
+    # ``a @ a.T`` on one buffer by a symmetric product with other rounding,
+    # so sharing a copy between the axis slots would change the bits
+    series = []
+    for channel, conj, off in reads:
+        s = xc[:, off : off + n] if channel is None else xc[channel, off : off + n]
+        series.append(np.conj(s) if conj else s)
+
     moments = {}
 
     def block_moment(block):
-        if block in moments:
-            return moments[block]
+        axis = [r for r in (p, q) if r in block]
         fixed = [r for r in block if r != p and r != q]
-        base = None
-        for r in fixed:
-            base = series[r] if base is None else base * series[r]
-        has_p = p in block
-        has_q = q in block
-        if has_p and has_q:
-            left = series[p] if base is None else series[p] * base
-            val = left @ series[q].T / length
-        elif has_p:
-            left = series[p] if base is None else series[p] * base
-            val = left.mean(axis=1)
-        elif has_q:
-            left = series[q] if base is None else series[q] * base
-            val = left.mean(axis=1)
-        else:
-            val = complex(base.mean())
-        moments[block] = val
-        return val
+        key = (tuple(reads[r] for r in axis), tuple(reads[r] for r in fixed))
+        if key not in moments:
+            moments[key] = _moment([series[r] for r in axis], [series[r] for r in fixed], n)
+        return moments[key]
 
-    k = len(series)
+    m = xc.shape[0]
     out = np.zeros((m, m), dtype=np.complex128)
-    for partition in set_partitions(k):
+    for partition in set_partitions(len(reads)):
         nblocks = len(partition)
         coef = complex((-1) ** (nblocks - 1) * math.factorial(nblocks - 1))
         scalars = coef
@@ -359,22 +376,11 @@ def cumulant_slice(w: SignalBlock, pattern, fixed_indices, axes) -> CumulantSlic
 
     Entry (a, b) is the order-k cumulant with channel a in slot ``axes[0]``,
     channel b in slot ``axes[1]``, and the remaining slots pinned to
-    ``fixed_indices`` (in slot order).  All indices 0-based.
+    ``fixed_indices`` (in slot order).  All indices 0-based.  This is the
+    lagged slice with every offset zero.
     """
     pat = _as_pattern(pattern)
-    k, p, q = _check_slice_args(w, pat, fixed_indices, axes)
-    xc = w.centered()
-    fixed = list(fixed_indices)
-    series = []
-    it = iter(fixed)
-    for r in range(k):
-        if r == p or r == q:
-            s = xc
-        else:
-            s = xc[next(it)]
-        series.append(np.conj(s) if pat.bits[r] else s)
-    raw = _slice_from_series(series, p, q, w.m, w.T)
-    return _finish_slice(raw, k, pat, fixed_indices, axes)
+    return lagged_cumulant_slice(w, pat, (0,) * len(pat), axes, fixed_indices)
 
 
 def lagged_cumulant_slice(
@@ -398,16 +404,10 @@ def lagged_cumulant_slice(
     if top >= w.T:
         raise ValueError("offsets leave no overlapping samples")
     n = w.T - top
-    xc = w.centered()
-    fixed = list(fixed_indices)
-    series = []
-    it = iter(fixed)
-    for r in range(k):
-        sl = slice(offs[r], offs[r] + n)
-        if r == p or r == q:
-            s = xc[:, sl]
-        else:
-            s = xc[next(it), sl]
-        series.append(np.conj(s) if pat.bits[r] else s)
-    raw = _slice_from_series(series, p, q, w.m, n)
+    it = iter(fixed_indices)
+    reads = [
+        (None if r in (p, q) else next(it), bit, off)
+        for r, (bit, off) in enumerate(zip(pat.bits, offs))
+    ]
+    raw = _slice_from_series(w.centered(), reads, p, q, n)
     return _finish_slice(raw, k, pat, fixed_indices, axes)

@@ -47,11 +47,11 @@ from .core import (
     TAU_RHO,
     TAU_PATTERN,
     _pattern_test,
+    require_finite,
 )
 from .errors import (
     DimensionMismatch,
     InvalidPrecondition,
-    NonFiniteEntries,
     SingularMatrix,
     WitnessVerificationError,
 )
@@ -329,8 +329,8 @@ def _thm2_diagonals(omega1, omega2) -> tuple[np.ndarray, np.ndarray]:
         )
     if w1.shape != w2.shape:
         raise DimensionMismatch("omega1 and omega2 must have equal length")
-    if not (np.all(np.isfinite(w1)) and np.all(np.isfinite(w2))):
-        raise NonFiniteEntries("the diagonals contain NaN or infinite entries")
+    for w in (w1, w2):
+        require_finite(w, "the diagonals contain NaN or infinite entries")
     return w1, w2.real
 
 

@@ -105,6 +105,14 @@ class TestCheck:
         assert "solve" in res.output
 
 
+_SIMULATE_DOC = {
+    "sources": [{"kind": "bpsk"}, {"kind": "qpsk"}],
+    "T": 1000,
+    "seed": 1,
+    "statistics": [{"statistic": "covariance"}, {"statistic": "pseudo_covariance"}],
+}
+
+
 @pytest.mark.parametrize(
     "command, doc, message",
     [
@@ -113,13 +121,19 @@ class TestCheck:
         ("check", 5, "document must be an object"),
         ("solve", {"m": 2, "matrices": 5}, "matrices must be a list"),
         ("estimate", {"m": 2, "T": 100, "channels": 7}, "channels must be a list"),
+        ("simulate", 5, "document must be an object"),
+        ("simulate --seed 3", 5, "document must be an object"),
+        ("simulate", dict(_SIMULATE_DOC, sources=5), "sources must be a list"),
+        ("simulate", dict(_SIMULATE_DOC, T="x"), "T must be a positive integer, got 'x'"),
+        ("simulate", dict(_SIMULATE_DOC, statistics=[5]), "statistics[0] must be an object"),
     ],
 )
 def test_malformed_document_exits_1_naming_the_field(runner, tmp_path, command, doc, message):
     src = tmp_path / "bad.json"
     nio.write_json(doc, src)
+    command, *options = command.split()
     extra = ["--cov"] if command == "estimate" else []
-    res = invoke(runner, command, str(src), *extra)
+    res = invoke(runner, command, str(src), *options, *extra)
     assert res.exit_code == 1
     assert f"error: {message}" in res.output
 
@@ -324,6 +338,17 @@ class TestSimulate:
         res = invoke(runner, "simulate", str(self._config(tmp_path)))
         assert res.exit_code == 1
         assert "error: NUJD_THREADS" in res.output
+
+    def test_window_past_the_signal_exits_2(self, runner, tmp_path):
+        cfg = self._config(
+            tmp_path,
+            T=1000,
+            statistics=[{"statistic": "windowed_covariance", "windows": [[0, 5000]]}],
+            solver="gevd",
+        )
+        res = invoke(runner, "simulate", str(cfg))
+        assert res.exit_code == 2
+        assert "error: bad window" in res.output
 
     def test_seed_override_changes_report(self, runner, tmp_path):
         cfg = self._config(tmp_path)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -83,6 +84,72 @@ def test_config_missing_fields():
         nio.config_from_dict(
             {"sources": [{"kind": "nope"}], "T": 100, "seed": 1, "statistics": []}
         )
+
+
+_CONFIG = {
+    "sources": [{"kind": "bpsk"}, {"kind": "qpsk"}],
+    "T": 1000,
+    "seed": 4,
+    "statistics": [{"statistic": "covariance"}],
+}
+_CUM4 = {"statistic": "cumulant_slice", "pattern": "0000", "axes": [1, 2], "fixed": [1, 1]}
+
+
+def _with(**kw):
+    return dict(_CONFIG, **kw)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_with(trials="2"), "trials must be a positive integer, got '2'"),
+        (_with(T=1e5), "T must be a positive integer, got 100000.0"),
+        (_with(seed=-1), "seed must be a non-negative integer, got -1"),
+        (_with(margin="0.01"), "margin must be a number, got '0.01'"),
+        (_with(sources=[5]), "sources[0] must be an object"),
+        (_with(sources=[{"power": 1}]), "sources[0].kind is missing"),
+        (_with(sources=[{"kind": "bpsk", "power": "2"}]), "sources[0].power must be a number, got '2'"),
+        (_with(sources=[{"kind": "bpsk", "power": -1}]), "sources[0]: power must be positive"),
+        (_with(sources=[{"kind": "bpsk", "colour": 1}]), "sources[0] has unknown fields ['colour']"),
+        (
+            _with(sources=[{"kind": "block_nonstationary", "variance_profile": 5}]),
+            "sources[0].variance_profile must be a list",
+        ),
+        (_with(statistics=[{}]), "statistics[0].statistic is missing"),
+        (_with(statistics=[{"statistic": "autocorrelation"}]), "statistics[0].lag is missing"),
+        (
+            _with(statistics=[{"statistic": "pseudo_autocorrelation", "lag": -1}]),
+            "statistics[0].lag must be a non-negative integer, got -1",
+        ),
+        (
+            _with(statistics=[{"statistic": "windowed_covariance", "windows": [[0]]}]),
+            "statistics[0].windows[0] must list 2 integers, got 1",
+        ),
+        (_with(statistics=[dict(_CUM4, pattern=5)]), "statistics[0].pattern must be a string"),
+        (_with(statistics=[dict(_CUM4, pattern="0a00")]), "statistics[0].pattern: "),
+        (_with(statistics=[dict(_CUM4, pattern="0")]), "statistics[0].pattern: pattern length"),
+        (_with(statistics=[dict(_CUM4, axes=[1, 5])]), "statistics[0].axes[1] must be an integer in 1..4, got 5"),
+        (_with(statistics=[dict(_CUM4, axes=[2, 2])]), "statistics[0].axes must name two different slots"),
+        (_with(statistics=[dict(_CUM4, fixed=[1])]), "statistics[0].fixed must list 2 integers, got 1"),
+        (_with(statistics=[dict(_CUM4, fixed=[1, 3])]), "statistics[0].fixed[1] must be an integer in 1..2, got 3"),
+        (_with(statistics=[dict(_CUM4, part="both")]), "statistics[0].part must be 'hermitian' or 'skew'"),
+        (
+            _with(statistics=[dict(_CUM4, statistic="lagged_cumulant_slice")]),
+            "statistics[0].offsets is missing",
+        ),
+    ],
+)
+def test_config_errors_name_the_json_path(doc, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        nio.config_from_dict(doc)
+
+
+def test_config_seed_override():
+    doc = {k: v for k, v in _CONFIG.items() if k != "seed"}
+    assert nio.config_from_dict(doc, seed=9).seed == 9
+    assert nio.config_from_dict(_CONFIG, seed=0).seed == 0
+    with pytest.raises(ConfigError, match="document must be an object"):
+        nio.config_from_dict(5, seed=3)
 
 
 def test_malformed_entries_rejected():

@@ -1,13 +1,16 @@
+import math
 import os
 
 import numpy as np
 import pytest
+import scipy.signal
 
 from nujd.core import GLElement, is_essentially_equivalent
 from nujd.errors import ConfigError
 from nujd.simulation import (
     ExperimentConfig,
     SourceSpec,
+    _generate_channel,
     amari_index,
     demix,
     generate,
@@ -80,6 +83,48 @@ class TestGenerate:
     def test_min_samples(self):
         with pytest.raises(ConfigError):
             generate((SourceSpec("bpsk"),), 50, 1)
+
+
+AR1_POLES = (0.0, 1e-200, -1e-200, -0.5, 0.9, -0.99, 0.999999)
+
+
+def _ar1_full_length(spec, rng, t):
+    """AR(1) channel with s0 * a^k added at every one of the t samples."""
+    lam, a = spec.circularity, spec.coefficient
+    root_p = math.sqrt(spec.power)
+    ax = math.sqrt((1.0 + lam) / 2.0)
+    bx = math.sqrt((1.0 - lam) / 2.0)
+    x, y = rng.standard_normal(t), rng.standard_normal(t)
+    innov = (ax * x + 1j * bx * y) * (root_p * math.sqrt(1.0 - a * a))
+    x0, y0 = rng.standard_normal(2)
+    s0 = (ax * x0 + 1j * bx * y0) * root_p
+    s = scipy.signal.lfilter([1.0], [1.0, -a], innov)
+    return s + s0 * np.power(a, np.arange(1, t + 1))
+
+
+def _ar1_cutoff(a, t):
+    return 0 if a == 0 else min(t, math.ceil(1080 / -math.log2(abs(a))))
+
+
+class TestAR1InitialCondition:
+    # the initial-condition term is added only while a^k can be nonzero;
+    # the channel must keep every bit of the full-length formula
+    @pytest.mark.parametrize("a", AR1_POLES)
+    @pytest.mark.parametrize("t", [100, 10_000])
+    def test_bits_match_the_full_length_formula(self, a, t):
+        # circularity 1 gives zero imaginary innovations
+        for lam in (0.0, 0.5, 1.0):
+            for seed in range(3):
+                spec = SourceSpec("ar1_noncircular", power=1.7, circularity=lam, coefficient=a)
+                got = _generate_channel(spec, np.random.default_rng([seed, 6]), t)
+                want = _ar1_full_length(spec, np.random.default_rng([seed, 6]), t)
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("a", AR1_POLES)
+    @pytest.mark.parametrize("t", [100, 10_000, 1_000_000])
+    def test_powers_past_the_cutoff_are_exact_zeros(self, a, t):
+        n = _ar1_cutoff(a, t)
+        assert np.all(np.power(a, np.arange(n + 1, t + 1)) == 0)
 
 
 class TestMixDemix:

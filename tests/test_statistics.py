@@ -1,6 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import nujd.statistics as statistics_module
 from nujd.core import CongruenceKind
 from nujd.errors import DimensionMismatch, RankDeficiencyWarning, ZeroPowerChannel
 from nujd.statistics import (
@@ -291,6 +296,126 @@ class TestLaggedSlices:
             lagged_cumulant_slice(w, (0, 1), (0, -1), (0, 1))
         with pytest.raises(ValueError):
             lagged_cumulant_slice(w, (0, 1), (0,), (0, 1))
+
+
+def _per_block_slice(series, p, q, m, length):
+    """Reference partition sum in which every block computes its own moment.
+
+    ``series[r]`` is an (m, length) array for the axis slots and a
+    (length,) array for fixed slots.
+    """
+    moments = {}
+
+    def block_moment(block):
+        if block in moments:
+            return moments[block]
+        fixed = [r for r in block if r != p and r != q]
+        base = None
+        for r in fixed:
+            base = series[r] if base is None else base * series[r]
+        has_p = p in block
+        has_q = q in block
+        if has_p and has_q:
+            left = series[p] if base is None else series[p] * base
+            val = left @ series[q].T / length
+        elif has_p:
+            left = series[p] if base is None else series[p] * base
+            val = left.mean(axis=1)
+        elif has_q:
+            left = series[q] if base is None else series[q] * base
+            val = left.mean(axis=1)
+        else:
+            val = complex(base.mean())
+        moments[block] = val
+        return val
+
+    k = len(series)
+    out = np.zeros((m, m), dtype=np.complex128)
+    for partition in set_partitions(k):
+        nblocks = len(partition)
+        coef = complex((-1) ** (nblocks - 1) * math.factorial(nblocks - 1))
+        scalars = coef
+        vec_p = None
+        vec_q = None
+        mat = None
+        for block in partition:
+            val = block_moment(block)
+            if np.isscalar(val) or isinstance(val, complex):
+                scalars *= val
+            elif val.ndim == 2:
+                mat = val
+            elif p in block:
+                vec_p = val
+            else:
+                vec_q = val
+        if mat is not None:
+            out += scalars * mat
+        else:
+            out += scalars * np.outer(vec_p, vec_q)
+    return out
+
+
+def _per_slot_series(w, bits, axes, fixed, offsets):
+    """One series per slot: plain slices read the centred signal itself."""
+    xc = w.centered()
+    n = w.T if offsets is None else w.T - max(offsets)
+    it = iter(fixed)
+    series = []
+    for r, bit in enumerate(bits):
+        if offsets is None:
+            s = xc if r in axes else xc[next(it)]
+        else:
+            sl = slice(offsets[r], offsets[r] + n)
+            s = xc[:, sl] if r in axes else xc[next(it), sl]
+        series.append(np.conj(s) if bit else s)
+    return series, n
+
+
+@st.composite
+def slice_cases(draw):
+    k = draw(st.integers(2, 6))
+    m = draw(st.integers(1, 3))
+    bits = tuple(draw(st.lists(st.integers(0, 1), min_size=k, max_size=k)))
+    axes = tuple(draw(st.permutations(range(k)))[:2])
+    # few channels, so fixed slots often repeat one
+    fixed = tuple(draw(st.lists(st.integers(0, m - 1), min_size=k - 2, max_size=k - 2)))
+    offsets = draw(st.none() | st.lists(st.integers(0, 3), min_size=k, max_size=k).map(tuple))
+    t = draw(st.integers(20, 200))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return bits, axes, fixed, offsets, m, t, seed
+
+
+class TestSharedMoments:
+    @settings(max_examples=150, deadline=None)
+    @given(case=slice_cases())
+    def test_slice_bits_match_per_block_reference(self, case):
+        bits, axes, fixed, offsets, m, t, seed = case
+        rng = np.random.default_rng(seed)
+        w = SignalBlock(rng.standard_normal((m, t)) + 1j * rng.standard_normal((m, t)))
+        if offsets is None:
+            got = cumulant_slice(w, bits, fixed, axes)
+        else:
+            got = lagged_cumulant_slice(w, bits, offsets, axes, fixed)
+        series, n = _per_slot_series(w, bits, axes, fixed, offsets)
+        want = _per_block_slice(series, axes[0], axes[1], m, n)
+        assert got.raw.tobytes() == want.tobytes()
+
+    def test_blocks_reading_the_same_series_share_one_moment(self, monkeypatch, rng):
+        # 0000 with both fixed slots on channel 0: the 15 blocks read 8
+        # distinct (axis, fixed) series sequences
+        assert len({b for part in set_partitions(4) for b in part}) == 15
+        calls = []
+        moment = statistics_module._moment
+
+        def counting(axis_series, fixed_series, n):
+            calls.append((len(axis_series), len(fixed_series)))
+            return moment(axis_series, fixed_series, n)
+
+        monkeypatch.setattr(statistics_module, "_moment", counting)
+        w = SignalBlock(np.vstack([bpsk(rng, 1000), cgauss(rng, 1000)]))
+        cumulant_slice(w, "0000", (0, 0), (0, 1))
+        assert len(calls) == 8
+        assert len(set(calls)) == 8
 
 
 def _bootstrap_sigma(rng, block, estimator, n_boot=20, block_len=128):
