@@ -43,11 +43,13 @@ def _load_json(path):
     try:
         return nio.read_json(path)
     except json.JSONDecodeError as exc:
-        click.echo(f"error: {path}: invalid JSON at line {exc.lineno}, column {exc.colno}", err=True)
-        sys.exit(1)
+        _fail(1, f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}")
+    except UnicodeDecodeError as exc:
+        _fail(1, f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
+    except RecursionError:
+        _fail(1, f"{path}: JSON nested too deeply")
     except OSError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+        _fail(1, str(exc))
 
 
 def _fail(code: int, message: str):

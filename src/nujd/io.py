@@ -1,30 +1,84 @@
 """JSON file formats for matrix sets, spectra, signals, reports, and configs.
 
 Complex scalars are encoded as [re, im] pairs; matrix entries are row-major.
-Writers emit Python repr floats (shortest exact round-trip form), so a
-write -> read -> write cycle is byte identical.  Channel and tensor-slot
+Writers emit exactly the text of ``json.dumps(doc, indent=2)`` with Python
+repr floats (shortest exact round-trip form), so a write -> read -> write
+cycle is byte identical.  Pair lists are encoded and decoded per array, not
+per value, and with the cyclic GC paused: documents are trees, so its passes
+over them would find nothing to collect.  Channel and tensor-slot
 indices are 1-based at the file surface and 0-based inside the library;
 time offsets and window starts are plain 0-based sample indices.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
+from contextlib import contextmanager
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .core import CongruenceKind, DiagonalStack, GLElement, TaggedMatrix
 from .errors import ConfigError
-from .simulation import ExperimentConfig, SourceSpec
+from .simulation import ExperimentConfig, SourceSpec, _stat_kind
 from .statistics import _as_pattern
 from .solvers import PutResult
 from .uniqueness import UniquenessReport
 
 
+@contextmanager
+def _no_gc():
+    """Pause the cyclic GC, restoring its previous state on exit."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+_NUMBER_TYPES = {int, float}
+
+
+def _is_pair_list(value) -> bool:
+    """A non-empty list of 2-lists of JSON numbers (int or float, never bool)."""
+    return (
+        set(map(type, value)) == {list}
+        and set(map(len, value)) == {2}
+        and set(map(type, chain.from_iterable(value))) <= _NUMBER_TYPES
+    )
+
+
+def _encode(value, indent: str) -> str:
+    """``json.dumps(value, indent=2)`` for a value placed at ``indent``."""
+    inner = indent + "  "
+    if type(value) is list and value:
+        if _is_pair_list(value):
+            # One C-encoder call; its "[[a, b], [c, d]]" text holds only
+            # numbers, brackets, commas and spaces, so two replaces indent it.
+            leaf = inner + "  "
+            body = (
+                json.dumps(value)[2:-2]
+                .replace("], [", f"\n{inner}],\n{inner}[\n{leaf}")
+                .replace(", ", f",\n{leaf}")
+            )
+            return f"[\n{inner}[\n{leaf}{body}\n{inner}]\n{indent}]"
+        items = (_encode(v, inner) for v in value)
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    if type(value) is dict and value and all(type(k) is str for k in value):
+        items = (f"{json.dumps(k)}: {_encode(v, inner)}" for k, v in value.items())
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    # JSON text never holds a raw newline inside a string.
+    return json.dumps(value, indent=2).replace("\n", "\n" + indent)
+
+
 def write_json(obj, path=None) -> str:
-    text = json.dumps(obj, indent=2) + "\n"
+    """Write ``json.dumps(obj, indent=2) + "\\n"``, encoding pair lists in C."""
+    text = _encode(obj, "") + "\n"
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -32,39 +86,36 @@ def write_json(obj, path=None) -> str:
 
 
 def read_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, _no_gc():
         return json.load(fh)
 
 
-def _pair(z) -> list:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
-
-
-def _pairs_from_matrix(mat: np.ndarray) -> list:
-    return [_pair(z) for z in np.asarray(mat).ravel()]
+def _pairs(values) -> list:
+    """[[re, im], ...] for the entries of a complex array, in row-major order."""
+    a = np.asarray(values, dtype=np.complex128)
+    with _no_gc():
+        return np.stack((a.real, a.imag), -1).reshape(-1, 2).tolist()
 
 
 def _floats(pairs, path: str) -> np.ndarray:
-    try:
-        return np.asarray(pairs, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path} must hold numeric [re, im] pairs") from None
+    """An (n, 2) float array from a list of [re, im] pairs of JSON numbers."""
+    if type(pairs) is list and (not pairs or _is_pair_list(pairs)):
+        try:
+            return np.fromiter(chain.from_iterable(pairs), float, 2 * len(pairs)).reshape(-1, 2)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ConfigError(f"{path} must hold numeric [re, im] pairs")
 
 
 def _matrix_from_pairs(pairs, rows: int, cols: int, path: str) -> np.ndarray:
     arr = _floats(pairs, path)
-    if arr.shape != (rows * cols, 2):
-        raise ConfigError(
-            f"{path}: expected {rows * cols} [re, im] entries, got shape {arr.shape}"
-        )
+    if len(arr) != rows * cols:
+        raise ConfigError(f"{path}: expected {rows * cols} [re, im] entries, got {len(arr)}")
     return (arr[:, 0] + 1j * arr[:, 1]).reshape(rows, cols)
 
 
 def _vector_from_pairs(pairs, path: str) -> np.ndarray:
     arr = _floats(pairs, path)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ConfigError(f"{path} must be a list of [re, im] pairs")
     return arr[:, 0] + 1j * arr[:, 1]
 
 
@@ -152,7 +203,7 @@ def matrix_set_to_dict(items: Sequence[TaggedMatrix], provenance: Optional[dict]
     doc = {
         "m": int(m),
         "matrices": [
-            {"kind": t.kind.value, "entries": _pairs_from_matrix(t.matrix)}
+            {"kind": t.kind.value, "entries": _pairs(t.matrix)}
             for t in items
         ],
     }
@@ -186,7 +237,7 @@ def stacks_to_dict(sym: Optional[DiagonalStack], herm: Optional[DiagonalStack]) 
             continue
         m = stack.m
         for row in stack.spectra:
-            entries.append({"kind": stack.kind.value, "diag": [_pair(z) for z in row]})
+            entries.append({"kind": stack.kind.value, "diag": _pairs(row)})
     if m is None:
         raise ConfigError("no spectra to write")
     return {"m": int(m), "spectra": entries}
@@ -223,7 +274,7 @@ def signal_to_dict(block, truth: Optional[dict] = None) -> dict:
     doc = {
         "m": int(block.m),
         "T": int(block.T),
-        "channels": [[_pair(z) for z in row] for row in block.data],
+        "channels": [_pairs(row) for row in block.data],
     }
     if truth is not None:
         doc["truth"] = truth
@@ -264,7 +315,7 @@ def uniqueness_report_to_dict(rep: UniquenessReport) -> dict:
     if rep.witness is not None:
         doc["witness"] = {
             "m": int(rep.witness.m),
-            "entries": _pairs_from_matrix(rep.witness.matrix),
+            "entries": _pairs(rep.witness.matrix),
         }
         doc["witness_residual"] = float(rep.witness_residual)
     else:
@@ -282,8 +333,8 @@ def put_result_to_dict(res: PutResult, method: str, digest: Optional[str]) -> di
     return {
         "method": method,
         "m": int(m),
-        "x": _pairs_from_matrix(res.x.matrix),
-        "lambda": [_pair(z) for z in res.lam],
+        "x": _pairs(res.x.matrix),
+        "lambda": _pairs(res.lam),
         "eig_gap": float(res.eig_gap) if np.isfinite(res.eig_gap) else None,
         "takagi_sigma": [float(s) for s in res.takagi.sigma],
         "residual_identity": float(res.residual_identity),
@@ -296,8 +347,8 @@ def gevd_result_to_dict(x: GLElement, lam, residual: float, method: str, digest)
     return {
         "method": method,
         "m": int(x.m),
-        "x": _pairs_from_matrix(x.matrix),
-        "lambda": [_pair(z) for z in lam],
+        "x": _pairs(x.matrix),
+        "lambda": _pairs(lam),
         "eig_gap": None,
         "takagi_sigma": None,
         "residual_identity": None,
@@ -370,6 +421,10 @@ def _statistic_from_dict(entry, path: str, m: int) -> dict:
         stat["fixed"] = tuple(c - 1 for c in fixed)
         if name == "lagged_cumulant_slice":
             stat["offsets"] = _ints(_field(entry, "offsets", path), f"{path}.offsets", 0, size=k)
+        try:
+            _stat_kind(stat)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
     return stat
 
 

@@ -390,13 +390,14 @@ def _stat_kind(stat: dict) -> CongruenceKind:
     if st in ("cumulant_slice", "lagged_cumulant_slice"):
         bits = _as_pattern(stat["pattern"]).bits
         p, q = stat["axes"]
-        if stat.get("part") in ("hermitian", "skew"):
+        if bits[p] != bits[q]:
             return CongruenceKind.HERMITIAN
-        return (
-            CongruenceKind.HERMITIAN
-            if (bits[p] ^ bits[q]) == 1
-            else CongruenceKind.TRANSPOSE
-        )
+        if "part" in stat:
+            raise ConfigError(
+                "part applies only to a Hermitian-kind slice; axes with equal "
+                "conjugation bits make this slice transpose-kind"
+            )
+        return CongruenceKind.TRANSPOSE
     raise ConfigError(f"unknown statistic {st!r}")
 
 

@@ -60,11 +60,17 @@ class TestCheck:
         assert json.loads(res.output)["verdict"] == "Unique"
 
     def test_malformed_json_exits_1_with_position(self, runner, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"m": 2, "spectra": [\n')
-        res = runner.invoke(main, ["check", str(path)])
-        assert res.exit_code == 1
-        assert "line" in res.output and "column" in res.output
+        cases = [
+            (b'{"m": 2, "spectra": [\n', "invalid JSON at line 2, column 1"),
+            (b'\xff\xfe{"m": 2}', "not UTF-8 text (invalid start byte at byte 0)"),
+            (b"[" * 100_000 + b"]" * 100_000, "JSON nested too deeply"),
+        ]
+        for i, (content, message) in enumerate(cases):
+            path = tmp_path / f"bad{i}.json"
+            path.write_bytes(content)
+            res = runner.invoke(main, ["check", str(path)], catch_exceptions=False)
+            assert res.exit_code == 1
+            assert f"error: {path}: {message}" in res.output
 
     def test_diagonal_matrix_set_accepted(self, runner, tmp_path):
         items = [
@@ -126,6 +132,31 @@ _SIMULATE_DOC = {
         ("simulate", dict(_SIMULATE_DOC, sources=5), "sources must be a list"),
         ("simulate", dict(_SIMULATE_DOC, T="x"), "T must be a positive integer, got 'x'"),
         ("simulate", dict(_SIMULATE_DOC, statistics=[5]), "statistics[0] must be an object"),
+        (
+            "check",
+            {"m": 2, "spectra": [{"kind": "transpose", "diag": [["1", "0"], ["2", "0"]]}]},
+            "spectra[0].diag must hold numeric [re, im] pairs",
+        ),
+        (
+            "check",
+            {"m": 2, "spectra": [{"kind": "hermitian", "diag": [[True, 0], [2, 0]]}]},
+            "spectra[0].diag must hold numeric [re, im] pairs",
+        ),
+        (
+            "solve",
+            {"m": 1, "matrices": [{"kind": "hermitian", "entries": [[10**400, 0]]}]},
+            "matrices[0].entries must hold numeric [re, im] pairs",
+        ),
+        (
+            "solve",
+            {"m": 1, "matrices": [{"kind": "hermitian", "entries": [[None, 0]]}]},
+            "matrices[0].entries must hold numeric [re, im] pairs",
+        ),
+        (
+            "estimate",
+            {"m": 1, "T": 2, "channels": [[["1", "0"], [2.0, 0.0]]]},
+            "channels[0] must hold numeric [re, im] pairs",
+        ),
     ],
 )
 def test_malformed_document_exits_1_naming_the_field(runner, tmp_path, command, doc, message):
@@ -338,6 +369,23 @@ class TestSimulate:
         res = invoke(runner, "simulate", str(self._config(tmp_path)))
         assert res.exit_code == 1
         assert "error: NUJD_THREADS" in res.output
+
+    def test_part_on_transpose_kind_slice_exits_1(self, runner, tmp_path):
+        # Equal conjugation bits on the axes make this slice transpose-kind,
+        # and "part" names a half of the Hermitian-kind split.
+        slice_ = {"statistic": "cumulant_slice", "pattern": "0000", "axes": [1, 2], "fixed": [1, 1]}
+        cfg = self._config(
+            tmp_path,
+            sources=[{"kind": "bpsk"}, {"kind": "qpsk"}],
+            T=2000,
+            seed=3,
+            trials=1,
+            solver="put",
+            statistics=[{"statistic": "covariance"}, dict(slice_, part="hermitian")],
+        )
+        res = invoke(runner, "simulate", str(cfg))
+        assert res.exit_code == 1
+        assert "error: statistics[1]: part applies only to a Hermitian-kind slice" in res.output
 
     def test_window_past_the_signal_exits_2(self, runner, tmp_path):
         cfg = self._config(

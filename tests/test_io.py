@@ -1,8 +1,10 @@
+import gc
 import json
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nujd import io as nio
 from nujd.core import CongruenceKind, DiagonalStack, TaggedMatrix
@@ -137,6 +139,14 @@ def _with(**kw):
             _with(statistics=[dict(_CUM4, statistic="lagged_cumulant_slice")]),
             "statistics[0].offsets is missing",
         ),
+        (
+            _with(statistics=[dict(_CUM4, part="hermitian")]),
+            "statistics[0]: part applies only to a Hermitian-kind slice",
+        ),
+        (
+            _with(statistics=[dict(_CUM4, pattern="0101", axes=[1, 3], part="skew")]),
+            "statistics[0]: part applies only to a Hermitian-kind slice",
+        ),
     ],
 )
 def test_config_errors_name_the_json_path(doc, message):
@@ -157,3 +167,123 @@ def test_malformed_entries_rejected():
         nio.matrix_set_from_dict({"m": 2, "matrices": [{"kind": "hermitian", "entries": [[1, 0]]}]})
     with pytest.raises(ConfigError):
         nio.signal_from_dict({"m": 1, "T": 3, "channels": [[[1, 0], [0, 1]]]})
+
+
+def test_part_on_hermitian_kind_slice_accepted():
+    stat = dict(_CUM4, pattern="0101", axes=[1, 2], part="skew")
+    assert nio.config_from_dict(_with(statistics=[stat])).statistics[0]["part"] == "skew"
+
+
+# ---------------------------------------------------------------------------
+# the writer: exactly json.dumps(doc, indent=2), with pair lists encoded in C
+
+_EDGE_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0, 5e-324, 1e16, 0.1]
+_numbers = st.one_of(
+    st.floats(),
+    st.sampled_from(_EDGE_FLOATS),
+    st.integers(),
+    st.floats().map(np.float64),
+)
+_pair = st.lists(_numbers, min_size=2, max_size=2)
+_strings = st.text(alphabet=st.sampled_from('ab"\\\n\t /\x00é€𝄞'), max_size=8)
+_near_pair = st.lists(st.one_of(_numbers, st.booleans(), _strings), min_size=2, max_size=3)
+_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    _numbers,
+    _strings,
+    st.lists(_pair, min_size=1, max_size=5),
+    st.sampled_from([[], {}, ()]),
+)
+_documents = st.recursive(
+    _leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        # pairs next to pairs that hold a bool, a string or a third entry
+        st.lists(st.one_of(_pair, _near_pair), max_size=4),
+        st.tuples(children, children),
+        st.dictionaries(_strings, children, max_size=4),
+        st.dictionaries(st.one_of(st.integers(), st.floats(), st.booleans(), st.none(), _strings), children, max_size=3),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_documents)
+def test_write_json_is_json_dumps_indent_2(doc):
+    assert nio.write_json(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+def _pair_reference(z) -> list:
+    """The per-sample encoding the vectorized codec replaced."""
+    z = complex(z)
+    return [float(z.real), float(z.imag)]
+
+
+def test_signal_to_dict_matches_per_sample_pairs(rng):
+    data = rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
+    data[0, :6] = [-0.0, complex(0.0, -0.0), 5e-324, 1e16, complex(-1e-310, 3e300), 7]
+    data[1] = data[1].real  # imaginary parts exactly zero
+    block = SignalBlock(data)
+    doc = nio.signal_to_dict(block)
+    reference = [[_pair_reference(z) for z in row] for row in block.data]
+    assert doc["channels"] == reference
+    assert {type(v) for ch in doc["channels"] for p in ch for v in p} == {float}
+    # equal lists can still differ in the sign of a zero; the text cannot
+    assert json.dumps(doc["channels"]) == json.dumps(reference)
+
+
+def test_matrix_and_vector_pairs_match_per_entry_pairs(rng):
+    mat = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    mat[0, 0] = complex(-0.0, -0.0)
+    assert json.dumps(nio._pairs(mat)) == json.dumps([_pair_reference(z) for z in mat.ravel()])
+    real = np.array([1.5, -0.0, 2.0])
+    assert json.dumps(nio._pairs(real)) == json.dumps([_pair_reference(z) for z in real])
+
+
+# ---------------------------------------------------------------------------
+# decoding pauses the cyclic GC and restores its state
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("text", ['{"m": [[1, 2]]}', '{"m": [[1, 2]'])
+def test_read_json_restores_gc_state(tmp_path, monkeypatch, enabled, text):
+    path = tmp_path / "d.json"
+    path.write_text(text)
+    seen = []
+    load = json.load
+    monkeypatch.setattr(json, "load", lambda fh: seen.append(gc.isenabled()) or load(fh))
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        try:
+            nio.read_json(path)
+        except json.JSONDecodeError:
+            pass
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen == [False]
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [["1", "0"]],
+        [[True, 0]],
+        [[0, False]],
+        [[None, 0]],
+        [[10**400, 0]],
+        [[1.0, 0.0], [1.0]],
+        [[1.0, 0.0, 2.0]],
+        [1.0, 0.0],
+        [[[1.0, 0.0]]],
+        "10",
+        {"re": 1},
+        7,
+    ],
+)
+def test_pairs_must_hold_json_numbers(pairs):
+    with pytest.raises(ConfigError, match=re.escape("diag must hold numeric [re, im] pairs")):
+        nio.stacks_from_dict({"m": 1, "spectra": [{"kind": "transpose", "diag": pairs}]})
