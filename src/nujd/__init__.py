@@ -22,11 +22,8 @@ from .core import (
     offdiag_residual,
 )
 from .linalg import (
-    HermitianEVD,
     TakagiFactorization,
     general_evd,
-    hermitian_evd,
-    principal_inv_sqrt_diag,
     symmetric_orthogonalize,
     takagi,
 )

@@ -13,7 +13,7 @@ import warnings
 import click
 import numpy as np
 
-from .core import CongruenceKind, DiagonalStack, TAU_RHO
+from .core import CongruenceKind, TAU_RHO
 from .errors import (
     ConfigError,
     DegenerateSpectrum,
@@ -25,9 +25,8 @@ from .errors import (
 )
 from . import io as nio
 from .core import offdiag_residual
-from .simulation import run_experiment
+from .simulation import estimate_statistic, run_experiment
 from .solvers import put, sut, two_matrix_same_kind
-from .statistics import autocorrelation, covariance, cumulant_slice, pseudo_autocorrelation, pseudo_covariance, windowed_covariances
 from .uniqueness import identifiability_master
 
 _NUMERIC_ERRORS = (
@@ -91,9 +90,8 @@ def cmd_check(input_path, tol, margin, out_path):
 
 
 def _stacks_from_matrix_set(doc, tol):
-    items = nio.matrix_set_from_dict(doc)
-    sym_rows, herm_rows = [], []
-    for t in items:
+    rows = []
+    for t in nio.matrix_set_from_dict(doc):
         off = t.matrix - np.diag(np.diag(t.matrix))
         scale = max(float(np.linalg.norm(t.matrix)), np.finfo(float).tiny)
         if float(np.linalg.norm(off)) > max(tol, 1e-8) * scale:
@@ -101,16 +99,9 @@ def _stacks_from_matrix_set(doc, tol):
                 "matrix-set input to check must hold diagonal matrices "
                 "(ground-truth spectra); run solve first for estimated sets"
             )
-        (sym_rows if t.kind is CongruenceKind.TRANSPOSE else herm_rows).append(
-            np.diag(t.matrix)
-        )
-    sym = DiagonalStack(CongruenceKind.TRANSPOSE, np.vstack(sym_rows)) if sym_rows else None
-    herm = (
-        DiagonalStack(CongruenceKind.HERMITIAN, np.vstack([r.real for r in herm_rows]))
-        if herm_rows
-        else None
-    )
-    return sym, herm
+        diag = np.diag(t.matrix)
+        rows.append((t.kind, diag.real if t.kind is CongruenceKind.HERMITIAN else diag))
+    return nio.stacks_from_rows(rows)
 
 
 @main.command("solve")
@@ -179,46 +170,13 @@ def cmd_estimate(input_path, cov, pseudocov, lags, windows, cum4, out_path):
         block = nio.signal_from_dict(doc)
         items = []
         recipe = []
-        if cov:
-            items.append(covariance(block))
-            recipe.append({"statistic": "covariance"})
-        if pseudocov:
-            items.append(pseudo_covariance(block))
-            recipe.append({"statistic": "pseudo_covariance"})
-        for lag in lags:
-            items.append(autocorrelation(block, lag).hermitian)
-            items.append(pseudo_autocorrelation(block, lag))
-            recipe.append({"statistic": "autocorrelation", "lag": lag, "part": "hermitian"})
-            recipe.append({"statistic": "pseudo_autocorrelation", "lag": lag})
-        parsed_windows = []
-        for spec in windows:
-            try:
-                start, length = (int(v) for v in spec.split(":"))
-            except ValueError:
-                _fail(2, f"bad --window {spec!r}, expected START:LEN")
-            parsed_windows.append((start, length))
-        if parsed_windows:
-            items.extend(windowed_covariances(block, parsed_windows))
-            recipe.append({"statistic": "windowed_covariance", "windows": parsed_windows})
-        for pattern, axes_s, fixed_s in cum4:
-            if len(pattern) != 4 or set(pattern) - {"0", "1"}:
-                _fail(2, f"bad --cum4 pattern {pattern!r}")
-            try:
-                axes = tuple(int(a) - 1 for a in axes_s.split(","))
-                fixed = tuple(int(c) - 1 for c in fixed_s.split(",")) if fixed_s else ()
-            except ValueError:
-                _fail(2, "bad --cum4 axes/fixed, expected comma-separated integers")
-            sl = cumulant_slice(block, pattern, fixed, axes)
-            items.append(sl.matrix)
-            recipe.append(
-                {
-                    "statistic": "cumulant_slice",
-                    "pattern": pattern,
-                    "axes": [a + 1 for a in axes],
-                    "fixed": [c + 1 for c in fixed],
-                    "kind": sl.kind.value,
-                }
-            )
+        for stat in _recipe(cov, pseudocov, lags, windows, cum4):
+            mats = estimate_statistic(stat, block)
+            items.extend(mats)
+            if stat["statistic"] == "cumulant_slice":  # 1-based at the file surface
+                stat = dict(stat, axes=[a + 1 for a in stat["axes"]],
+                            fixed=[c + 1 for c in stat["fixed"]], kind=mats[0].kind.value)
+            recipe.append(stat)
         out = nio.matrix_set_to_dict(items, provenance={"source": "estimate", "recipe": recipe})
     except ValueError as exc:
         _fail(2, str(exc))
@@ -228,6 +186,36 @@ def cmd_estimate(input_path, cov, pseudocov, lags, windows, cum4, out_path):
     if out_path is None:
         click.echo(text, nl=False)
     sys.exit(0)
+
+
+def _recipe(cov, pseudocov, lags, windows, cum4):
+    """Yield the 0-based recipe entries of ``estimate``'s flags in output order,
+    parsing each flag only when its entry is reached."""
+    if cov:
+        yield {"statistic": "covariance"}
+    if pseudocov:
+        yield {"statistic": "pseudo_covariance"}
+    for lag in lags:
+        yield {"statistic": "autocorrelation", "lag": lag, "part": "hermitian"}
+        yield {"statistic": "pseudo_autocorrelation", "lag": lag}
+    parsed_windows = []
+    for spec in windows:
+        try:
+            start, length = (int(v) for v in spec.split(":"))
+        except ValueError:
+            _fail(2, f"bad --window {spec!r}, expected START:LEN")
+        parsed_windows.append((start, length))
+    if parsed_windows:
+        yield {"statistic": "windowed_covariance", "windows": parsed_windows}
+    for pattern, axes_s, fixed_s in cum4:
+        if len(pattern) != 4 or set(pattern) - {"0", "1"}:
+            _fail(2, f"bad --cum4 pattern {pattern!r}")
+        try:
+            axes = tuple(int(a) - 1 for a in axes_s.split(","))
+            fixed = tuple(int(c) - 1 for c in fixed_s.split(",")) if fixed_s else ()
+        except ValueError:
+            _fail(2, "bad --cum4 axes/fixed, expected comma-separated integers")
+        yield {"statistic": "cumulant_slice", "pattern": pattern, "axes": axes, "fixed": fixed}
 
 
 @main.command("simulate")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import CongruenceKind, DiagonalStack, GLElement, TaggedMatrix
 from .errors import ConfigError
-from .simulation import ExperimentConfig, SourceSpec, _stat_kind
+from .simulation import STATISTICS, ExperimentConfig, SourceSpec
 from .statistics import _as_pattern
 from .solvers import PutResult
 from .uniqueness import UniquenessReport
@@ -243,27 +243,26 @@ def stacks_to_dict(sym: Optional[DiagonalStack], herm: Optional[DiagonalStack]) 
     return {"m": int(m), "spectra": entries}
 
 
+def stacks_from_rows(rows) -> tuple:
+    """(transpose, Hermitian) stacks of (kind, diagonal) rows; None for a kind without rows."""
+    stacks = []
+    for kind in (CongruenceKind.TRANSPOSE, CongruenceKind.HERMITIAN):
+        picked = [d for k, d in rows if k is kind]
+        stacks.append(DiagonalStack(kind, np.vstack(picked)) if picked else None)
+    return tuple(stacks)
+
+
 def stacks_from_dict(doc: dict):
     m = _count(doc, "m")
-    sym_rows, herm_rows = [], []
+    rows = []
     for i, entry in enumerate(_list(doc, "spectra")):
         path = f"spectra[{i}]"
         kind = _kind_at(entry, path)
         diag = _vector_from_pairs(_field(entry, "diag", path), f"{path}.diag")
         if diag.size != m:
             raise ConfigError(f"{path}.diag has length {diag.size}, m = {m}")
-        (sym_rows if kind is CongruenceKind.TRANSPOSE else herm_rows).append(diag)
-    sym = (
-        DiagonalStack(CongruenceKind.TRANSPOSE, np.vstack(sym_rows))
-        if sym_rows
-        else None
-    )
-    herm = (
-        DiagonalStack(CongruenceKind.HERMITIAN, np.vstack(herm_rows))
-        if herm_rows
-        else None
-    )
-    return sym, herm, m
+        rows.append((kind, diag))
+    return (*stacks_from_rows(rows), m)
 
 
 # ---------------------------------------------------------------------------
@@ -401,17 +400,24 @@ def _pattern_length(entry, path: str) -> int:
 def _statistic_from_dict(entry, path: str, m: int) -> dict:
     """One recipe entry, with 1-based slots and channels made 0-based."""
     name = _field(entry, "statistic", path)
+    if name not in STATISTICS:
+        choices = ", ".join(repr(k) for k in STATISTICS)
+        raise ConfigError(f"{path}.statistic must be one of {choices}, got {name!r}")
+    fields = STATISTICS[name].fields
+    extra = set(entry) - {"statistic", *fields}
+    if extra:
+        raise ConfigError(f"{path} has unknown fields {sorted(extra)}")
     stat = dict(entry)
     if entry.get("part", "hermitian") not in ("hermitian", "skew"):
         raise ConfigError(f"{path}.part must be 'hermitian' or 'skew', got {entry['part']!r}")
-    if name in ("autocorrelation", "pseudo_autocorrelation"):
+    if "lag" in fields:
         stat["lag"] = _int(_field(entry, "lag", path), f"{path}.lag", 0)
-    elif name == "windowed_covariance":
+    if "windows" in fields:
         windows = _list(entry, "windows", path) if "windows" in entry else []
-        stat["windows"] = [
-            _ints(w, f"{path}.windows[{i}]", 0, size=2) for i, w in enumerate(windows)
-        ]
-    elif name in ("cumulant_slice", "lagged_cumulant_slice"):
+        stat["windows"] = [_ints(w, f"{path}.windows[{i}]", 0, size=2) for i, w in enumerate(windows)]
+        for i, (_, length) in enumerate(stat["windows"]):
+            _int(length, f"{path}.windows[{i}][1]")
+    if "pattern" in fields:
         k = _pattern_length(entry, path)
         axes = _ints(_field(entry, "axes", path), f"{path}.axes", 1, k, size=2)
         if axes[0] == axes[1]:
@@ -419,12 +425,12 @@ def _statistic_from_dict(entry, path: str, m: int) -> dict:
         stat["axes"] = tuple(a - 1 for a in axes)
         fixed = _ints(entry.get("fixed", []), f"{path}.fixed", 1, m, size=k - 2)
         stat["fixed"] = tuple(c - 1 for c in fixed)
-        if name == "lagged_cumulant_slice":
-            stat["offsets"] = _ints(_field(entry, "offsets", path), f"{path}.offsets", 0, size=k)
-        try:
-            _stat_kind(stat)
-        except ConfigError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
+    if "offsets" in fields:
+        stat["offsets"] = _ints(_field(entry, "offsets", path), f"{path}.offsets", 0, size=k)
+    try:
+        STATISTICS[name].kind(stat)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     return stat
 
 

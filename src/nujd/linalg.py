@@ -18,7 +18,6 @@ from .core import GLElement, KAPPA_MAX, SIGMA_MIN, TAU_SYM, as_complex_matrix
 from .errors import (
     DefectiveMatrix,
     OrthogonalizationFailure,
-    SingularPseudoCovariance,
     SymmetryViolation,
 )
 
@@ -34,17 +33,6 @@ class TakagiFactorization:
 
     def reconstruct(self) -> np.ndarray:
         return self.u @ (self.sigma[:, None] * self.u.T)
-
-
-@dataclass(frozen=True)
-class HermitianEVD:
-    """C = V diag(lam) V^H with unitary V and real lam sorted descending."""
-
-    v: np.ndarray
-    lam: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return self.v @ (self.lam[:, None] * self.v.conj().T)
 
 
 def _unitary_sqrt(s: np.ndarray) -> np.ndarray:
@@ -90,18 +78,6 @@ def takagi(c, rtol: float = TAU_SYM) -> TakagiFactorization:
     return TakagiFactorization(u=u, sigma=sigma)
 
 
-def hermitian_evd(c, rtol: float = TAU_SYM) -> HermitianEVD:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
-    m = as_complex_matrix(c, square=True)
-    scale = float(np.linalg.norm(m))
-    if float(np.linalg.norm(m - m.conj().T)) > rtol * max(scale, np.finfo(float).tiny):
-        raise SymmetryViolation("hermitian_evd requires a Hermitian matrix")
-    m = (m + m.conj().T) / 2.0
-    lam, v = np.linalg.eigh(m)
-    order = np.argsort(-lam, kind="stable")
-    return HermitianEVD(v=v[:, order], lam=lam[order])
-
-
 def general_evd(c) -> tuple[GLElement, np.ndarray]:
     """General (non-normal) eigendecomposition C W = W diag(lam).
 
@@ -128,27 +104,6 @@ def general_evd(c) -> tuple[GLElement, np.ndarray]:
             f"{KAPPA_MAX:.0e}"
         )
     return GLElement(w), lam
-
-
-def principal_inv_sqrt_diag(sigma) -> np.ndarray:
-    """diag(1/sqrt(sigma_k)) for a positive sequence, guarding the floor.
-
-    Raises SingularPseudoCovariance naming the first index whose value falls
-    below SIGMA_MIN relative to the largest.
-    """
-    s = np.asarray(sigma, dtype=float)
-    if s.ndim != 1 or s.size == 0:
-        raise ValueError("sigma must be a non-empty 1-d sequence")
-    floor = SIGMA_MIN * float(np.max(s))
-    bad = np.nonzero(s <= floor)[0]
-    if bad.size:
-        k = int(bad[0])
-        raise SingularPseudoCovariance(
-            f"singular value {k} is below the invertibility floor "
-            f"({s[k]:.3e} <= {floor:.3e})",
-            index=k,
-        )
-    return np.diag(1.0 / np.sqrt(s))
 
 
 def symmetric_orthogonalize(w: GLElement) -> np.ndarray:

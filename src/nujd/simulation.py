@@ -14,11 +14,11 @@ import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import CongruenceKind, DiagonalStack, GLElement, TaggedMatrix, is_essentially_equivalent
+from .core import CongruenceKind, DiagonalStack, GLElement, is_essentially_equivalent
 from .errors import ConfigError, NujdError
 from .solvers import put, sut, two_matrix_same_kind
 from .statistics import (
@@ -29,6 +29,7 @@ from .statistics import (
     lagged_cumulant_slice,
     pseudo_autocorrelation,
     pseudo_covariance,
+    slice_kind,
     windowed_covariances,
     _as_pattern,
 )
@@ -254,7 +255,7 @@ def _pop_window_variance(spec: SourceSpec, start: int, length: int, t: int) -> f
     return total / length
 
 
-def _pop_cum4(spec: SourceSpec, bits: tuple) -> Optional[complex]:
+def _pop_cum4(spec: SourceSpec, bits: tuple) -> complex:
     p2 = spec.power ** 2
     nconj = sum(bits)
     if spec.kind == "bpsk":
@@ -270,7 +271,7 @@ def _pop_cum4(spec: SourceSpec, bits: tuple) -> Optional[complex]:
     return 0.0
 
 
-def _pop_order2_entry(spec: SourceSpec, bits: tuple, off: tuple) -> Optional[complex]:
+def _pop_order2_entry(spec: SourceSpec, bits: tuple, off: tuple) -> complex:
     lag = abs(off[1] - off[0])
     if bits == (0, 1):
         val = _pop_autocov(spec, lag)
@@ -283,122 +284,159 @@ def _pop_order2_entry(spec: SourceSpec, bits: tuple, off: tuple) -> Optional[com
     return np.conj(_pop_pseudo_autocov(spec, lag))
 
 
-def population_diagonal(truth: ExperimentTruth, stat: dict, t: int) -> Optional[np.ndarray]:
-    """Per-channel population value of one recipe statistic, or None.
+def _part(values: np.ndarray, part: Optional[str]) -> np.ndarray:
+    """The "hermitian" (real) or "skew" (imaginary) part of a diagonal, or all of it."""
+    if part == "hermitian":
+        return values.real.astype(np.complex128)
+    if part == "skew":
+        return values.imag.astype(np.complex128)
+    return values
 
-    For cumulant slices the value is the effective diagonal of the model
-    C = A D A^dagger, which absorbs the mixing-row factors of the fixed
-    slots; the mixing matrix therefore enters for orders above two.
-    Returns None when no closed form is implemented for the combination.
-    """
-    st = stat["statistic"]
-    specs = truth.specs
-    if st == "covariance":
-        return np.array([_pop_variance(s) for s in specs], dtype=np.complex128)
-    if st == "pseudo_covariance":
-        return np.array([_pop_pseudo_variance(s) for s in specs], dtype=np.complex128)
-    if st == "autocorrelation":
-        vals = np.array([_pop_autocov(s, stat["lag"]) for s in specs], dtype=np.complex128)
-        part = stat.get("part", "hermitian")
-        picked = vals.real if part == "hermitian" else vals.imag
-        return picked.astype(np.complex128)
-    if st == "pseudo_autocorrelation":
-        return np.array(
-            [_pop_pseudo_autocov(s, stat["lag"]) for s in specs], dtype=np.complex128
+
+def _per_source(value):
+    """Population rule of a one-matrix statistic from its per-source value."""
+    return lambda truth, stat, t: [
+        np.array([value(s, stat) for s in truth.specs], dtype=np.complex128)
+    ]
+
+
+def _pop_autocorrelation(truth: ExperimentTruth, stat: dict, t: int) -> list:
+    vals = np.array([_pop_autocov(s, stat["lag"]) for s in truth.specs], dtype=np.complex128)
+    return [_part(vals, stat.get("part", "hermitian"))]
+
+
+def _pop_windows(truth: ExperimentTruth, stat: dict, t: int) -> list:
+    return [
+        np.array(
+            [_pop_window_variance(s, start, length, t) for s in truth.specs],
+            dtype=np.complex128,
         )
-    if st == "windowed_covariance":
-        return None  # expanded per window by the caller
-    if st in ("cumulant_slice", "lagged_cumulant_slice"):
-        bits = tuple(_as_pattern(stat["pattern"]).bits)
-        k = len(bits)
-        offs = tuple(stat.get("offsets", (0,) * k))
-        if st == "cumulant_slice":
-            offs = (0,) * k
-        p, q = stat["axes"]
-        fixed = tuple(stat.get("fixed", ()))
-        if k == 2:
-            vals = [
-                _pop_order2_entry(s, bits, (offs[p], offs[q])) for s in specs
-            ]
-            if any(v is None for v in vals):
-                return None
-            base = np.array(vals, dtype=np.complex128)
-        elif k == 4:
-            if len(set(offs)) > 1:
-                if any(s.kind == "block_nonstationary" for s in specs):
-                    return None
-                base = np.zeros(len(specs), dtype=np.complex128)
-            else:
-                vals = [_pop_cum4(s, bits) for s in specs]
-                if any(v is None for v in vals):
-                    return None
-                base = np.array(vals, dtype=np.complex128)
-        else:
-            return None
-        a = truth.a.matrix
-        slot_fixed = [r for r in range(k) if r not in (p, q)]
-        for r, c in zip(slot_fixed, fixed):
-            col = a[c, :]
-            base = base * (np.conj(col) if bits[r] else col)
-        part = stat.get("part")
-        if part == "hermitian":
-            return base.real.astype(np.complex128)
-        if part == "skew":
-            return base.imag.astype(np.complex128)
-        return base
-    return None
+        for start, length in stat["windows"]
+    ]
 
 
-def population_matrices(truth: ExperimentTruth, statistics, t: int):
-    """Population observation matrices A diag(pop) A^dagger per recipe entry.
+def _pop_slice(truth: ExperimentTruth, stat: dict, offs: tuple) -> Optional[list]:
+    """Effective diagonal of a cumulant slice in the model C = A D A^dagger.
 
-    Returns a list of TaggedMatrix or None when some population diagonal is
-    unavailable.
+    It absorbs the mixing-row factors of the fixed slots, so the mixing
+    matrix enters for orders above two.  None when no closed form is
+    implemented: orders above four, and lagged order-four slices of
+    block-nonstationary sources.
     """
-    mats = []
+    bits = tuple(_as_pattern(stat["pattern"]).bits)
+    p, q = stat["axes"]
+    specs = truth.specs
+    if len(bits) == 2:
+        base = [_pop_order2_entry(s, bits, (offs[p], offs[q])) for s in specs]
+    elif len(bits) == 4 and len(set(offs)) == 1:
+        base = [_pop_cum4(s, bits) for s in specs]
+    elif len(bits) == 4 and all(s.kind != "block_nonstationary" for s in specs):
+        base = [0.0] * len(specs)
+    else:
+        return None
+    base = np.array(base, dtype=np.complex128)
     a = truth.a.matrix
-    for stat in statistics:
-        if stat["statistic"] == "windowed_covariance":
-            for start, length in stat["windows"]:
-                vals = np.array(
-                    [_pop_window_variance(s, start, length, t) for s in truth.specs]
-                )
-                mats.append(
-                    TaggedMatrix(a @ np.diag(vals) @ a.conj().T, CongruenceKind.HERMITIAN)
-                )
-            continue
-        vals = population_diagonal(truth, stat, t)
-        if vals is None:
-            return None
-        kind = _stat_kind(stat)
-        d = np.diag(vals)
-        if kind is CongruenceKind.HERMITIAN:
-            mats.append(TaggedMatrix(a @ d.real @ a.conj().T, CongruenceKind.HERMITIAN))
-        else:
-            mats.append(TaggedMatrix(a @ d @ a.T, CongruenceKind.TRANSPOSE))
-    return mats
+    slot_fixed = [r for r in range(len(bits)) if r not in (p, q)]
+    for r, c in zip(slot_fixed, stat.get("fixed", ())):
+        col = a[c, :]
+        base = base * (np.conj(col) if bits[r] else col)
+    return [_part(base, stat.get("part"))]
 
 
-def _stat_kind(stat: dict) -> CongruenceKind:
-    st = stat["statistic"]
-    if st in ("covariance", "windowed_covariance"):
-        return CongruenceKind.HERMITIAN
-    if st in ("pseudo_covariance", "pseudo_autocorrelation"):
-        return CongruenceKind.TRANSPOSE
-    if st == "autocorrelation":
-        return CongruenceKind.HERMITIAN
-    if st in ("cumulant_slice", "lagged_cumulant_slice"):
-        bits = _as_pattern(stat["pattern"]).bits
-        p, q = stat["axes"]
-        if bits[p] != bits[q]:
-            return CongruenceKind.HERMITIAN
-        if "part" in stat:
-            raise ConfigError(
-                "part applies only to a Hermitian-kind slice; axes with equal "
-                "conjugation bits make this slice transpose-kind"
-            )
-        return CongruenceKind.TRANSPOSE
-    raise ConfigError(f"unknown statistic {st!r}")
+# ---------------------------------------------------------------------------
+# the statistic table
+
+
+def _always(kind: CongruenceKind):
+    return lambda stat: kind
+
+
+def _slice_kind_rule(stat: dict) -> CongruenceKind:
+    kind = slice_kind(stat["pattern"], stat["axes"])
+    if kind is CongruenceKind.TRANSPOSE and "part" in stat:
+        raise ConfigError(
+            "part applies only to a Hermitian-kind slice; axes with equal "
+            "conjugation bits make this slice transpose-kind"
+        )
+    return kind
+
+
+def _slice_matrix(sl, stat: dict) -> list:
+    if stat.get("part") == "skew":
+        if sl.skew is None:
+            raise ConfigError("transpose-kind slices have no skew part")
+        return [sl.skew]
+    return [sl.matrix]
+
+
+def _estimate_autocorrelation(stat: dict, w: SignalBlock) -> list:
+    corr = autocorrelation(w, stat["lag"])
+    return [corr.skew if stat.get("part") == "skew" else corr.hermitian]
+
+
+@dataclass(frozen=True)
+class Statistic:
+    """A recipe statistic: the fields it takes besides "statistic", the kind of
+    the matrices an entry yields, their estimator from a SignalBlock, and one
+    population diagonal per matrix (None when no closed form is implemented).
+    Estimators look the statistics functions up in this module when they run."""
+
+    fields: tuple
+    kind: Callable
+    estimate: Callable
+    population: Callable
+
+
+STATISTICS = {
+    "covariance": Statistic(
+        (), _always(CongruenceKind.HERMITIAN), lambda stat, w: [covariance(w)],
+        _per_source(lambda s, stat: _pop_variance(s)),
+    ),
+    "pseudo_covariance": Statistic(
+        (), _always(CongruenceKind.TRANSPOSE), lambda stat, w: [pseudo_covariance(w)],
+        _per_source(lambda s, stat: _pop_pseudo_variance(s)),
+    ),
+    "autocorrelation": Statistic(
+        ("lag", "part"), _always(CongruenceKind.HERMITIAN), _estimate_autocorrelation,
+        _pop_autocorrelation,
+    ),
+    "pseudo_autocorrelation": Statistic(
+        ("lag",), _always(CongruenceKind.TRANSPOSE),
+        lambda stat, w: [pseudo_autocorrelation(w, stat["lag"])],
+        _per_source(lambda s, stat: _pop_pseudo_autocov(s, stat["lag"])),
+    ),
+    "windowed_covariance": Statistic(
+        ("windows",), _always(CongruenceKind.HERMITIAN),
+        lambda stat, w: windowed_covariances(w, stat["windows"]), _pop_windows,
+    ),
+    "cumulant_slice": Statistic(
+        ("pattern", "axes", "fixed", "part"), _slice_kind_rule,
+        lambda stat, w: _slice_matrix(cumulant_slice(
+            w, stat["pattern"], tuple(stat.get("fixed", ())), tuple(stat["axes"])
+        ), stat),
+        lambda truth, stat, t: _pop_slice(truth, stat, (0,) * len(stat["pattern"])),
+    ),
+    "lagged_cumulant_slice": Statistic(
+        ("pattern", "offsets", "axes", "fixed", "part"), _slice_kind_rule,
+        lambda stat, w: _slice_matrix(lagged_cumulant_slice(
+            w, stat["pattern"], tuple(stat["offsets"]), tuple(stat["axes"]),
+            tuple(stat.get("fixed", ())),
+        ), stat),
+        lambda truth, stat, t: _pop_slice(truth, stat, tuple(stat["offsets"])),
+    ),
+}
+
+
+def _entry(stat: dict) -> Statistic:
+    name = stat["statistic"]
+    if name not in STATISTICS:
+        raise ConfigError(f"unknown statistic {name!r}")
+    return STATISTICS[name]
+
+
+def estimate_statistic(stat: dict, w: SignalBlock) -> list:
+    """Estimate one recipe entry, returning its tagged matrices."""
+    return _entry(stat).estimate(stat, w)
 
 
 def population_stacks(truth: ExperimentTruth, statistics, t: int):
@@ -408,36 +446,24 @@ def population_stacks(truth: ExperimentTruth, statistics, t: int):
     (sym, herm, available); when some statistic has no closed form the
     stacks are None and available is False.
     """
-    sym_rows = []
-    herm_rows = []
+    rows = {CongruenceKind.TRANSPOSE: [], CongruenceKind.HERMITIAN: []}
     for stat in statistics:
-        if stat["statistic"] == "windowed_covariance":
-            for start, length in stat["windows"]:
-                vals = np.array(
-                    [_pop_window_variance(s, start, length, t) for s in truth.specs],
-                    dtype=np.complex128,
-                )
-                herm_rows.append(vals)
-            continue
-        vals = population_diagonal(truth, stat, t)
-        if vals is None:
+        entry = _entry(stat)
+        diagonals = entry.population(truth, stat, t)
+        if diagonals is None:
             return None, None, False
-        if _stat_kind(stat) is CongruenceKind.HERMITIAN:
-            herm_rows.append(vals.real.astype(np.complex128))
-        else:
-            sym_rows.append(vals)
+        kind = entry.kind(stat)
+        if kind is CongruenceKind.HERMITIAN:
+            diagonals = [_part(d, "hermitian") for d in diagonals]
+        rows[kind] += diagonals
     m = len(truth.specs)
 
-    def build(rows, kind):
-        rows = [r for r in rows if np.max(np.abs(r)) > 0]
-        arr = np.vstack(rows) if rows else np.zeros((0, m), dtype=np.complex128)
+    def build(kind):
+        kept = [r for r in rows[kind] if np.max(np.abs(r)) > 0]
+        arr = np.vstack(kept) if kept else np.zeros((0, m), dtype=np.complex128)
         return DiagonalStack(kind, arr)
 
-    return (
-        build(sym_rows, CongruenceKind.TRANSPOSE),
-        build(herm_rows, CongruenceKind.HERMITIAN),
-        True,
-    )
+    return build(CongruenceKind.TRANSPOSE), build(CongruenceKind.HERMITIAN), True
 
 
 # ---------------------------------------------------------------------------
@@ -469,40 +495,7 @@ class ExperimentConfig:
         object.__setattr__(self, "sources", tuple(self.sources))
         object.__setattr__(self, "statistics", tuple(self.statistics))
         for stat in self.statistics:
-            _stat_kind(stat)
-
-
-def estimate_statistic(stat: dict, w: SignalBlock) -> list:
-    """Estimate one recipe entry, returning its tagged matrices."""
-    st = stat["statistic"]
-    if st == "covariance":
-        return [covariance(w)]
-    if st == "pseudo_covariance":
-        return [pseudo_covariance(w)]
-    if st == "autocorrelation":
-        corr = autocorrelation(w, stat["lag"])
-        return [corr.skew if stat.get("part") == "skew" else corr.hermitian]
-    if st == "pseudo_autocorrelation":
-        return [pseudo_autocorrelation(w, stat["lag"])]
-    if st == "windowed_covariance":
-        return windowed_covariances(w, stat["windows"])
-    if st == "cumulant_slice":
-        sl = cumulant_slice(w, stat["pattern"], tuple(stat.get("fixed", ())), tuple(stat["axes"]))
-    elif st == "lagged_cumulant_slice":
-        sl = lagged_cumulant_slice(
-            w,
-            stat["pattern"],
-            tuple(stat["offsets"]),
-            tuple(stat["axes"]),
-            tuple(stat.get("fixed", ())),
-        )
-    else:
-        raise ConfigError(f"unknown statistic {st!r}")
-    if stat.get("part") == "skew":
-        if sl.skew is None:
-            raise ConfigError("transpose-kind slices have no skew part")
-        return [sl.skew]
-    return [sl.matrix]
+            _entry(stat).kind(stat)
 
 
 def _solve(config: ExperimentConfig, mats: list):
@@ -545,10 +538,8 @@ def run_trial(config: ExperimentConfig, trial: int) -> dict:
 
         sym, herm, available = population_stacks(truth, config.statistics, config.T)
         if available:
-            use_sym = sym if sym.n else None
-            use_herm = herm if herm.n else None
             try:
-                master = identifiability_master(use_sym, use_herm, config.margin)
+                master = identifiability_master(sym, herm, config.margin)
                 record["identifiability"] = master.verdict
                 record["rho_transpose"] = master.rho_transpose
                 record["rho_hermitian"] = master.rho_hermitian

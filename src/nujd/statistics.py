@@ -331,13 +331,15 @@ def _slice_from_series(xc, reads, p, q, n):
     return out
 
 
-def _finish_slice(raw, k, pat, fixed_indices, axes):
+def slice_kind(pattern, axes) -> CongruenceKind:
+    """Hermitian kind iff exactly one of the two axis slots is conjugated."""
+    bits = _as_pattern(pattern).bits
     p, q = axes
-    kind = (
-        CongruenceKind.HERMITIAN
-        if (pat.bits[p] ^ pat.bits[q]) == 1
-        else CongruenceKind.TRANSPOSE
-    )
+    return CongruenceKind.HERMITIAN if bits[p] != bits[q] else CongruenceKind.TRANSPOSE
+
+
+def _finish_slice(raw, k, pat, fixed_indices, axes):
+    kind = slice_kind(pat, axes)
     if kind is CongruenceKind.TRANSPOSE:
         tagged = TaggedMatrix((raw + raw.T) / 2.0, kind)
         skew = None

@@ -19,28 +19,32 @@ def _split(mats):
     return herm.astype(complex), sym.astype(complex), float(den)
 
 
+def _mul(a, b):
+    """Batched 2x2 products a @ b as explicit broadcast sums over the last two axes."""
+    return a[..., :, 0, None] * b[..., None, 0, :] + a[..., :, 1, None] * b[..., None, 1, :]
+
+
+def _congruences(x, herm, sym):
+    """X^H C X per Hermitian matrix and X^H S conj(X) per symmetric one, shape (n, b, 2, 2)."""
+    xh = x.conj().transpose(0, 2, 1)[None]
+    return (
+        _mul(_mul(xh, herm[:, None]), x[None]),
+        _mul(_mul(xh, sym[:, None]), x.conj()[None]),
+    )
+
+
 def _residual_sq(x, herm, sym, den):
-    num = 0.0
-    if herm.size:
-        m = np.einsum("bji,njk,bkl->nbil", x.conj(), herm, x)
-        num = num + np.sum(np.abs(_P * m) ** 2, axis=(0, 2, 3))
-    if sym.size:
-        m = np.einsum("bji,njk,bkl->nbil", x.conj(), sym, x.conj())
-        num = num + np.sum(np.abs(_P * m) ** 2, axis=(0, 2, 3))
+    num = sum(np.sum(np.abs(_P * m) ** 2, axis=(0, 2, 3)) for m in _congruences(x, herm, sym))
     return num / den
 
 
 def _gradient(x, herm, sym, den):
-    g = np.zeros_like(x)
-    if herm.size:
-        m = np.einsum("bji,njk,bkl->nbil", x.conj(), herm, x)
-        e = _P * m
-        g += np.einsum("njk,bkl,nblm->bjm", herm, x, e.conj().transpose(0, 1, 3, 2) + e)
-    if sym.size:
-        m = np.einsum("bji,njk,bkl->nbil", x.conj(), sym, x.conj())
-        eh = (_P * m).conj().transpose(0, 1, 3, 2)
-        g += np.einsum("njk,bkl,nblm->bjm", sym, x.conj(), eh)
-        g += np.einsum("nkj,bkl,nblm->bjm", sym, x.conj(), eh)
+    mh, ms = _congruences(x, herm, sym)
+    eh = _P * mh
+    es = (_P * ms).conj().transpose(0, 1, 3, 2)
+    g = np.sum(_mul(_mul(herm[:, None], x[None]), eh.conj().transpose(0, 1, 3, 2) + eh), axis=0)
+    sym2 = sym + sym.transpose(0, 2, 1)
+    g = g + np.sum(_mul(_mul(sym2[:, None], x.conj()[None]), es), axis=0)
     return g / den
 
 

@@ -157,6 +157,36 @@ _SIMULATE_DOC = {
             {"m": 1, "T": 2, "channels": [[["1", "0"], [2.0, 0.0]]]},
             "channels[0] must hold numeric [re, im] pairs",
         ),
+        (
+            "simulate",
+            dict(
+                _SIMULATE_DOC,
+                sources=[{"kind": "block_nonstationary", "variance_profile": [1, 2]}, {"kind": "bpsk"}],
+                statistics=[{"statistic": "windowed_covariance", "windows": [[0, 0], [500, 500]]}],
+                solver="gevd",
+            ),
+            "statistics[0].windows[0][1] must be a positive integer, got 0",
+        ),
+        (
+            "simulate",
+            dict(_SIMULATE_DOC, statistics=[{"statistic": "autocorrelation", "lag": 1, "prat": "skew"}]),
+            "statistics[0] has unknown fields ['prat']",
+        ),
+        (
+            "simulate",
+            dict(_SIMULATE_DOC, statistics=[{"statistic": "covariance", "part": "skew"}]),
+            "statistics[0] has unknown fields ['part']",
+        ),
+        (
+            "simulate",
+            dict(_SIMULATE_DOC, statistics=[{"statistic": "pseudo_autocorrelation", "lag": 1, "windows": 3}]),
+            "statistics[0] has unknown fields ['windows']",
+        ),
+        (
+            "simulate",
+            dict(_SIMULATE_DOC, statistics=[{"statistic": "bogus"}]),
+            "statistics[0].statistic must be one of 'covariance', ",
+        ),
     ],
 )
 def test_malformed_document_exits_1_naming_the_field(runner, tmp_path, command, doc, message):
@@ -322,6 +352,49 @@ class TestEstimateAndSolve:
         write_spectra(spectra, collinear=True)
         runner.invoke(main, ["check", str(spectra), "--out", str(rep)])
         assert nio.write_json(nio.read_json(rep)).encode() == rep.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        "--cum4 0000 5,6 1,1",
+        "--cum4 0000 1,2,3 1",
+        "--cum4 0000 1,1 1,1",
+        "--cum4 0000 3,4 0,1",
+        "--cum4 0000 3,4 1,3",
+        "--cum4 00000 3,4 1,1",
+        "--lag -1",
+        "--lag T",
+        "--window 0:0",
+        "--window a",
+    ],
+)
+def test_estimate_flag_errors_exit_2(runner, tmp_path, flags):
+    sig = tmp_path / "sig.json"
+    write_signal(sig, t=2000)
+    res = runner.invoke(main, ["estimate", str(sig), *flags.split()])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "error: " in res.output.lower() and "Traceback" not in res.output
+
+
+def test_estimate_provenance_recipe(runner, tmp_path):
+    sig = tmp_path / "sig.json"
+    write_signal(sig, t=2000)
+    flags = "--cov --pseudocov --lag 2 --window 0:1000 --cum4 0011 1,3 1,2".split()
+    res = invoke(runner, "estimate", str(sig), *flags)
+    assert res.exit_code == 0
+    recipe = json.loads(res.output)["provenance"]["recipe"]
+    assert json.dumps(recipe) == json.dumps(
+        [
+            {"statistic": "covariance"},
+            {"statistic": "pseudo_covariance"},
+            {"statistic": "autocorrelation", "lag": 2, "part": "hermitian"},
+            {"statistic": "pseudo_autocorrelation", "lag": 2},
+            {"statistic": "windowed_covariance", "windows": [[0, 1000]]},
+            {"statistic": "cumulant_slice", "pattern": "0011", "axes": [1, 3], "fixed": [1, 2], "kind": "hermitian"},
+        ]
+    )
 
 
 class TestSimulate:

@@ -147,6 +147,29 @@ def _with(**kw):
             _with(statistics=[dict(_CUM4, pattern="0101", axes=[1, 3], part="skew")]),
             "statistics[0]: part applies only to a Hermitian-kind slice",
         ),
+        (
+            _with(
+                sources=[{"kind": "block_nonstationary", "variance_profile": [1, 2]}],
+                statistics=[{"statistic": "windowed_covariance", "windows": [[0, 0], [500, 500]]}],
+            ),
+            "statistics[0].windows[0][1] must be a positive integer, got 0",
+        ),
+        (
+            _with(statistics=[{"statistic": "autocorrelation", "lag": 1, "prat": "skew"}]),
+            "statistics[0] has unknown fields ['prat']",
+        ),
+        (
+            _with(statistics=[{"statistic": "covariance", "part": "skew"}]),
+            "statistics[0] has unknown fields ['part']",
+        ),
+        (
+            _with(statistics=[{"statistic": "pseudo_autocorrelation", "lag": 1, "windows": 3}]),
+            "statistics[0] has unknown fields ['windows']",
+        ),
+        (
+            _with(statistics=[{"statistic": "bogus"}]),
+            "statistics[0].statistic must be one of 'covariance', 'pseudo_covariance', ",
+        ),
     ],
 )
 def test_config_errors_name_the_json_path(doc, message):
@@ -172,6 +195,11 @@ def test_malformed_entries_rejected():
 def test_part_on_hermitian_kind_slice_accepted():
     stat = dict(_CUM4, pattern="0101", axes=[1, 2], part="skew")
     assert nio.config_from_dict(_with(statistics=[stat])).statistics[0]["part"] == "skew"
+
+
+def test_part_on_autocorrelation_accepted():
+    stat = {"statistic": "autocorrelation", "lag": 2, "part": "skew"}
+    assert nio.config_from_dict(_with(statistics=[stat])).statistics[0] == stat
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,11 @@
 import numpy as np
 import pytest
 
-from nujd.errors import (
-    DefectiveMatrix,
-    OrthogonalizationFailure,
-    SingularPseudoCovariance,
-    SymmetryViolation,
-)
-from nujd.linalg import (
-    _unitary_sqrt,
-    general_evd,
-    hermitian_evd,
-    principal_inv_sqrt_diag,
-    symmetric_orthogonalize,
-    takagi,
-)
+from nujd.errors import DefectiveMatrix, OrthogonalizationFailure, SymmetryViolation
+from nujd.linalg import _unitary_sqrt, general_evd, symmetric_orthogonalize, takagi
 from nujd.core import GLElement
 
-from conftest import complex_symmetric, hermitian, random_mixing
+from conftest import complex_symmetric, random_mixing
 
 
 class TestTakagi:
@@ -71,30 +59,7 @@ class TestTakagi:
         b = rng.standard_normal((4, 4))
         c = b @ b.T + 4 * np.eye(4)
         tf = takagi(c)
-        ev = hermitian_evd(c)
-        assert np.allclose(tf.sigma, ev.lam, rtol=1e-10)
-
-
-class TestHermitianEVD:
-    def test_identity(self):
-        ev = hermitian_evd(np.eye(3))
-        assert np.allclose(ev.lam, 1.0)
-        assert np.linalg.norm(ev.reconstruct() - np.eye(3)) <= 1e-12
-
-    def test_sorting_contract(self):
-        ev = hermitian_evd(np.diag([-1.0, 3.0]))
-        assert np.allclose(ev.lam, [3.0, -1.0])
-        assert np.allclose(np.abs(ev.v), [[0, 1], [1, 0]])
-
-    def test_random_reconstruction(self, rng):
-        for _ in range(50):
-            c = hermitian(rng, 6)
-            ev = hermitian_evd(c)
-            assert np.linalg.norm(ev.reconstruct() - c) <= 1e-10 * np.linalg.norm(c)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(SymmetryViolation):
-            hermitian_evd(np.array([[0, 1.0], [2.0, 0]]))
+        assert np.allclose(tf.sigma, np.linalg.eigvalsh(c)[::-1], rtol=1e-10)
 
 
 class TestGeneralEVD:
@@ -124,17 +89,6 @@ class TestGeneralEVD:
         c = np.diag([1.0 + 1.0j, 1.0 - 1.0j, -np.sqrt(2.0)])
         _, lam = general_evd(c)
         assert np.allclose(lam, [1.0 + 1.0j, 1.0 - 1.0j, -np.sqrt(2.0)])
-
-
-class TestPrincipalInvSqrtDiag:
-    def test_basic(self):
-        assert np.allclose(principal_inv_sqrt_diag([4.0, 1.0]), np.diag([0.5, 1.0]))
-        assert np.allclose(principal_inv_sqrt_diag([1.0]), [[1.0]])
-
-    def test_floor(self):
-        with pytest.raises(SingularPseudoCovariance) as exc:
-            principal_inv_sqrt_diag([1.0, 1e-15])
-        assert exc.value.index == 1
 
 
 class TestSymmetricOrthogonalize:

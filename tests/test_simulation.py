@@ -5,18 +5,18 @@ import numpy as np
 import pytest
 import scipy.signal
 
-from nujd.core import GLElement, is_essentially_equivalent
+from nujd.core import CongruenceKind, GLElement, TaggedMatrix, is_essentially_equivalent
 from nujd.errors import ConfigError
 from nujd.simulation import (
+    STATISTICS,
     ExperimentConfig,
     SourceSpec,
     _generate_channel,
     amari_index,
     demix,
+    estimate_statistic,
     generate,
     mix,
-    population_diagonal,
-    population_matrices,
     population_stacks,
     run_experiment,
     run_trial,
@@ -172,6 +172,27 @@ class TestAmariIndex:
     def test_zero_row_rejected(self):
         with pytest.raises(ConfigError):
             amari_index(np.array([[0.0, 0.0], [1.0, 1.0]]))
+
+
+def population_diagonal(truth, stat, t):
+    """The population diagonal of a one-matrix recipe entry."""
+    (diag,) = STATISTICS[stat["statistic"]].population(truth, stat, t)
+    return diag
+
+
+def population_matrices(truth, statistics, t):
+    """Population matrices A diag(d) A^dagger, one per matrix of each recipe entry."""
+    a = truth.a.matrix
+    mats = []
+    for stat in statistics:
+        entry = STATISTICS[stat["statistic"]]
+        kind = entry.kind(stat)
+        for d in entry.population(truth, stat, t):
+            if kind is CongruenceKind.HERMITIAN:
+                mats.append(TaggedMatrix(a @ np.diag(d.real) @ a.conj().T, kind))
+            else:
+                mats.append(TaggedMatrix(a @ np.diag(d) @ a.T, kind))
+    return mats
 
 
 class TestPopulationValues:
@@ -355,3 +376,61 @@ class TestWorkerCount:
     def test_invalid_values_rejected(self, value):
         with pytest.raises(ConfigError, match="NUJD_THREADS"):
             worker_count(value, 8)
+
+
+def _table_recipes():
+    """Every table statistic, slices of both kinds, with "part" wherever it is a field."""
+    variants = {
+        "covariance": [{}],
+        "pseudo_covariance": [{}],
+        "autocorrelation": [{"lag": 1}],
+        "pseudo_autocorrelation": [{"lag": 2}],
+        "windowed_covariance": [{"windows": [(0, 500), (500, 1000)]}],
+        "cumulant_slice": [
+            {"pattern": "0000", "axes": (0, 1), "fixed": (0, 2)},
+            {"pattern": "0101", "axes": (0, 1), "fixed": (1, 0)},
+            {"pattern": "00", "axes": (1, 0)},
+            {"pattern": "10", "axes": (0, 1)},
+        ],
+        "lagged_cumulant_slice": [
+            {"pattern": "0000", "offsets": (0, 1, 0, 0), "axes": (0, 1), "fixed": (0, 1)},
+            {"pattern": "0011", "offsets": (0, 0, 0, 0), "axes": (0, 2), "fixed": (2, 0)},
+            {"pattern": "01", "offsets": (0, 1), "axes": (0, 1)},
+            {"pattern": "11", "offsets": (2, 0), "axes": (0, 1)},
+        ],
+    }
+    assert set(variants) == set(STATISTICS)
+    for name, entries in variants.items():
+        for fields in entries:
+            stat = {"statistic": name, **fields}
+            yield stat
+            if "part" in STATISTICS[name].fields:
+                yield dict(stat, part="hermitian")
+                yield dict(stat, part="skew")
+
+
+def test_table_kind_and_population_match_the_estimates():
+    specs = (
+        SourceSpec("bpsk"),
+        SourceSpec("qpsk"),
+        SourceSpec("ar1_noncircular", circularity=0.5, coefficient=0.6),
+    )
+    sources, truth = generate(specs, 2000, 51)
+    w = mix(sources, truth.a)
+    accepted = 0
+    for stat in _table_recipes():
+        entry = STATISTICS[stat["statistic"]]
+        try:
+            kind = entry.kind(stat)
+        except ConfigError:
+            # "part" is refused exactly where the estimate is transpose-kind
+            plain = {k: v for k, v in stat.items() if k != "part"}
+            assert "part" in stat, stat
+            assert estimate_statistic(plain, w)[0].kind is CongruenceKind.TRANSPOSE, stat
+            continue
+        accepted += 1
+        mats = estimate_statistic(stat, w)
+        assert mats and all(t.kind is kind for t in mats), stat
+        diagonals = entry.population(truth, stat, w.T)
+        assert diagonals is not None and len(diagonals) == len(mats), stat
+    assert accepted == 23

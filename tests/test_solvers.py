@@ -18,7 +18,7 @@ from nujd.errors import (
     SingularPseudoCovariance,
     SingularSecondMatrix,
 )
-from nujd.linalg import hermitian_evd, takagi
+from nujd.linalg import takagi
 from nujd.solvers import put, put_identifiability_check, sut, two_matrix_same_kind
 from nujd.uniqueness import unique_thm1
 from nujd.core import DiagonalStack
@@ -33,8 +33,8 @@ def classical_sut(c_h: np.ndarray, c_s: np.ndarray) -> np.ndarray:
     With W0 = V L^{-1/2} (so W0^H C_h W0 = I) and W0^H C_s conj(W0) = U S U^T,
     the demixer X = W0 U satisfies X^H C_h X = I and X^H C_s conj(X) = S.
     """
-    ev = hermitian_evd(c_h)
-    white = ev.v @ np.diag(1.0 / np.sqrt(ev.lam))
+    lam, v = np.linalg.eigh(c_h)
+    white = v @ np.diag(1.0 / np.sqrt(lam))
     tf = takagi(white.conj().T @ c_s @ white.conj())
     return white @ tf.u
 
@@ -82,6 +82,14 @@ class TestPut:
         c2 = TaggedMatrix(np.diag([1.0, 0.0]), CongruenceKind.TRANSPOSE)
         with pytest.raises(SingularPseudoCovariance):
             put(c1, c2)
+
+    def test_floor_error_names_the_last_index(self):
+        # the Takagi floor check reports index m - 1, as solve prints it
+        c1 = TaggedMatrix(np.diag([2.0, 3.0]), CongruenceKind.HERMITIAN)
+        c2 = TaggedMatrix(np.diag([1.0, 1e-15]), CongruenceKind.TRANSPOSE)
+        with pytest.raises(SingularPseudoCovariance) as exc:
+            put(c1, c2)
+        assert exc.value.index == 1
 
     def test_degenerate_gap_warns_not_raises(self, rng):
         a = random_mixing(rng, 2, cond_cap=10)
