@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import CongruenceKind, DiagonalStack, GLElement, TaggedMatrix
 from .errors import ConfigError
-from .simulation import STATISTICS, ExperimentConfig, SourceSpec
+from .simulation import STATISTICS, ExperimentConfig, SourceSpec, _check_statistic
 from .statistics import _as_pattern
 from .solvers import PutResult
 from .uniqueness import UniquenessReport
@@ -281,7 +281,7 @@ def signal_to_dict(block, truth: Optional[dict] = None) -> dict:
 
 
 def signal_from_dict(doc: dict):
-    from .statistics import SignalBlock
+    from .statistics import SignalBlock, _handover
 
     m = _count(doc, "m")
     t = _count(doc, "T")
@@ -294,7 +294,7 @@ def signal_from_dict(doc: dict):
         if v.size != t:
             raise ConfigError(f"channels[{i}] has length {v.size}, T = {t}")
         rows.append(v)
-    return SignalBlock(np.vstack(rows))
+    return SignalBlock(_handover(np.vstack(rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +415,6 @@ def _statistic_from_dict(entry, path: str, m: int) -> dict:
     if "windows" in fields:
         windows = _list(entry, "windows", path) if "windows" in entry else []
         stat["windows"] = [_ints(w, f"{path}.windows[{i}]", 0, size=2) for i, w in enumerate(windows)]
-        for i, (_, length) in enumerate(stat["windows"]):
-            _int(length, f"{path}.windows[{i}][1]")
     if "pattern" in fields:
         k = _pattern_length(entry, path)
         axes = _ints(_field(entry, "axes", path), f"{path}.axes", 1, k, size=2)
@@ -427,10 +425,7 @@ def _statistic_from_dict(entry, path: str, m: int) -> dict:
         stat["fixed"] = tuple(c - 1 for c in fixed)
     if "offsets" in fields:
         stat["offsets"] = _ints(_field(entry, "offsets", path), f"{path}.offsets", 0, size=k)
-    try:
-        STATISTICS[name].kind(stat)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    _check_statistic(stat, path)
     return stat
 
 

@@ -32,6 +32,7 @@ from .statistics import (
     slice_kind,
     windowed_covariances,
     _as_pattern,
+    _handover,
 )
 from .uniqueness import identifiability_master
 
@@ -104,47 +105,68 @@ def _gaussian_pair(rng, t: int):
     return rng.standard_normal(t), rng.standard_normal(t)
 
 
-def _generate_channel(spec: SourceSpec, rng, t: int) -> np.ndarray:
+def _generate_channel(spec: SourceSpec, rng, out: np.ndarray) -> None:
+    """Write one source channel into ``out``, a complex row of T samples.
+
+    Each kind keeps the ufuncs and operand order of its closed-form
+    expression; an in-place ``+=`` or ``*=`` stands for ``a + b`` or
+    ``a * b`` only where IEEE commutativity makes it the same operation.
+    """
+    t = out.size
     root_p = math.sqrt(spec.power)
     if spec.kind == "bpsk":
-        return (rng.integers(0, 2, t) * 2.0 - 1.0) * root_p + 0.0j
-    if spec.kind == "qpsk":
-        return _QPSK_SYMBOLS[rng.integers(0, 4, t)] * root_p
-    if spec.kind == "circular_gaussian":
+        # (k * 2.0 - 1.0) * root_p + 0.0j
+        x = rng.integers(0, 2, t) * 2.0
+        x -= 1.0
+        x *= root_p
+        np.add(x, 0.0j, out=out)
+    elif spec.kind == "qpsk":
+        np.take(_QPSK_SYMBOLS, rng.integers(0, 4, t), out=out)
+        out *= root_p
+    elif spec.kind == "circular_gaussian":
         x, y = _gaussian_pair(rng, t)
-        return (x + 1j * y) * (root_p / np.sqrt(2.0))
-    if spec.kind == "noncircular_gaussian":
+        _complex_into(out, 1.0, x, 1j, y)
+        out *= root_p / np.sqrt(2.0)
+    elif spec.kind == "noncircular_gaussian":
         lam = spec.circularity
         ax = math.sqrt((1.0 + lam) / 2.0)
         bx = math.sqrt((1.0 - lam) / 2.0)
         x, y = _gaussian_pair(rng, t)
-        return (ax * x + 1j * bx * y) * root_p
-    if spec.kind == "ar1_noncircular":
+        _complex_into(out, ax, x, 1j * bx, y)
+        out *= root_p
+    elif spec.kind == "ar1_noncircular":
         import scipy.signal  # imported here: it costs about 1 s of start-up
 
         lam, a = spec.circularity, spec.coefficient
         ax = math.sqrt((1.0 + lam) / 2.0)
         bx = math.sqrt((1.0 - lam) / 2.0)
         x, y = _gaussian_pair(rng, t)
-        innov = (ax * x + 1j * bx * y) * (root_p * math.sqrt(1.0 - a * a))
+        _complex_into(out, ax, x, 1j * bx, y)  # the innovations
+        out *= root_p * math.sqrt(1.0 - a * a)
         x0, y0 = rng.standard_normal(2)
         s0 = (ax * x0 + 1j * bx * y0) * root_p
-        s = scipy.signal.lfilter([1.0], [1.0, -a], innov)
+        out[:] = scipy.signal.lfilter([1.0], [1.0, -a], out)
         # superpose the exact stationary initial condition s0 * a^k.  Past
         # k = n, |a|^k < 2^-1080 is below half the smallest subnormal, so
         # a^k is a signed zero and adding s0 * a^k would change no sample.
         n = 0 if a == 0 else min(t, math.ceil(1080 / -math.log2(abs(a))))
-        s[:n] += s0 * np.power(a, np.arange(1, n + 1))
-        return s
-    # block_nonstationary
-    prof = spec.variance_profile
-    nb = len(prof)
-    edges = np.linspace(0, t, nb + 1).astype(int)
-    x, y = _gaussian_pair(rng, t)
-    s = (x + 1j * y) / np.sqrt(2.0)
-    for b in range(nb):
-        s[edges[b] : edges[b + 1]] *= math.sqrt(spec.power * prof[b])
-    return s
+        out[:n] += s0 * np.power(a, np.arange(1, n + 1))
+    else:  # block_nonstationary
+        prof = spec.variance_profile
+        nb = len(prof)
+        edges = np.linspace(0, t, nb + 1).astype(int)
+        x, y = _gaussian_pair(rng, t)
+        _complex_into(out, 1.0, x, 1j, y)
+        out /= np.sqrt(2.0)
+        for b in range(nb):
+            out[edges[b] : edges[b + 1]] *= math.sqrt(spec.power * prof[b])
+
+
+def _complex_into(out: np.ndarray, ax: float, x: np.ndarray, by: complex, y: np.ndarray) -> None:
+    """out = ax * x + by * y, with ``x`` scaled in place (1.0 * x is x, bit for bit)."""
+    np.multiply(by, y, out=out)
+    x *= ax
+    out += x
 
 
 def generate(
@@ -159,27 +181,26 @@ def generate(
     ss = np.random.SeedSequence(seed)
     children = ss.spawn(len(specs) + 1)
     a = _draw_mixing(np.random.default_rng(children[0]), len(specs), cond_cap)
-    rows = [
-        _generate_channel(spec, np.random.default_rng(child), t)
-        for spec, child in zip(specs, children[1:])
-    ]
+    data = np.empty((len(specs), t), dtype=np.complex128)
+    for row, spec, child in zip(data, specs, children[1:]):
+        _generate_channel(spec, np.random.default_rng(child), row)
     seed_key = (int(seed),) if np.isscalar(seed) else tuple(int(v) for v in seed)
     truth = ExperimentTruth(a=GLElement(a), specs=specs, seed=seed_key)
-    return SignalBlock(np.vstack(rows)), truth
+    return SignalBlock(_handover(data)), truth
 
 
 def mix(sources: SignalBlock, a: GLElement) -> SignalBlock:
     """Observations w(t) = A s(t), sample-wise exact."""
     if a.m != sources.m:
         raise ConfigError("mixing matrix dimension must match the channel count")
-    return SignalBlock(a.matrix @ sources.data)
+    return SignalBlock(_handover(a.matrix @ sources.data))
 
 
 def demix(w: SignalBlock, x: GLElement) -> SignalBlock:
     """Extracted signals y(t) = X^H w(t)."""
     if x.m != w.m:
         raise ConfigError("demixing matrix dimension must match the channel count")
-    return SignalBlock(x.matrix.conj().T @ w.data)
+    return SignalBlock(_handover(x.matrix.conj().T @ w.data))
 
 
 def amari_index(g) -> float:
@@ -434,6 +455,20 @@ def _entry(stat: dict) -> Statistic:
     return STATISTICS[name]
 
 
+def _check_statistic(stat: dict, path: str) -> None:
+    """ConfigError naming ``path`` (the entry's JSON path) for an entry that
+    cannot be estimated: a window shorter than one sample, or a kind rule
+    that rejects the entry."""
+    entry = _entry(stat)
+    for i, (_, length) in enumerate(stat.get("windows", ())):
+        if length < 1:
+            raise ConfigError(f"{path}.windows[{i}][1] must be a positive integer, got {length!r}")
+    try:
+        entry.kind(stat)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def estimate_statistic(stat: dict, w: SignalBlock) -> list:
     """Estimate one recipe entry, returning its tagged matrices."""
     return _entry(stat).estimate(stat, w)
@@ -494,8 +529,8 @@ class ExperimentConfig:
             raise ConfigError("statistics recipe must be non-empty")
         object.__setattr__(self, "sources", tuple(self.sources))
         object.__setattr__(self, "statistics", tuple(self.statistics))
-        for stat in self.statistics:
-            _entry(stat).kind(stat)
+        for i, stat in enumerate(self.statistics):
+            _check_statistic(stat, f"statistics[{i}]")
 
 
 def _solve(config: ExperimentConfig, mats: list):
@@ -519,6 +554,19 @@ def _solve(config: ExperimentConfig, mats: list):
     return x, {}
 
 
+def _add_noise(w: SignalBlock, snr_db: float, rng) -> SignalBlock:
+    """w plus circular white Gaussian noise at ``snr_db`` below its mean power."""
+    sig_power = float(np.mean(np.abs(w.data) ** 2))
+    nvar = sig_power / (10.0 ** (snr_db / 10.0))
+    # (re + 1j * im) * scale + w, built in one buffer; the real parts are drawn first
+    re = rng.standard_normal(w.data.shape)
+    noise = 1j * rng.standard_normal(w.data.shape)
+    noise += re
+    noise *= math.sqrt(nvar / 2.0)
+    noise += w.data
+    return SignalBlock(_handover(noise))
+
+
 def run_trial(config: ExperimentConfig, trial: int) -> dict:
     """One seeded trial: generate, mix, estimate, certify, solve, score."""
     record = {"trial": trial, "error": None}
@@ -527,14 +575,10 @@ def run_trial(config: ExperimentConfig, trial: int) -> dict:
             config.sources, config.T, [config.seed, trial], config.cond_cap
         )
         w = mix(sources, truth.a)
+        del sources  # a signal-sized array that no later step reads
         if config.noise_snr_db is not None:
             rng = np.random.default_rng(np.random.SeedSequence([config.seed, trial, 1]))
-            sig_power = float(np.mean(np.abs(w.data) ** 2))
-            nvar = sig_power / (10.0 ** (config.noise_snr_db / 10.0))
-            noise = (
-                rng.standard_normal(w.data.shape) + 1j * rng.standard_normal(w.data.shape)
-            ) * math.sqrt(nvar / 2.0)
-            w = SignalBlock(w.data + noise)
+            w = _add_noise(w, config.noise_snr_db, rng)
 
         sym, herm, available = population_stacks(truth, config.statistics, config.T)
         if available:

@@ -15,7 +15,9 @@ with conjugation applied per slot before multiplication.  Partitions are
 enumerated exactly (Bell(6) = 203 at the order cap) and cached per order.
 A slice computes each distinct block moment once: blocks whose slots read
 the same series (channel, conjugation bit and time offset) in the same
-order share one moment.
+order share one moment, and a matrix moment's left product (first axis
+series times the fixed base) also gives the vector moment that reads the
+same series without the second axis slot.
 """
 
 from __future__ import annotations
@@ -37,7 +39,13 @@ MAX_CUMULANT_ORDER = 6
 
 @dataclass(frozen=True)
 class SignalBlock:
-    """Multichannel complex time series, shape (channels m, samples T)."""
+    """Multichannel complex time series, shape (channels m, samples T).
+
+    ``data`` is always read-only.  A read-only array that owns its memory is
+    adopted as it is: that is how the library's producers hand over a fresh
+    result.  A writable array or a view is copied, so later writes through
+    the caller's array do not reach the block.
+    """
 
     data: np.ndarray
 
@@ -46,8 +54,9 @@ class SignalBlock:
         if d.ndim != 2:
             raise DimensionMismatch("signal data must be a 2-d (m, T) array")
         require_finite(d, "signal contains NaN or infinite samples")
-        d = d.copy()
-        d.flags.writeable = False
+        if d.flags.writeable or d.base is not None:
+            d = d.copy()
+            d.flags.writeable = False
         object.__setattr__(self, "data", d)
 
     @property
@@ -59,7 +68,19 @@ class SignalBlock:
         return self.data.shape[1]
 
     def centered(self) -> np.ndarray:
-        return self.data - self.data.mean(axis=1, keepdims=True)
+        """The signal minus its per-channel mean, computed once per block (read-only)."""
+        # kept outside the dataclass fields, so == and repr do not see it
+        xc = self.__dict__.get("_centered")
+        if xc is None:
+            xc = _handover(self.data - self.data.mean(axis=1, keepdims=True))
+            object.__setattr__(self, "_centered", xc)
+        return xc
+
+
+def _handover(a: np.ndarray) -> np.ndarray:
+    """Mark a freshly computed array read-only, so SignalBlock adopts it uncopied."""
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -260,22 +281,26 @@ def cumulant(channels: Sequence, pattern) -> complex:
 
 
 def _moment(axis_series, fixed_series, n):
-    """Time average of a block's product: a scalar, an m-vector or an m x m matrix.
+    """Time averages of a block's product, keyed by how many axis series it has.
 
     The fixed series multiply left to right into a base.  With no axis
-    series the moment is the scalar mean of the base, with one it is the
-    per-channel mean of that series times the base, and with two it is
-    (first * base) @ second.T / n.
+    series the moment is the scalar mean of the base (key 0).  Otherwise the
+    left product, the first axis series times the base, gives the
+    per-channel means (key 1), and with a second axis series also the
+    matrix (first * base) @ second.T / n (key 2).  Key 1 is then the moment
+    of the same block without its second axis slot, taken from the same
+    left product.
     """
     base = None
     for s in fixed_series:
         base = s if base is None else base * s
     if not axis_series:
-        return complex(base.mean())
+        return {0: complex(base.mean())}
     left = axis_series[0] if base is None else axis_series[0] * base
+    out = {1: left.mean(axis=1)}
     if len(axis_series) == 2:
-        return left @ axis_series[1].T / n
-    return left.mean(axis=1)
+        out[2] = left @ axis_series[1].T / n
+    return out
 
 
 def _slice_from_series(xc, reads, p, q, n):
@@ -295,19 +320,28 @@ def _slice_from_series(xc, reads, p, q, n):
         s = xc[:, off : off + n] if channel is None else xc[channel, off : off + n]
         series.append(np.conj(s) if conj else s)
 
-    moments = {}
+    def slots(block):
+        return [r for r in (p, q) if r in block], [r for r in block if r != p and r != q]
 
-    def block_moment(block):
-        axis = [r for r in (p, q) if r in block]
-        fixed = [r for r in block if r != p and r != q]
-        key = (tuple(reads[r] for r in axis), tuple(reads[r] for r in fixed))
-        if key not in moments:
-            moments[key] = _moment([series[r] for r in axis], [series[r] for r in fixed], n)
-        return moments[key]
+    def key(block):
+        axis, fixed = slots(block)
+        return tuple(reads[r] for r in axis), tuple(reads[r] for r in fixed)
+
+    partitions = set_partitions(len(reads))
+    blocks = {key(block): block for partition in partitions for block in partition}
+    # Matrix moments first: the block without slot q is also in some
+    # partition, and its vector moment comes from the matrix's left product.
+    moments = {}
+    for (axis_reads, fixed_reads), block in sorted(blocks.items(), key=lambda kb: -len(kb[0][0])):
+        if (axis_reads, fixed_reads) not in moments:
+            axis, fixed = slots(block)
+            got = _moment([series[r] for r in axis], [series[r] for r in fixed], n)
+            for count, val in got.items():
+                moments[axis_reads[:count], fixed_reads] = val
 
     m = xc.shape[0]
     out = np.zeros((m, m), dtype=np.complex128)
-    for partition in set_partitions(len(reads)):
+    for partition in partitions:
         nblocks = len(partition)
         coef = complex((-1) ** (nblocks - 1) * math.factorial(nblocks - 1))
         scalars = coef
@@ -315,7 +349,7 @@ def _slice_from_series(xc, reads, p, q, n):
         vec_q = None
         mat = None
         for block in partition:
-            val = block_moment(block)
+            val = moments[key(block)]
             if np.isscalar(val) or isinstance(val, complex):
                 scalars *= val
             elif val.ndim == 2:

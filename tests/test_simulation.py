@@ -1,5 +1,6 @@
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,7 +117,8 @@ class TestAR1InitialCondition:
         for lam in (0.0, 0.5, 1.0):
             for seed in range(3):
                 spec = SourceSpec("ar1_noncircular", power=1.7, circularity=lam, coefficient=a)
-                got = _generate_channel(spec, np.random.default_rng([seed, 6]), t)
+                got = np.empty(t, dtype=np.complex128)
+                _generate_channel(spec, np.random.default_rng([seed, 6]), got)
                 want = _ar1_full_length(spec, np.random.default_rng([seed, 6]), t)
                 assert got.tobytes() == want.tobytes()
 
@@ -125,6 +127,65 @@ class TestAR1InitialCondition:
     def test_powers_past_the_cutoff_are_exact_zeros(self, a, t):
         n = _ar1_cutoff(a, t)
         assert np.all(np.power(a, np.arange(n + 1, t + 1)) == 0)
+
+
+_QPSK = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]) / np.sqrt(2.0)
+
+
+def _closed_form_channel(spec, rng, t):
+    """One channel as a fresh array, from each kind's closed-form expression."""
+    root_p = math.sqrt(spec.power)
+    if spec.kind == "bpsk":
+        return (rng.integers(0, 2, t) * 2.0 - 1.0) * root_p + 0.0j
+    if spec.kind == "qpsk":
+        return _QPSK[rng.integers(0, 4, t)] * root_p
+    if spec.kind == "circular_gaussian":
+        x, y = rng.standard_normal(t), rng.standard_normal(t)
+        return (x + 1j * y) * (root_p / np.sqrt(2.0))
+    if spec.kind == "noncircular_gaussian":
+        lam = spec.circularity
+        ax = math.sqrt((1.0 + lam) / 2.0)
+        bx = math.sqrt((1.0 - lam) / 2.0)
+        x, y = rng.standard_normal(t), rng.standard_normal(t)
+        return (ax * x + 1j * bx * y) * root_p
+    if spec.kind == "ar1_noncircular":
+        return _ar1_full_length(spec, rng, t)
+    edges = np.linspace(0, t, len(spec.variance_profile) + 1).astype(int)
+    x, y = rng.standard_normal(t), rng.standard_normal(t)
+    s = (x + 1j * y) / np.sqrt(2.0)
+    for b, v in enumerate(spec.variance_profile):
+        s[edges[b] : edges[b + 1]] *= math.sqrt(spec.power * v)
+    return s
+
+
+def _closed_form_sources(specs, t, seed):
+    """generate()'s source rows, one fresh array per channel stacked by np.vstack."""
+    children = np.random.SeedSequence(seed).spawn(len(specs) + 1)
+    return np.vstack([
+        _closed_form_channel(spec, np.random.default_rng(child), t)
+        for spec, child in zip(specs, children[1:])
+    ])
+
+
+class TestGenerateBits:
+    # generate() fills one buffer in place; every kind must keep the bits of
+    # its closed-form expression, signed zeros included
+    @pytest.mark.parametrize("power", [1.0, 1.7, 0.3])
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+    def test_every_kind_matches_the_closed_form(self, power, lam):
+        specs = (
+            SourceSpec("bpsk", power=power),
+            SourceSpec("qpsk", power=power),
+            SourceSpec("circular_gaussian", power=power),
+            SourceSpec("noncircular_gaussian", power=power, circularity=lam),
+            SourceSpec("ar1_noncircular", power=power, circularity=lam, coefficient=0.9),
+            SourceSpec("ar1_noncircular", power=power, circularity=lam, coefficient=-0.5),
+            SourceSpec("block_nonstationary", power=power, variance_profile=(1.0, 4.0, 0.5)),
+        )
+        for seed in (0, 7, [3, 11]):
+            got, _ = generate(specs, 1000, seed)
+            want = _closed_form_sources(specs, 1000, seed)
+            assert got.data.tobytes() == want.tobytes()
 
 
 class TestMixDemix:
@@ -338,6 +399,23 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             _sut_config(solver="magic")
 
+    def test_zero_length_window_rejected_in_a_python_built_config(self):
+        # the file decoder and ExperimentConfig share one window check; a
+        # zero-length window used to end the batch in a ZeroDivisionError
+        with pytest.raises(
+            ConfigError, match=r"^statistics\[0\]\.windows\[0\]\[1\] must be a positive integer, got 0$"
+        ):
+            ExperimentConfig(
+                sources=(
+                    SourceSpec("block_nonstationary", variance_profile=(1.0, 4.0)),
+                    SourceSpec("bpsk"),
+                ),
+                T=1000,
+                seed=5,
+                statistics=({"statistic": "windowed_covariance", "windows": [(0, 0), (500, 500)]},),
+                solver="gevd",
+            )
+
     def test_trial_identifiability_unavailable_when_no_closed_form(self):
         cfg = ExperimentConfig(
             sources=(
@@ -434,3 +512,62 @@ def test_table_kind_and_population_match_the_estimates():
         diagonals = entry.population(truth, stat, w.T)
         assert diagonals is not None and len(diagonals) == len(mats), stat
     assert accepted == 23
+
+
+class TestTrialMemory:
+    """Traced peak of one trial in signal sizes (m * T * 16 bytes).
+
+    tracemalloc sees numpy's buffers, so the peak counts every signal-sized
+    array a trial holds at once.  At T = 5e4 the small arrays add under 1%.
+    A trial holds the mixtures, their centred copy and one more signal-sized
+    temporary (the conjugate in the covariance, or a cumulant slice's left
+    product plus its fixed base of a quarter signal).
+    """
+
+    T = 50_000
+
+    @staticmethod
+    def _peak_signals(cfg):
+        run_trial(cfg, 0)  # imports and caches outside the measurement
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            rec = run_trial(cfg, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rec["error"] is None
+        return (peak - base) / (len(cfg.sources) * cfg.T * 16)
+
+    def test_sut_trial_peak(self):
+        cfg = ExperimentConfig(
+            sources=(
+                SourceSpec("noncircular_gaussian", circularity=0.9),
+                SourceSpec("noncircular_gaussian", circularity=0.3),
+                SourceSpec("ar1_noncircular", circularity=0.7, coefficient=0.9),
+                SourceSpec("ar1_noncircular", circularity=0.5, coefficient=-0.5),
+            ),
+            T=self.T,
+            seed=3,
+            statistics=({"statistic": "covariance"}, {"statistic": "pseudo_covariance"}),
+            solver="sut",
+        )
+        assert self._peak_signals(cfg) <= 3.05
+
+    def test_cum4_trial_peak(self):
+        cfg = ExperimentConfig(
+            sources=(
+                SourceSpec("bpsk"),
+                SourceSpec("qpsk"),
+                SourceSpec("bpsk", power=2.0),
+                SourceSpec("qpsk", power=0.5),
+            ),
+            T=self.T,
+            seed=3,
+            statistics=(
+                {"statistic": "covariance"},
+                {"statistic": "cumulant_slice", "pattern": "0000", "axes": (1, 2), "fixed": (1, 1)},
+            ),
+            solver="put",
+        )
+        assert self._peak_signals(cfg) <= 3.3

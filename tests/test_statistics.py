@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import nujd.statistics as statistics_module
 from nujd.core import CongruenceKind
-from nujd.errors import DimensionMismatch, RankDeficiencyWarning, ZeroPowerChannel
+from nujd.errors import DimensionMismatch, NonFiniteEntries, RankDeficiencyWarning, ZeroPowerChannel
 from nujd.statistics import (
     ConjugationPattern,
     SignalBlock,
@@ -63,6 +63,54 @@ class TestPartitions:
         with pytest.raises(ValueError):
             ConjugationPattern((0,) * 7)
         assert list(ConjugationPattern.from_string("0101")) == [0, 1, 0, 1]
+
+
+class TestSignalBlockOwnership:
+    def test_writable_input_is_copied(self, rng):
+        arr = np.vstack([cgauss(rng, 50), cgauss(rng, 50)])
+        block = SignalBlock(arr)
+        assert block.data is not arr
+        arr[0, 0] = 99.0
+        assert block.data[0, 0] != 99.0
+        assert not block.data.flags.writeable
+
+    def test_read_only_view_is_copied(self, rng):
+        owner = np.vstack([cgauss(rng, 50), cgauss(rng, 50), cgauss(rng, 50)])
+        view = owner[:2]
+        view.flags.writeable = False
+        block = SignalBlock(view)
+        assert block.data is not view
+        owner[0, 0] = 99.0  # the owner can still write through its own array
+        assert block.data[0, 0] != 99.0
+        assert not block.data.flags.writeable
+
+    def test_read_only_owning_array_is_adopted(self, rng):
+        arr = np.vstack([cgauss(rng, 50), cgauss(rng, 50)])
+        arr.flags.writeable = False
+        block = SignalBlock(arr)
+        assert block.data is arr
+        assert not block.data.flags.writeable
+
+    def test_adoption_keeps_the_checks(self):
+        arr = np.zeros(10, dtype=complex)
+        arr.flags.writeable = False
+        with pytest.raises(DimensionMismatch):
+            SignalBlock(arr)
+        arr = np.zeros((2, 10), dtype=complex)
+        arr[1, 3] = np.nan
+        arr.flags.writeable = False
+        with pytest.raises(NonFiniteEntries):
+            SignalBlock(arr)
+
+    def test_centered_once_with_the_formula_bits(self, rng):
+        block = SignalBlock(np.vstack([cgauss(rng, 300) + 0.3, bpsk(rng, 300)]))
+        xc = block.centered()
+        assert block.centered() is xc
+        assert not xc.flags.writeable
+        want = block.data - block.data.mean(axis=1, keepdims=True)
+        assert xc.tobytes() == want.tobytes()
+        # the cached array is no field: equality and repr see only data
+        assert repr(block) == repr(SignalBlock(block.data))
 
 
 class TestSecondOrder:
@@ -404,18 +452,25 @@ class TestSharedMoments:
         # 0000 with both fixed slots on channel 0: the 15 blocks read 8
         # distinct (axis, fixed) series sequences
         assert len({b for part in set_partitions(4) for b in part}) == 15
-        calls = []
+        moments = []  # (axis series, fixed series) of each moment computed
+        lefts = []  # a left product is an axis series times a non-empty fixed base
         moment = statistics_module._moment
 
         def counting(axis_series, fixed_series, n):
-            calls.append((len(axis_series), len(fixed_series)))
-            return moment(axis_series, fixed_series, n)
+            got = moment(axis_series, fixed_series, n)
+            moments.extend((count, len(fixed_series)) for count in got)
+            if axis_series and fixed_series:
+                lefts.append(len(fixed_series))
+            return got
 
         monkeypatch.setattr(statistics_module, "_moment", counting)
         w = SignalBlock(np.vstack([bpsk(rng, 1000), cgauss(rng, 1000)]))
         cumulant_slice(w, "0000", (0, 0), (0, 1))
-        assert len(calls) == 8
-        assert len(set(calls)) == 8
+        assert len(moments) == 8
+        assert len(set(moments)) == 8
+        # the vector moments with one and two fixed slots come from the
+        # matrix moments' left products: 2 left products instead of 4
+        assert sorted(lefts) == [1, 2]
 
 
 def _bootstrap_sigma(rng, block, estimator, n_boot=20, block_len=128):
