@@ -27,7 +27,7 @@ from .linalg import (
     symmetric_orthogonalize,
     takagi,
 )
-from .solvers import PutResult, put, put_identifiability_check, sut, two_matrix_same_kind
+from .solvers import PutResult, put, sut, two_matrix_same_kind
 from .statistics import (
     ConjugationPattern,
     CumulantSlice,

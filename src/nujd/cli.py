@@ -13,7 +13,7 @@ import warnings
 import click
 import numpy as np
 
-from .core import CongruenceKind, TAU_RHO
+from .core import CongruenceKind, TAU_RHO, offdiag_residual, require_tol, stacks_from_rows
 from .errors import (
     ConfigError,
     DegenerateSpectrum,
@@ -24,7 +24,6 @@ from .errors import (
     SingularSecondMatrix,
 )
 from . import io as nio
-from .core import offdiag_residual
 from .simulation import estimate_statistic, run_experiment
 from .solvers import put, sut, two_matrix_same_kind
 from .uniqueness import identifiability_master
@@ -75,6 +74,7 @@ def cmd_check(input_path, tol, margin, out_path):
     doc = _load_json(input_path)
     use_tol = margin if margin is not None else tol
     try:
+        require_tol(use_tol, "--tol" if margin is None else "--margin", error=ConfigError)
         if not isinstance(doc, dict) or "spectra" in doc:
             sym, herm, _ = nio.stacks_from_dict(doc)
         elif "matrices" in doc:
@@ -90,18 +90,18 @@ def cmd_check(input_path, tol, margin, out_path):
 
 
 def _stacks_from_matrix_set(doc, tol):
+    items = nio.matrix_set_from_dict(doc)
     rows = []
-    for t in nio.matrix_set_from_dict(doc):
-        off = t.matrix - np.diag(np.diag(t.matrix))
+    for t in items:
+        diag = np.diag(t.matrix)
         scale = max(float(np.linalg.norm(t.matrix)), np.finfo(float).tiny)
-        if float(np.linalg.norm(off)) > max(tol, 1e-8) * scale:
+        if float(np.linalg.norm(t.matrix - np.diag(diag))) > max(tol, 1e-8) * scale:
             raise ConfigError(
                 "matrix-set input to check must hold diagonal matrices "
                 "(ground-truth spectra); run solve first for estimated sets"
             )
-        diag = np.diag(t.matrix)
         rows.append((t.kind, diag.real if t.kind is CongruenceKind.HERMITIAN else diag))
-    return nio.stacks_from_rows(rows)
+    return stacks_from_rows(rows, items[0].m)
 
 
 @main.command("solve")

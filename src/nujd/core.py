@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    InvalidPrecondition,
     NonFiniteEntries,
     PatternViolation,
     SingularMatrix,
@@ -56,6 +57,15 @@ def as_complex_matrix(a, *, square: bool = False) -> np.ndarray:
     m = m.copy()
     m.flags.writeable = False
     return m
+
+
+def require_tol(tol, name: str = "tol", *, error=InvalidPrecondition, zero_ok: bool = True) -> None:
+    """Raise ``error`` naming ``name`` unless ``tol`` lies in [0, 1), or in
+    (0, 1) when not ``zero_ok``; NaN and infinities fail the comparisons."""
+    above = tol >= 0.0 if zero_ok else tol > 0.0
+    if not (above and tol < 1.0):
+        interval = "[0, 1)" if zero_ok else "(0, 1)"
+        raise error(f"{name} must be finite and lie in {interval}, got {tol}")
 
 
 def _fro(a: np.ndarray) -> float:
@@ -170,11 +180,16 @@ class DiagonalStack:
     def m(self) -> int:
         return self.spectra.shape[1]
 
-    def matrices(self) -> TaggedMatrixSet:
-        """Reconstruct the stack as tagged diagonal matrices (mixing = I)."""
-        return TaggedMatrixSet(
-            tuple(TaggedMatrix(np.diag(row), self.kind) for row in self.spectra)
-        )
+
+def stacks_from_rows(rows, m: int) -> tuple[DiagonalStack, DiagonalStack]:
+    """(transpose, Hermitian) stacks of a list of (kind, diagonal) rows, in
+    row order; a kind without rows gives an empty (0, m) stack."""
+    stacks = []
+    for kind in (CongruenceKind.TRANSPOSE, CongruenceKind.HERMITIAN):
+        picked = [d for k, d in rows if k is kind]
+        spectra = np.vstack(picked) if picked else np.zeros((0, m), dtype=np.complex128)
+        stacks.append(DiagonalStack(kind, spectra))
+    return tuple(stacks)
 
 
 @dataclass(frozen=True)
@@ -313,8 +328,7 @@ def is_essentially_equivalent(
     """
     if x.m != y.m:
         raise DimensionMismatch("operands must share a dimension")
-    if not (0.0 < tol < 1.0):
-        raise ValueError("tol must lie in (0, 1)")
+    require_tol(tol, error=ValueError, zero_ok=False)
     e = np.linalg.solve(y.matrix, x.matrix)
     ok, cleaned = _pattern_test(e, tol)
     if not ok:

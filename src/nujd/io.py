@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import CongruenceKind, DiagonalStack, GLElement, TaggedMatrix
+from .core import CongruenceKind, DiagonalStack, GLElement, TaggedMatrix, stacks_from_rows
 from .errors import ConfigError
 from .simulation import STATISTICS, ExperimentConfig, SourceSpec, _check_statistic
 from .statistics import _as_pattern
@@ -243,15 +243,6 @@ def stacks_to_dict(sym: Optional[DiagonalStack], herm: Optional[DiagonalStack]) 
     return {"m": int(m), "spectra": entries}
 
 
-def stacks_from_rows(rows) -> tuple:
-    """(transpose, Hermitian) stacks of (kind, diagonal) rows; None for a kind without rows."""
-    stacks = []
-    for kind in (CongruenceKind.TRANSPOSE, CongruenceKind.HERMITIAN):
-        picked = [d for k, d in rows if k is kind]
-        stacks.append(DiagonalStack(kind, np.vstack(picked)) if picked else None)
-    return tuple(stacks)
-
-
 def stacks_from_dict(doc: dict):
     m = _count(doc, "m")
     rows = []
@@ -262,7 +253,7 @@ def stacks_from_dict(doc: dict):
         if diag.size != m:
             raise ConfigError(f"{path}.diag has length {diag.size}, m = {m}")
         rows.append((kind, diag))
-    return (*stacks_from_rows(rows), m)
+    return (*stacks_from_rows(rows, m), m)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import CongruenceKind, DiagonalStack, GLElement, is_essentially_equivalent
+from .core import CongruenceKind, GLElement, is_essentially_equivalent, require_tol, stacks_from_rows
 from .errors import ConfigError, NujdError
 from .solvers import put, sut, two_matrix_same_kind
 from .statistics import (
@@ -481,7 +481,7 @@ def population_stacks(truth: ExperimentTruth, statistics, t: int):
     (sym, herm, available); when some statistic has no closed form the
     stacks are None and available is False.
     """
-    rows = {CongruenceKind.TRANSPOSE: [], CongruenceKind.HERMITIAN: []}
+    rows = []
     for stat in statistics:
         entry = _entry(stat)
         diagonals = entry.population(truth, stat, t)
@@ -490,15 +490,8 @@ def population_stacks(truth: ExperimentTruth, statistics, t: int):
         kind = entry.kind(stat)
         if kind is CongruenceKind.HERMITIAN:
             diagonals = [_part(d, "hermitian") for d in diagonals]
-        rows[kind] += diagonals
-    m = len(truth.specs)
-
-    def build(kind):
-        kept = [r for r in rows[kind] if np.max(np.abs(r)) > 0]
-        arr = np.vstack(kept) if kept else np.zeros((0, m), dtype=np.complex128)
-        return DiagonalStack(kind, arr)
-
-    return build(CongruenceKind.TRANSPOSE), build(CongruenceKind.HERMITIAN), True
+        rows += [(kind, d) for d in diagonals if np.max(np.abs(d)) > 0]
+    return (*stacks_from_rows(rows, len(truth.specs)), True)
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +520,8 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         if not self.statistics:
             raise ConfigError("statistics recipe must be non-empty")
+        require_tol(self.margin, "margin", error=ConfigError)
+        require_tol(self.equiv_tol, "equiv_tol", error=ConfigError, zero_ok=False)
         object.__setattr__(self, "sources", tuple(self.sources))
         object.__setattr__(self, "statistics", tuple(self.statistics))
         for i, stat in enumerate(self.statistics):

@@ -20,10 +20,8 @@ import numpy as np
 
 from .core import (
     CongruenceKind,
-    DiagonalStack,
     GLElement,
     SIGMA_MIN,
-    TAU_RHO,
     TaggedMatrix,
 )
 from .errors import (
@@ -32,18 +30,10 @@ from .errors import (
     DimensionMismatch,
     InvalidPrecondition,
     NotPositiveDefinite,
-    NujdError,
     SingularPseudoCovariance,
     SingularSecondMatrix,
-    SymmetryViolation,
 )
 from .linalg import TakagiFactorization, general_evd, symmetric_orthogonalize, takagi
-from .uniqueness import (
-    RULE_THM2,
-    UniquenessReport,
-    identifiability_master,
-    unique_thm2,
-)
 
 EIG_GAP_WARN = 1e-6
 
@@ -201,81 +191,3 @@ def two_matrix_same_kind(c1: TaggedMatrix, c2: TaggedMatrix) -> GLElement:
     phases = xh[np.arange(xh.shape[0]), anchors]
     xh = xh * (np.abs(phases) / phases)[:, None]
     return GLElement(xh.conj().T)
-
-
-def _diagonal_of(operand, expected_kind: CongruenceKind) -> np.ndarray:
-    """Diagonal of a ground-truth statistic given as TaggedMatrix or array.
-
-    A raw array is allowed because the auto statistic of lagged sources is
-    only Hermitian-congruence constructed, not a Hermitian matrix: its
-    diagonal is complex and the tagged container would reject it.
-    """
-    if isinstance(operand, TaggedMatrix):
-        if operand.kind is not expected_kind:
-            raise InvalidPrecondition(f"expected a {expected_kind.value}-kind statistic")
-        mat = operand.matrix
-    else:
-        mat = np.asarray(operand, dtype=np.complex128)
-        if mat.ndim == 1:
-            return mat
-    off = mat - np.diag(np.diag(mat))
-    if np.linalg.norm(off) > 1e-8 * max(np.linalg.norm(mat), np.finfo(float).tiny):
-        raise SymmetryViolation("inputs must be diagonal ground-truth statistics")
-    return np.diag(mat)
-
-
-def put_identifiability_check(
-    ctilde_auto,
-    ctilde_pseudo,
-    tol: float = TAU_RHO,
-) -> UniquenessReport:
-    """Corollary-style sufficiency test for the PUT pair on diagonal truth.
-
-    With diagonal ground-truth source statistics (auto side
-    Hermitian-congruence constructed, pseudo side transpose kind), the pair
-    identifies the mixing when either the real parts or the imaginary parts
-    of the auto diagonal pass the two-matrix modulus test against the
-    pseudo diagonal, for all position pairs.  Inputs may be tagged matrices
-    or plain diagonal arrays/matrices (the auto diagonal may be complex).
-
-    The test is sufficient only: when both parts fail, the verdict is a
-    conservative NotUnique, and a witness is attached only when the full
-    mixed-stack decision confirms actual non-uniqueness.
-    """
-    d_auto = _diagonal_of(ctilde_auto, CongruenceKind.HERMITIAN)
-    d_pseudo = _diagonal_of(ctilde_pseudo, CongruenceKind.TRANSPOSE)
-    reports = []
-    for part in (d_auto.real, d_auto.imag):
-        try:
-            reports.append(unique_thm2(d_pseudo, part, tol))
-        except NujdError:
-            reports.append(None)
-    for rep in reports:
-        if rep is not None and rep.unique:
-            return UniquenessReport(verdict="Unique", rule_fired=RULE_THM2)
-    pair = next(
-        (r.violating_pair for r in reports if r is not None and r.violating_pair),
-        None,
-    )
-    witness = None
-    residual = None
-    try:
-        herm_rows = np.vstack([d_auto.real, d_auto.imag])
-        master = identifiability_master(
-            DiagonalStack(CongruenceKind.TRANSPOSE, d_pseudo[None, :]),
-            DiagonalStack(CongruenceKind.HERMITIAN, herm_rows),
-            tol,
-        )
-        if not master.unique:
-            witness = master.witness
-            residual = master.witness_residual
-            pair = master.violating_pair
-    except NujdError:
-        pass
-    return UniquenessReport(
-        verdict="NotUnique",
-        rule_fired=RULE_THM2,
-        violating_pair=pair,
-        witness=witness,
-        witness_residual=residual,
-    )

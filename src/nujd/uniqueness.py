@@ -30,7 +30,8 @@ is certified invertible (``GLElement``), its joint-diagonality residual on the
 reconstructed set is at most max(1e-10, tol), and it is not essentially
 equivalent to the identity.  The residual is computed from the (n, m) spectra
 with the congruences and the re-symmetrization of ``apply_congruence``.  The
-theorem-named functions are thin shims that fix the rule label.
+theorem-named functions are thin shims that fix the rule label.  Every entry
+point raises InvalidPrecondition unless its ``tol`` lies in [0, 1).
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .core import (
     TAU_PATTERN,
     _pattern_test,
     require_finite,
+    require_tol,
 )
 from .errors import (
     DimensionMismatch,
@@ -69,11 +71,9 @@ RULE_MASTER_III = "Identifiability-iii"
 class UniquenessReport:
     """Verdict of an identifiability check, with certificate when negative.
 
-    A ``NotUnique`` verdict from the theorem predicates always carries a
-    verified witness: an invertible diagonalizer of the reconstructed set
-    that is not essentially equivalent to the identity.  The Corollary-2
-    style wrapper in the solvers module is sufficiency-only and may report a
-    conservative ``NotUnique`` without a witness; see its docstring.
+    A ``NotUnique`` verdict always carries a verified witness: an invertible
+    diagonalizer of the reconstructed set that is not essentially equivalent
+    to the identity.
     """
 
     verdict: str                       # "Unique" | "NotUnique"
@@ -344,6 +344,7 @@ def witness_thm1(stack: DiagonalStack, pair: tuple, tol: float = TAU_RHO) -> GLE
     Embeds a nontrivial kernel solution of the pair's 2x2 system into an
     identity; raises InvalidPrecondition when the pair is not collinear.
     """
+    require_tol(tol)
     k, l = pair
     c, _ = _cosine_abs_matrix(stack.spectra)
     if c[k, l] < 1.0 - tol:
@@ -361,6 +362,7 @@ def witness_thm2(omega1, omega2, pair: tuple, tol: float = TAU_RHO) -> GLElement
     rotation composed with phase halving) and the singular cases come out of
     the same kernel machinery.
     """
+    require_tol(tol)
     w1, w2 = _thm2_diagonals(omega1, omega2)
     k, l = pair
     if not _ratios_match(np.abs(w1), np.abs(w2), tol)[k, l]:
@@ -380,6 +382,7 @@ def witness_thm3(
     (the proportionality constants share one modulus r).  Degenerate
     zero-vector positions fall back to the single-family construction.
     """
+    require_tol(tol)
     k, l = pair
     (c_s, n_s), (c_h, n_h) = _family(sym), _family(herm)
     if c_s[k, l] < 1.0 - tol:
@@ -403,6 +406,7 @@ def unique_thm1(stack: DiagonalStack, tol: float = TAU_RHO) -> UniquenessReport:
     Covers both the transpose-congruence case with complex spectra and the
     Hermitian-congruence case with real spectra, which share the criterion.
     """
+    require_tol(tol)
     rho, pair = _collinearity_with_pair(stack)
     transpose = stack.kind is CongruenceKind.TRANSPOSE
     return _report(
@@ -421,6 +425,7 @@ def unique_thm2(omega1, omega2, tol: float = TAU_RHO) -> UniquenessReport:
     Essentially unique iff |w1_k| |w2_l| != |w1_l| |w2_k| for every pair
     k != l, with a relative margin of ``tol``.
     """
+    require_tol(tol)
     w1, w2 = _thm2_diagonals(omega1, omega2)
     if w1.size < 2:
         raise InvalidPrecondition("need m >= 2 diagonal positions")
@@ -441,8 +446,6 @@ def unique_thm3(
         raise InvalidPrecondition("unique_thm3 expects (transpose, Hermitian) stacks")
     if sym.n == 0 or herm.n == 0:
         raise InvalidPrecondition("unique_thm3 needs both stacks non-empty")
-    if sym.m != herm.m:
-        raise DimensionMismatch("stacks must share the dimension m")
     rep = _mixed(sym, herm, tol, RULE_THM3)
     if rep.rule_fired != RULE_THM3:
         raise InvalidPrecondition(
@@ -470,13 +473,14 @@ def identifiability_master(
     herm = _coerce_stack(herm, CongruenceKind.HERMITIAN, sym)
     if sym.n == 0 and herm.n == 0:
         raise InvalidPrecondition("both stacks are empty")
-    if sym.m != herm.m:
-        raise DimensionMismatch("stacks must share the dimension m")
     return _mixed(sym, herm, tol, RULE_MASTER_III)
 
 
 def _mixed(sym, herm, tol, rule_iii):
     """Branches i and ii on the collinearities, then the Thm 3 pair scan."""
+    if sym.m != herm.m:
+        raise DimensionMismatch("stacks must share the dimension m")
+    require_tol(tol)
     _require_pairs(sym.m)
     (c_s, n_s), (c_h, n_h) = _family(sym), _family(herm)
     rho_s = _max_pair(c_s)[0] if sym.n else None

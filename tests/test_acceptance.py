@@ -24,6 +24,7 @@ import numpy as np
 
 from nujd.core import (
     CongruenceKind,
+    DiagonalStack,
     GLElement,
     TaggedMatrix,
     gm_pattern_distance,
@@ -31,7 +32,7 @@ from nujd.core import (
     offdiag_residual,
 )
 from nujd.simulation import ExperimentConfig, SourceSpec, generate, run_experiment
-from nujd.solvers import put, put_identifiability_check, sut
+from nujd.solvers import put, sut
 from nujd.statistics import (
     SignalBlock,
     autocorrelation,
@@ -278,10 +279,14 @@ def _lag1_put_config(circularities):
 
 
 def test_criterion_7b_put_on_lag1_pair_as_specified():
-    # Corollary-style check on the SUT pair: population covariance diag is
-    # (1, 1), pseudo-covariance diag (0.5, 0.5), so it must report NotUnique.
-    sut_check = put_identifiability_check(np.array([1.0, 1.0]), np.array([0.5, 0.5]))
-    cor_ok = sut_check.verdict == "NotUnique"
+    # The SUT pair of these sources: population covariance diag (1, 1),
+    # pseudo-covariance diag (0.5, 0.5), so the engine must report NotUnique
+    # with a verified witness.
+    sut_check = identifiability_master(
+        DiagonalStack(CongruenceKind.TRANSPOSE, np.array([[0.5, 0.5]])),
+        DiagonalStack(CongruenceKind.HERMITIAN, np.array([[1.0, 1.0]])),
+    )
+    cor_ok = sut_check.verdict == "NotUnique" and sut_check.witness is not None
 
     # Specified sources, equal circularities: the lag-1 pair has
     # t_k = lambda_k h_k, so every population verdict must be NotUnique.
@@ -299,7 +304,7 @@ def test_criterion_7b_put_on_lag1_pair_as_specified():
     assert _report(
         "7b",
         cor_ok and spec_ok and rec_ok,
-        f"corollary check NotUnique={cor_ok}; lag-1 pair on lambda=(0.5,0.5): "
+        f"SUT pair NotUnique with witness={cor_ok}; lag-1 pair on lambda=(0.5,0.5): "
         f"NotUnique in {n_not_unique}/50, failed={spec['aggregate']['failed']}; "
         f"on lambda=(0.9,0.3): Unique in {n_unique}/50, "
         f"failed={rec['aggregate']['failed']}, median amari {median:.4f} < 0.1",

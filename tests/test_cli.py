@@ -102,6 +102,33 @@ class TestCheck:
             assert res.exit_code == 1
             assert f"error: {path}" in res.output
 
+    @pytest.mark.parametrize(
+        "spectra, code, options",
+        [
+            # not identifiable: a negative tolerance used to certify it Unique
+            (([0.5, 0.5],), 3, [["--tol", "-1"], ["--margin", "-0.5"]]),
+            # identifiable: a tolerance of 1 or more used to "verify" a witness
+            (([1, 0.2], [0.3, 1]), 0, [["--tol", "2"], ["--margin", "inf"], ["--tol", "nan"]]),
+        ],
+    )
+    def test_out_of_range_tolerance_exits_1_naming_the_value(self, runner, tmp_path, spectra, code, options):
+        sym = DiagonalStack(CongruenceKind.TRANSPOSE, np.array(spectra, dtype=complex))
+        herm = DiagonalStack(CongruenceKind.HERMITIAN, np.array([[1.0, 1.0 if code else 2.0]]))
+        path = tmp_path / "sp.json"
+        nio.write_json(nio.stacks_to_dict(sym, herm), path)
+        assert invoke(runner, "check", str(path)).exit_code == code
+        for option, value in options:
+            res = invoke(runner, "check", str(path), option, value)
+            assert res.exit_code == 1
+            assert res.output == f"error: {option} must be finite and lie in [0, 1), got {float(value)}\n"
+
+    def test_empty_spectra_exits_1(self, runner, tmp_path):
+        path = tmp_path / "e.json"
+        nio.write_json({"m": 2, "spectra": []}, path)
+        res = invoke(runner, "check", str(path))
+        assert res.exit_code == 1
+        assert res.output == "error: both stacks are empty\n"
+
     def test_non_diagonal_matrix_set_rejected(self, runner, tmp_path):
         items = [TaggedMatrix(np.array([[1.0, 0.5], [0.5, 2.0]]), CongruenceKind.HERMITIAN)]
         path = tmp_path / "nd.json"
@@ -459,6 +486,28 @@ class TestSimulate:
         res = invoke(runner, "simulate", str(cfg))
         assert res.exit_code == 1
         assert "error: statistics[1]: part applies only to a Hermitian-kind slice" in res.output
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("margin", -1, "margin must be finite and lie in [0, 1), got -1.0"),
+            ("margin", 1, "margin must be finite and lie in [0, 1), got 1.0"),
+            ("equiv_tol", 0, "equiv_tol must be finite and lie in (0, 1), got 0.0"),
+        ],
+    )
+    def test_out_of_range_tolerance_exits_1_naming_the_field(self, runner, tmp_path, field, value, message):
+        # a negative margin used to record every trial of this
+        # non-identifiable pair as Unique; a zero equiv_tol ended the batch
+        # with exit 2 after the signals were generated
+        cfg = self._config(
+            tmp_path,
+            sources=[{"kind": "noncircular_gaussian", "circularity": 0.5}] * 2,
+            solver="put",
+            **{field: value},
+        )
+        res = invoke(runner, "simulate", str(cfg))
+        assert res.exit_code == 1
+        assert res.output == f"error: {message}\n"
 
     def test_window_past_the_signal_exits_2(self, runner, tmp_path):
         cfg = self._config(

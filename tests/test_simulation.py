@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -23,8 +24,9 @@ from nujd.simulation import (
     run_trial,
     worker_count,
 )
-from nujd.solvers import put, put_identifiability_check
+from nujd.solvers import put
 from nujd.statistics import circularity_coefficient
+from nujd.uniqueness import identifiability_master
 
 
 class TestSourceSpec:
@@ -292,7 +294,7 @@ class TestPopulationValues:
 
     def test_end_to_end_exact_population_put(self, rng):
         # analytic matrices through put give essentially exact recovery
-        # whenever the sufficiency check certifies the pair with margin
+        # whenever the engine certifies the population pair with margin
         specs = (
             SourceSpec("noncircular_gaussian", circularity=0.9),
             SourceSpec("noncircular_gaussian", circularity=0.3),
@@ -300,10 +302,9 @@ class TestPopulationValues:
         _, truth = generate(specs, 200, 14)
         a = truth.a.matrix
         recipe = ({"statistic": "covariance"}, {"statistic": "pseudo_covariance"})
-        cov = population_diagonal(truth, recipe[0], 200)
-        pv = population_diagonal(truth, recipe[1], 200)
-        check = put_identifiability_check(cov, pv, tol=1e-3)
-        assert check.unique
+        sym, herm, available = population_stacks(truth, recipe, 200)
+        assert available
+        assert identifiability_master(sym, herm, 1e-3).unique
         c1, c2 = population_matrices(truth, recipe, 200)
         res = put(c1, c2)
         g = res.x.matrix.conj().T @ a
@@ -414,6 +415,28 @@ class TestRunExperiment:
                 seed=5,
                 statistics=({"statistic": "windowed_covariance", "windows": [(0, 0), (500, 500)]},),
                 solver="gevd",
+            )
+
+    @pytest.mark.parametrize(
+        "field, value, interval",
+        [
+            ("margin", -1.0, "[0, 1)"),
+            ("margin", float("nan"), "[0, 1)"),
+            ("equiv_tol", 0.0, "(0, 1)"),
+            ("equiv_tol", 1.0, "(0, 1)"),
+        ],
+    )
+    def test_out_of_range_tolerance_rejected_in_a_python_built_config(self, field, value, interval):
+        # a negative margin certified every trial of this non-identifiable
+        # pair as Unique; a zero equiv_tol raised ValueError inside a trial
+        with pytest.raises(ConfigError, match=rf"^{field} must be finite and lie in {re.escape(interval)}, got {value}$"):
+            _sut_config(
+                sources=(
+                    SourceSpec("noncircular_gaussian", circularity=0.5),
+                    SourceSpec("noncircular_gaussian", circularity=0.5),
+                ),
+                solver="put",
+                **{field: value},
             )
 
     def test_trial_identifiability_unavailable_when_no_closed_form(self):

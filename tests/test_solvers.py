@@ -19,7 +19,7 @@ from nujd.errors import (
     SingularSecondMatrix,
 )
 from nujd.linalg import takagi
-from nujd.solvers import put, put_identifiability_check, sut, two_matrix_same_kind
+from nujd.solvers import put, sut, two_matrix_same_kind
 from nujd.uniqueness import unique_thm1
 from nujd.core import DiagonalStack
 
@@ -259,41 +259,6 @@ class TestTwoMatrixSameKind:
             except (DegenerateSpectrum, SingularSecondMatrix):
                 solved = False
             assert solved == (verdict == "Unique")
-
-
-class TestPutIdentifiabilityCheck:
-    def test_real_part_condition(self):
-        assert put_identifiability_check(np.array([1.0, 2.0]), np.array([1.0, 1.0])).unique
-
-    def test_both_parts_fail(self):
-        rep = put_identifiability_check(np.array([1.0, 1.0]), np.array([1.0, 1.0]))
-        assert rep.verdict == "NotUnique"
-        assert rep.witness is not None  # confirmed by the full mixed decision
-
-    def test_imaginary_part_condition(self):
-        rep = put_identifiability_check(
-            np.array([1.0 + 1j, 1.0 + 2j]), np.array([1.0, 1.0])
-        )
-        assert rep.unique
-
-    def test_conservative_verdict_without_witness(self):
-        # both scalar conditions fail pairwise, yet the mixed-stack decision
-        # certifies uniqueness: the check stays NotUnique with no witness
-        rep = put_identifiability_check(
-            np.array([1.0 + 1j, 1.0 - 1j]), np.array([1.0, 1.0])
-        )
-        assert rep.verdict == "NotUnique" and rep.witness is None
-
-    def test_tagged_matrix_inputs(self):
-        auto = TaggedMatrix(np.diag([1.0, 2.0]), CongruenceKind.HERMITIAN)
-        pseudo = TaggedMatrix(np.diag([1.0, 1.0]), CongruenceKind.TRANSPOSE)
-        assert put_identifiability_check(auto, pseudo).unique
-
-    def test_non_diagonal_rejected(self):
-        from nujd.errors import SymmetryViolation
-
-        with pytest.raises(SymmetryViolation):
-            put_identifiability_check(np.array([[1.0, 0.5], [0.5, 2.0]]), np.eye(2))
 
 
 class TestPostconditionIdentities:

@@ -248,17 +248,30 @@ class TestMaster:
             transpose_stack([[1, 2]]), hermitian_stack([[0.9, 0.1], [0.1, 0.9]])
         )
         assert rep.unique and rep.rule_fired == "Identifiability-ii"
+        # a PUT pair whose auto diagonal (1 + 1j, 1 + 2j) is complex: its
+        # real part (1, 1) and skew part (1, 2) are two Hermitian rows
+        rep = identifiability_master(transpose_stack([[1, 1]]), hermitian_stack([[1, 1], [1, 2]]))
+        assert rep.unique and rep.rule_fired == "Identifiability-ii"
 
     def test_empty_sym_falls_to_branch_iii(self):
         herm = hermitian_stack([[1, 2]])
         rep = identifiability_master(None, herm)
         assert rep.rule_fired == "Identifiability-iii"
         assert_sound_witness(rep, herm=herm)
+        # a PUT pair whose real and skew auto parts both fail the modulus
+        # test: NotUnique, and the report carries a verified witness
+        sym, herm = transpose_stack([[1, 1]]), hermitian_stack([[1, 1]])
+        rep = identifiability_master(sym, herm)
+        assert rep.rule_fired == "Identifiability-iii"
+        assert_sound_witness(rep, sym=sym, herm=herm)
 
     def test_branch_iii_unique_via_modulus_margin(self):
         rep = identifiability_master(
             transpose_stack([[1 + 1j, 2]]), hermitian_stack([[1, 1]])
         )
+        assert rep.unique and rep.rule_fired == "Identifiability-iii"
+        # a PUT pair identified by the real part of its auto diagonal alone
+        rep = identifiability_master(transpose_stack([[1, 1]]), hermitian_stack([[1, 2]]))
         assert rep.unique and rep.rule_fired == "Identifiability-iii"
 
     def test_agrees_with_thm1_when_one_stack_empty(self, rng):
@@ -298,6 +311,45 @@ class TestMaster:
     def test_both_empty_rejected(self):
         with pytest.raises(InvalidPrecondition):
             identifiability_master(None, None)
+
+
+class TestTolerance:
+    # (transpose, Hermitian) spectra: (0.5, 0.5) / (1, 1) is not identifiable,
+    # (1, 0.2), (0.3, 1) / (1, 2) is
+    NOT_UNIQUE = ([[0.5, 0.5]], [[1, 1]])
+    UNIQUE = ([[1, 0.2], [0.3, 1]], [[1, 2]])
+    BAD = [-1.0, -0.5, 1.0, 2.0, np.inf, -np.inf, np.nan]
+
+    @staticmethod
+    def _entry_points(sym, herm):
+        """Every public predicate and witness builder, as tol -> call."""
+        w1, w2 = sym.spectra[0], herm.spectra[0].real
+        return [
+            lambda tol: identifiability_master(sym, herm, tol),
+            lambda tol: unique_thm1(sym, tol),
+            lambda tol: unique_thm1(herm, tol),
+            lambda tol: unique_thm2(w1, w2, tol),
+            lambda tol: unique_thm3(sym, herm, tol),
+            lambda tol: witness_thm1(herm, (0, 1), tol),
+            lambda tol: witness_thm2(w1, w2, (0, 1), tol),
+            lambda tol: witness_thm3(sym, herm, (0, 1), tol),
+        ]
+
+    @pytest.mark.parametrize("tol", BAD)
+    def test_out_of_range_tol_rejected_by_every_entry_point(self, tol):
+        for spectra in (self.NOT_UNIQUE, self.UNIQUE):
+            sym, herm = transpose_stack(spectra[0]), hermitian_stack(spectra[1])
+            for call in self._entry_points(sym, herm):
+                with pytest.raises(InvalidPrecondition, match=rf"^tol must be finite and lie in \[0, 1\), got {tol}$"):
+                    call(tol)
+
+    def test_verdicts_at_valid_tolerances(self):
+        sym, herm = transpose_stack(self.NOT_UNIQUE[0]), hermitian_stack(self.NOT_UNIQUE[1])
+        for tol in (0.0, 1e-10, 1e-3, 0.5):
+            assert_sound_witness(identifiability_master(sym, herm, tol), sym=sym, herm=herm)
+        sym, herm = transpose_stack(self.UNIQUE[0]), hermitian_stack(self.UNIQUE[1])
+        for tol in (0.0, 1e-10, 1e-3):
+            assert identifiability_master(sym, herm, tol).unique
 
 
 from conftest import random_nonidentifiable_stacks

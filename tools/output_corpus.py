@@ -1,0 +1,179 @@
+"""Write a corpus of ``nujd`` CLI outputs for byte-identity checks.
+
+Usage:
+
+    PYTHONPATH=src python tools/output_corpus.py OUTDIR
+
+The script writes small seeded inputs under ``OUTDIR/inputs`` and runs
+``python -m nujd.cli`` on them: ``estimate`` (covariance/pseudo-covariance, a
+lag, two windows, a fourth-order slice), ``solve`` (put, sut, gevd), ``check``
+(a Unique and a NotUnique spectra file, a diagonal matrix set) and
+``simulate`` (configs that cover the six source kinds, every statistic, noise
+and the three solvers).  Each command's stdout and stderr go to
+``OUTDIR/<case>.out`` and ``OUTDIR/<case>.err`` and its exit code to
+``OUTDIR/exit_codes.json``.
+
+The ``nujd`` package that the script imports is the one every command runs,
+so two checkouts compare with
+
+    PYTHONPATH=A/src python tools/output_corpus.py /tmp/a
+    PYTHONPATH=B/src python tools/output_corpus.py /tmp/b
+    diff -r /tmp/a /tmp/b
+
+It uses only the standard library and ``nujd``.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import nujd
+from nujd import io as nio
+from nujd.core import CongruenceKind, DiagonalStack, TaggedMatrix
+from nujd.simulation import SourceSpec, generate, mix
+
+T_SIGNAL = 4000
+
+SIGNALS = {
+    "noncircular": [SourceSpec("noncircular_gaussian", circularity=0.9),
+                    SourceSpec("noncircular_gaussian", circularity=0.3)],
+    "ar1": [SourceSpec("ar1_noncircular", circularity=0.9, coefficient=0.9),
+            SourceSpec("ar1_noncircular", circularity=0.3, coefficient=0.2)],
+    "blocks": [SourceSpec("block_nonstationary", variance_profile=(1.0, 4.0)),
+               SourceSpec("block_nonstationary", variance_profile=(4.0, 1.0))],
+    "digital": [SourceSpec("bpsk"), SourceSpec("qpsk"), SourceSpec("circular_gaussian")],
+}
+
+SPECTRA = {
+    # (transpose rows, Hermitian rows)
+    "unique": ([[1, 0.2], [0.3, 1]], [[1, 2]]),
+    "not_unique": ([[0.5, 0.5]], [[1, 1]]),
+}
+
+DIAGONAL_SET = [
+    TaggedMatrix([[1.0, 0.0], [0.0, 2.0]], CongruenceKind.HERMITIAN),
+    TaggedMatrix([[1.0 + 1.0j, 0.0], [0.0, 2.0]], CongruenceKind.TRANSPOSE),
+]
+
+_NONCIRCULAR = [{"kind": "noncircular_gaussian", "circularity": 0.9},
+                {"kind": "noncircular_gaussian", "circularity": 0.3}]
+_COV_PAIR = [{"statistic": "covariance"}, {"statistic": "pseudo_covariance"}]
+
+CONFIGS = {
+    "sut_noise": {"sources": _NONCIRCULAR, "statistics": _COV_PAIR, "solver": "sut",
+                  "noise_snr_db": 20.0},
+    "put_equal_circularity": {
+        "sources": [{"kind": "noncircular_gaussian", "circularity": 0.5}] * 2,
+        "statistics": _COV_PAIR, "solver": "put"},
+    "put_lag1_ar1": {
+        "sources": [{"kind": "ar1_noncircular", "circularity": 0.9, "coefficient": 0.9},
+                    {"kind": "ar1_noncircular", "circularity": 0.3, "coefficient": 0.2}],
+        "statistics": [{"statistic": "autocorrelation", "lag": 1},
+                       {"statistic": "pseudo_autocorrelation", "lag": 1}],
+        "solver": "put"},
+    "gevd_windows": {
+        "sources": [{"kind": "block_nonstationary", "variance_profile": [1.0, 4.0]},
+                    {"kind": "block_nonstationary", "variance_profile": [4.0, 1.0], "power": 2.0}],
+        "statistics": [{"statistic": "windowed_covariance", "windows": [[0, 2000], [2000, 2000]]}],
+        "solver": "gevd"},
+    "gevd_skew_autocorrelation": {
+        "sources": [{"kind": "ar1_noncircular", "circularity": 0.5, "coefficient": 0.8},
+                    {"kind": "circular_gaussian"}],
+        "statistics": [{"statistic": "covariance"},
+                       {"statistic": "autocorrelation", "lag": 2, "part": "skew"}],
+        "solver": "gevd"},
+    "put_cum4": {
+        "sources": [{"kind": "bpsk"}, {"kind": "qpsk"}],
+        "statistics": [{"statistic": "covariance"},
+                       {"statistic": "cumulant_slice", "pattern": "0000", "axes": [1, 2], "fixed": [1, 1]}],
+        "solver": "put"},
+    "put_skew_slice": {
+        "sources": [{"kind": "bpsk"}, {"kind": "qpsk"}, {"kind": "circular_gaussian"}],
+        "statistics": [{"statistic": "pseudo_covariance"},
+                       {"statistic": "cumulant_slice", "pattern": "0101", "axes": [1, 2],
+                        "fixed": [1, 3], "part": "skew"}],
+        "solver": "put"},
+    "put_lagged_slice": {
+        "sources": [{"kind": "block_nonstationary", "variance_profile": [1.0, 2.0]}, {"kind": "bpsk"}],
+        "statistics": [{"statistic": "covariance"},
+                       {"statistic": "lagged_cumulant_slice", "pattern": "0000",
+                        "offsets": [0, 1, 0, 0], "axes": [1, 2], "fixed": [1, 1]}],
+        "solver": "put"},
+}
+
+
+def _signal(specs, seed):
+    sources, truth = generate(specs, T_SIGNAL, seed)
+    return nio.signal_to_dict(mix(sources, truth.a))
+
+
+def _spectra(transpose, hermitian):
+    return nio.stacks_to_dict(
+        DiagonalStack(CongruenceKind.TRANSPOSE, transpose),
+        DiagonalStack(CongruenceKind.HERMITIAN, hermitian),
+    )
+
+
+def _config(doc, seed):
+    return dict({"T": 5000, "seed": seed, "trials": 3}, **doc)
+
+
+def write_inputs(inputs: Path) -> None:
+    inputs.mkdir(parents=True, exist_ok=True)
+    for i, (name, specs) in enumerate(SIGNALS.items()):
+        nio.write_json(_signal(specs, 100 + i), inputs / f"signal_{name}.json")
+    for name, (t, h) in SPECTRA.items():
+        nio.write_json(_spectra(t, h), inputs / f"spectra_{name}.json")
+    nio.write_json(nio.matrix_set_to_dict(DIAGONAL_SET), inputs / "diagonal_set.json")
+    for i, (name, doc) in enumerate(CONFIGS.items()):
+        nio.write_json(_config(doc, 200 + i), inputs / f"config_{name}.json")
+
+
+def cases(inputs: Path, out: Path):
+    """(case name, CLI arguments) in run order; solve reads estimate's output."""
+    def sig(name):
+        return str(inputs / f"signal_{name}.json")
+
+    yield "estimate_cov_pseudocov", ["estimate", sig("noncircular"), "--cov", "--pseudocov"]
+    yield "estimate_lag", ["estimate", sig("ar1"), "--lag", "1"]
+    yield "estimate_windows", ["estimate", sig("blocks"), "--window", "0:2000", "--window", "2000:2000"]
+    yield "estimate_cum4", ["estimate", sig("digital"), "--cum4", "0000", "3,4", "1,1"]
+    yield "solve_put", ["solve", str(out / "estimate_cov_pseudocov.out"), "--method", "put"]
+    yield "solve_sut", ["solve", str(out / "estimate_cov_pseudocov.out"), "--method", "sut", "--tol", "1e-2"]
+    yield "solve_put_lag", ["solve", str(out / "estimate_lag.out"), "--method", "put"]
+    yield "solve_gevd", ["solve", str(out / "estimate_windows.out"), "--method", "gevd"]
+    for name in SPECTRA:
+        yield f"check_{name}", ["check", str(inputs / f"spectra_{name}.json")]
+    yield "check_not_unique_margin", ["check", str(inputs / "spectra_not_unique.json"), "--margin", "1e-3"]
+    yield "check_diagonal_set", ["check", str(inputs / "diagonal_set.json")]
+    for name in CONFIGS:
+        yield f"simulate_{name}", ["simulate", str(inputs / f"config_{name}.json")]
+
+
+def main(argv) -> int:
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    out = Path(argv[1])
+    write_inputs(out / "inputs")
+    # every command runs the nujd package this script imported
+    env = dict(os.environ, PYTHONPATH=str(Path(nujd.__file__).resolve().parents[1]))
+    codes = {}
+    for name, args in cases(out / "inputs", out):
+        proc = subprocess.run(
+            [sys.executable, "-m", "nujd.cli", *args], env=env, capture_output=True
+        )
+        (out / f"{name}.out").write_bytes(proc.stdout)
+        (out / f"{name}.err").write_bytes(proc.stderr)
+        codes[name] = proc.returncode
+    (out / "exit_codes.json").write_text(json.dumps(codes, indent=2) + "\n")
+    print(f"{len(codes)} commands, outputs in {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
