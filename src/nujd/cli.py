@@ -13,28 +13,12 @@ import warnings
 import click
 import numpy as np
 
-from .core import CongruenceKind, TAU_RHO, offdiag_residual, require_tol, stacks_from_rows
-from .errors import (
-    ConfigError,
-    DegenerateSpectrum,
-    NotPositiveDefinite,
-    NujdError,
-    OrthogonalizationFailure,
-    SingularPseudoCovariance,
-    SingularSecondMatrix,
-)
+from .core import CongruenceKind, TAU_RHO, TAU_SYM, require_tol, stacks_from_rows
+from .errors import ConfigError, NujdError, NumericFailure
 from . import io as nio
 from .simulation import estimate_statistic, run_experiment
-from .solvers import put, sut, two_matrix_same_kind
+from .solvers import solve_pair
 from .uniqueness import identifiability_master
-
-_NUMERIC_ERRORS = (
-    SingularPseudoCovariance,
-    OrthogonalizationFailure,
-    DegenerateSpectrum,
-    NotPositiveDefinite,
-    SingularSecondMatrix,
-)
 
 
 def _load_json(path):
@@ -78,7 +62,7 @@ def cmd_check(input_path, tol, margin, out_path):
         if not isinstance(doc, dict) or "spectra" in doc:
             sym, herm, _ = nio.stacks_from_dict(doc)
         elif "matrices" in doc:
-            sym, herm = _stacks_from_matrix_set(doc, use_tol)
+            sym, herm = _stacks_from_matrix_set(doc)
         else:
             _fail(1, "input is neither a spectra file nor a matrix-set file")
         report = identifiability_master(sym, herm, use_tol)
@@ -89,13 +73,13 @@ def cmd_check(input_path, tol, margin, out_path):
     sys.exit(0 if report.unique else 3)
 
 
-def _stacks_from_matrix_set(doc, tol):
+def _stacks_from_matrix_set(doc):
     items = nio.matrix_set_from_dict(doc)
     rows = []
     for t in items:
         diag = np.diag(t.matrix)
         scale = max(float(np.linalg.norm(t.matrix)), np.finfo(float).tiny)
-        if float(np.linalg.norm(t.matrix - np.diag(diag))) > max(tol, 1e-8) * scale:
+        if float(np.linalg.norm(t.matrix - np.diag(diag))) > TAU_SYM * scale:
             raise ConfigError(
                 "matrix-set input to check must hold diagonal matrices "
                 "(ground-truth spectra); run solve first for estimated sets"
@@ -121,31 +105,20 @@ def cmd_solve(input_path, method, tol, out_path):
     except NujdError as exc:
         _fail(1, str(exc))
     digest = nio.file_digest(input_path)
-    herm = [t for t in items if t.kind is CongruenceKind.HERMITIAN]
-    sym = [t for t in items if t.kind is CongruenceKind.TRANSPOSE]
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            if method in ("put", "sut"):
-                if len(herm) != 1 or len(sym) != 1:
-                    _fail(2, f"{method} needs exactly one hermitian and one transpose matrix")
-                res = (sut if method == "sut" else put)(herm[0], sym[0])
-                ok = res.residual_identity / res.x.m <= tol and res.residual_offdiag <= tol
-                out = nio.put_result_to_dict(res, method, digest)
-            else:
-                if len(items) != 2 or items[0].kind is not items[1].kind:
-                    _fail(2, "gevd needs exactly two matrices of one kind")
-                x = two_matrix_same_kind(items[0], items[1])
-                resid = offdiag_residual(items, x)
-                lam = np.diag(x.matrix.conj().T @ items[0].matrix @ (
-                    x.matrix if items[0].kind is CongruenceKind.HERMITIAN else x.matrix.conj()
-                ))
-                ok = resid <= tol
-                out = nio.gevd_result_to_dict(x, lam, resid, method, digest)
-    except _NUMERIC_ERRORS as exc:
+            res = solve_pair(items, method)
+    except ConfigError as exc:
+        _fail(2, str(exc))
+    except NumericFailure as exc:
         _fail(4, f"{type(exc).__name__}: {exc}")
     except NujdError as exc:
         _fail(1, str(exc))
+    ok = res.residual_offdiag <= tol and (
+        res.residual_identity is None or res.residual_identity / res.x.m <= tol
+    )
+    out = nio.solution_to_dict(res, method, digest)
     out["tolerance_met"] = bool(ok)
     text = nio.write_json(out, out_path)
     if out_path is None:

@@ -25,7 +25,11 @@ class PatternViolation(NujdError):
     """A matrix is not a diagonal-times-permutation pattern."""
 
 
-class SingularPseudoCovariance(NujdError):
+class NumericFailure(NujdError):
+    """Base class for the named numeric failures of a factorization or solve."""
+
+
+class SingularPseudoCovariance(NumericFailure):
     """A Takagi singular value fell below the invertibility floor.
 
     Carries the offending index in ``args[1]`` when known.
@@ -36,23 +40,23 @@ class SingularPseudoCovariance(NujdError):
         self.index = index
 
 
-class OrthogonalizationFailure(NujdError):
+class OrthogonalizationFailure(NumericFailure):
     """W^T W is numerically singular; the complex-orthogonal polar part does not exist."""
 
 
-class DefectiveMatrix(NujdError):
+class DefectiveMatrix(NumericFailure):
     """An eigendecomposition was requested of a (numerically) defective matrix."""
 
 
-class DegenerateSpectrum(NujdError):
+class DegenerateSpectrum(NumericFailure):
     """Eigenvalues coincide where the algorithm needs them pairwise distinct."""
 
 
-class NotPositiveDefinite(NujdError):
+class NotPositiveDefinite(NumericFailure):
     """The Hermitian operand must be positive definite and is not."""
 
 
-class SingularSecondMatrix(NujdError):
+class SingularSecondMatrix(NumericFailure):
     """The second matrix of a two-matrix solve is numerically singular."""
 
 

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import CongruenceKind, DiagonalStack, GLElement, TaggedMatrix, stacks_from_rows
+from .core import CongruenceKind, DiagonalStack, TaggedMatrix, stacks_from_rows
 from .errors import ConfigError
 from .simulation import STATISTICS, ExperimentConfig, SourceSpec, _check_statistic
 from .statistics import _as_pattern
@@ -313,36 +313,18 @@ def uniqueness_report_to_dict(rep: UniquenessReport) -> dict:
     return doc
 
 
-def gl_from_dict(doc: dict) -> GLElement:
-    m = _count(doc, "m")
-    return GLElement(_matrix_from_pairs(_field(doc, "entries"), m, m, "entries"))
-
-
-def put_result_to_dict(res: PutResult, method: str, digest: Optional[str]) -> dict:
-    m = res.x.m
+def solution_to_dict(res: PutResult, method: str, digest: Optional[str]) -> dict:
+    """Solution document of ``solvers.solve_pair``; a gevd solve writes null
+    for the gap, the Takagi singular values and the identity residual."""
     return {
         "method": method,
-        "m": int(m),
+        "m": int(res.x.m),
         "x": _pairs(res.x.matrix),
         "lambda": _pairs(res.lam),
-        "eig_gap": float(res.eig_gap) if np.isfinite(res.eig_gap) else None,
-        "takagi_sigma": [float(s) for s in res.takagi.sigma],
-        "residual_identity": float(res.residual_identity),
+        "eig_gap": float(res.eig_gap) if res.eig_gap is not None and np.isfinite(res.eig_gap) else None,
+        "takagi_sigma": None if res.takagi is None else [float(s) for s in res.takagi.sigma],
+        "residual_identity": None if res.residual_identity is None else float(res.residual_identity),
         "residual_offdiag": float(res.residual_offdiag),
-        "input_digest": digest,
-    }
-
-
-def gevd_result_to_dict(x: GLElement, lam, residual: float, method: str, digest) -> dict:
-    return {
-        "method": method,
-        "m": int(x.m),
-        "x": _pairs(x.matrix),
-        "lambda": _pairs(lam),
-        "eig_gap": None,
-        "takagi_sigma": None,
-        "residual_identity": None,
-        "residual_offdiag": float(residual),
         "input_digest": digest,
     }
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import CongruenceKind, GLElement, is_essentially_equivalent, require_tol, stacks_from_rows
 from .errors import ConfigError, NujdError
-from .solvers import put, sut, two_matrix_same_kind
+from .solvers import solve_pair
 from .statistics import (
     SignalBlock,
     autocorrelation,
@@ -528,27 +528,6 @@ class ExperimentConfig:
             _check_statistic(stat, f"statistics[{i}]")
 
 
-def _solve(config: ExperimentConfig, mats: list):
-    herm = [t for t in mats if t.kind is CongruenceKind.HERMITIAN]
-    sym = [t for t in mats if t.kind is CongruenceKind.TRANSPOSE]
-    if config.solver in ("put", "sut"):
-        if len(herm) != 1 or len(sym) != 1:
-            raise ConfigError(
-                f"{config.solver} needs exactly one Hermitian and one transpose "
-                f"matrix, got {len(herm)} + {len(sym)}"
-            )
-        res = (sut if config.solver == "sut" else put)(herm[0], sym[0])
-        return res.x, {
-            "eig_gap": res.eig_gap,
-            "residual_identity": res.residual_identity,
-            "residual_offdiag": res.residual_offdiag,
-        }
-    if len(mats) != 2 or len(herm) not in (0, 2):
-        raise ConfigError("gevd needs exactly two matrices of one kind")
-    x = two_matrix_same_kind(mats[0], mats[1])
-    return x, {}
-
-
 def _add_noise(w: SignalBlock, snr_db: float, rng) -> SignalBlock:
     """w plus circular white Gaussian noise at ``snr_db`` below its mean power."""
     sig_power = float(np.mean(np.abs(w.data) ** 2))
@@ -593,12 +572,15 @@ def run_trial(config: ExperimentConfig, trial: int) -> dict:
             mats = []
             for stat in config.statistics:
                 mats.extend(estimate_statistic(stat, w))
-            x, extra = _solve(config, mats)
-        record.update(extra)
-        g = x.matrix.conj().T @ truth.a.matrix
+            res = solve_pair(mats, config.solver)
+        if config.solver != "gevd":
+            record["eig_gap"] = res.eig_gap
+            record["residual_identity"] = res.residual_identity
+            record["residual_offdiag"] = res.residual_offdiag
+        g = res.x.matrix.conj().T @ truth.a.matrix
         record["amari"] = amari_index(g)
         target = GLElement(np.linalg.inv(truth.a.matrix).conj().T)
-        eq, _ = is_essentially_equivalent(x, target, config.equiv_tol)
+        eq, _ = is_essentially_equivalent(res.x, target, config.equiv_tol)
         record["essentially_equivalent"] = bool(eq)
     except (NujdError, np.linalg.LinAlgError) as exc:
         record["error"] = type(exc).__name__

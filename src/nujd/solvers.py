@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -23,8 +24,10 @@ from .core import (
     GLElement,
     SIGMA_MIN,
     TaggedMatrix,
+    offdiag_residual,
 )
 from .errors import (
+    ConfigError,
     DegenerateSpectrum,
     DegenerateSpectrumWarning,
     DimensionMismatch,
@@ -49,14 +52,16 @@ class PutResult:
     essentially unique).  ``residual_identity`` is ||X^H C2 conj(X) - I||_F
     and ``residual_offdiag`` the off-diagonal mass of X^H C1 X relative to
     ||C1||_F; on exactly diagonalizable pairs both sit at rounding level,
-    on estimated statistics they reflect the sampling error.
+    on estimated statistics they reflect the sampling error.  A gevd solve
+    (``solve_pair``) has no Takagi factor, gap or identity residual, so those
+    fields are None and ``residual_offdiag`` is ``core.offdiag_residual``.
     """
 
     x: GLElement
     lam: np.ndarray
-    takagi: TakagiFactorization
-    eig_gap: float
-    residual_identity: float
+    takagi: Optional[TakagiFactorization]
+    eig_gap: Optional[float]
+    residual_identity: Optional[float]
     residual_offdiag: float
 
 
@@ -191,3 +196,30 @@ def two_matrix_same_kind(c1: TaggedMatrix, c2: TaggedMatrix) -> GLElement:
     phases = xh[np.arange(xh.shape[0]), anchors]
     xh = xh * (np.abs(phases) / phases)[:, None]
     return GLElement(xh.conj().T)
+
+
+def solve_pair(items, method: str) -> PutResult:
+    """Closed-form joint diagonalizer of a two-matrix set by ``method``.
+
+    ``put`` and ``sut`` take one Hermitian and one transpose matrix, in
+    either order; ``gevd`` takes two matrices of one kind and diagonalizes
+    them by ``two_matrix_same_kind``, with ``lam`` the diagonal of the first
+    matrix under X.  Raises ConfigError for a set the method cannot consume.
+    """
+    if method == "gevd":
+        if len(items) != 2 or items[0].kind is not items[1].kind:
+            raise ConfigError("gevd needs exactly two matrices of one kind")
+        x = two_matrix_same_kind(items[0], items[1])
+        xm = x.matrix
+        lam = np.diag(xm.conj().T @ items[0].matrix @ (
+            xm if items[0].kind is CongruenceKind.HERMITIAN else xm.conj()
+        ))
+        return PutResult(x, lam, None, None, None, offdiag_residual(items, x))
+    herm = [t for t in items if t.kind is CongruenceKind.HERMITIAN]
+    sym = [t for t in items if t.kind is CongruenceKind.TRANSPOSE]
+    if len(herm) != 1 or len(sym) != 1:
+        raise ConfigError(
+            f"{method} needs exactly one Hermitian and one transpose matrix, "
+            f"got {len(herm)} + {len(sym)}"
+        )
+    return (sut if method == "sut" else put)(herm[0], sym[0])

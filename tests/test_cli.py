@@ -10,7 +10,7 @@ from click.testing import CliRunner
 import nujd
 from nujd import io as nio
 from nujd.cli import main
-from nujd.core import CongruenceKind, DiagonalStack, TaggedMatrix
+from nujd.core import CongruenceKind, DiagonalStack, GLElement, TaggedMatrix
 from nujd.simulation import SourceSpec, generate, mix
 
 
@@ -129,12 +129,25 @@ class TestCheck:
         assert res.exit_code == 1
         assert res.output == "error: both stacks are empty\n"
 
-    def test_non_diagonal_matrix_set_rejected(self, runner, tmp_path):
-        items = [TaggedMatrix(np.array([[1.0, 0.5], [0.5, 2.0]]), CongruenceKind.HERMITIAN)]
+    _MIXED = [TaggedMatrix(np.array([[1.0, 0.3], [0.3, 2.0]]), CongruenceKind.HERMITIAN),
+              TaggedMatrix(np.eye(2), CongruenceKind.TRANSPOSE)]
+
+    @pytest.mark.parametrize(
+        "items, options",
+        [
+            ([TaggedMatrix(np.array([[1.0, 0.5], [0.5, 2.0]]), CongruenceKind.HERMITIAN)], []),
+            # the diagonality bound is TAU_SYM whatever the certification margin
+            (_MIXED, []),
+            (_MIXED, ["--margin", "0.5"]),
+        ],
+        ids=["hermitian-only", "mixed-default-tol", "mixed-margin-0.5"],
+    )
+    def test_non_diagonal_matrix_set_rejected(self, runner, tmp_path, items, options):
         path = tmp_path / "nd.json"
         nio.write_json(nio.matrix_set_to_dict(items), path)
-        res = runner.invoke(main, ["check", str(path)])
+        res = runner.invoke(main, ["check", str(path), *options])
         assert res.exit_code == 1
+        assert "must hold diagonal matrices" in res.output
         assert "solve" in res.output
 
 
@@ -284,7 +297,8 @@ class TestEstimateAndSolve:
         out = nio.read_json(sol)
         assert out["tolerance_met"] is True
         assert out["input_digest"] == nio.file_digest(est)
-        x = nio.gl_from_dict({"m": out["m"], "entries": out["x"]})
+        pairs = np.array(out["x"])
+        x = GLElement((pairs[:, 0] + 1j * pairs[:, 1]).reshape(out["m"], out["m"]))
         g = x.matrix.conj().T @ truth.a.matrix
         from nujd.simulation import amari_index
 
@@ -333,26 +347,47 @@ class TestEstimateAndSolve:
         res = runner.invoke(main, ["estimate", str(sig)])
         assert res.exit_code == 2
 
-    def test_wrong_kinds_exit_2(self, runner, tmp_path):
+    @pytest.mark.parametrize(
+        "method, kinds, message",
+        [
+            ("put", ["hermitian", "hermitian"],
+             "put needs exactly one Hermitian and one transpose matrix, got 2 + 0"),
+            ("sut", ["hermitian", "transpose", "transpose"],
+             "sut needs exactly one Hermitian and one transpose matrix, got 1 + 2"),
+            ("gevd", ["hermitian", "transpose"], "gevd needs exactly two matrices of one kind"),
+        ],
+        ids=["put", "sut", "gevd"],
+    )
+    def test_wrong_kinds_exit_2(self, runner, tmp_path, method, kinds, message):
+        # the same solve_pair message that a simulate trial records
         items = [
-            TaggedMatrix(np.diag([1.0, 2.0]), CongruenceKind.HERMITIAN),
-            TaggedMatrix(np.diag([2.0, 1.0]), CongruenceKind.HERMITIAN),
+            TaggedMatrix(np.diag([1.0 + i, 2.0]), CongruenceKind(kind))
+            for i, kind in enumerate(kinds)
         ]
-        path = tmp_path / "hh.json"
+        path = tmp_path / "wrong.json"
         nio.write_json(nio.matrix_set_to_dict(items), path)
-        res = runner.invoke(main, ["solve", str(path), "--method", "put"])
+        res = runner.invoke(main, ["solve", str(path), "--method", method])
         assert res.exit_code == 2
+        assert res.stderr == f"error: {message}\n"
 
-    def test_singular_pseudo_exits_4(self, runner, tmp_path):
-        items = [
-            TaggedMatrix(np.diag([1.0, 2.0]), CongruenceKind.HERMITIAN),
-            TaggedMatrix(np.diag([1.0, 0.0]), CongruenceKind.TRANSPOSE),
-        ]
+    @pytest.mark.parametrize(
+        "herm, second, method, name",
+        [
+            (np.diag([1.0, 2.0]), TaggedMatrix(np.diag([1.0, 0.0]), CongruenceKind.TRANSPOSE),
+             "put", "SingularPseudoCovariance"),
+            # C1 C2^{-1} = [[1, -1], [1, -1]] is nilpotent, so the pencil is defective
+            (np.ones((2, 2)), TaggedMatrix(np.diag([1.0, -1.0]), CongruenceKind.HERMITIAN),
+             "gevd", "DefectiveMatrix"),
+        ],
+        ids=["put-singular-pseudo", "gevd-defective"],
+    )
+    def test_singular_pseudo_exits_4(self, runner, tmp_path, herm, second, method, name):
+        items = [TaggedMatrix(herm, CongruenceKind.HERMITIAN), second]
         path = tmp_path / "sing.json"
         nio.write_json(nio.matrix_set_to_dict(items), path)
-        res = runner.invoke(main, ["solve", str(path), "--method", "put"])
+        res = runner.invoke(main, ["solve", str(path), "--method", method])
         assert res.exit_code == 4
-        assert "SingularPseudoCovariance" in res.output
+        assert res.stderr.startswith(f"error: {name}:")
 
     def test_gevd_method(self, runner, tmp_path, rng):
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nujd import io as nio
-from nujd.core import CongruenceKind, DiagonalStack, TaggedMatrix
+from nujd.core import CongruenceKind, DiagonalStack, GLElement, TaggedMatrix
 from nujd.errors import ConfigError
 from nujd.statistics import SignalBlock
 from nujd.uniqueness import identifiability_master, unique_thm1
@@ -50,7 +50,9 @@ def test_uniqueness_report_serialization():
     doc = nio.uniqueness_report_to_dict(rep)
     assert doc["verdict"] == "NotUnique"
     assert doc["pair"] == [1, 2]  # 1-based at the file surface
-    w = nio.gl_from_dict(doc["witness"])
+    pairs = np.array(doc["witness"]["entries"])
+    m = doc["witness"]["m"]
+    w = GLElement((pairs[:, 0] + 1j * pairs[:, 1]).reshape(m, m))
     assert w.m == 2
     text = json.dumps(doc)
     assert "NaN" not in text

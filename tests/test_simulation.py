@@ -390,6 +390,11 @@ class TestRunExperiment:
         cfg = _sut_config(statistics=({"statistic": "covariance"},) * 2, solver="put")
         rep = run_experiment(cfg)
         assert all(r["error"] == "ConfigError" for r in rep["trials"])
+        # the text that nujd solve prints for the same set
+        assert all(
+            r["error_message"] == "put needs exactly one Hermitian and one transpose matrix, got 2 + 0"
+            for r in rep["trials"]
+        )
 
     def test_noise_hook(self):
         rep = run_experiment(_sut_config(noise_snr_db=30.0))

@@ -11,15 +11,19 @@ from nujd.core import (
     offdiag_residual,
 )
 from nujd.errors import (
+    ConfigError,
+    DefectiveMatrix,
     DegenerateSpectrum,
     DegenerateSpectrumWarning,
     InvalidPrecondition,
     NotPositiveDefinite,
+    NumericFailure,
+    OrthogonalizationFailure,
     SingularPseudoCovariance,
     SingularSecondMatrix,
 )
 from nujd.linalg import takagi
-from nujd.solvers import put, sut, two_matrix_same_kind
+from nujd.solvers import put, solve_pair, sut, two_matrix_same_kind
 from nujd.uniqueness import unique_thm1
 from nujd.core import DiagonalStack
 
@@ -259,6 +263,45 @@ class TestTwoMatrixSameKind:
             except (DegenerateSpectrum, SingularSecondMatrix):
                 solved = False
             assert solved == (verdict == "Unique")
+
+
+class TestSolvePair:
+    def test_put_and_sut_take_the_pair_in_either_order(self, rng):
+        a, w1, w2 = put_pair(rng, 3)
+        c1, c2 = tagged_put_pair(a, np.abs(w1), w2)  # positive definite for the SUT
+        for method, solver in (("put", put), ("sut", sut)):
+            ref = solver(c1, c2)
+            res = solve_pair([c2, c1], method)
+            assert np.array_equal(res.x.matrix, ref.x.matrix)
+            assert res.residual_identity == ref.residual_identity
+
+    def test_gevd_fields(self, rng):
+        a = random_mixing(rng, 3)
+        items = [
+            TaggedMatrix(a @ np.diag([1 + 1j, 3.0, 0.4j]) @ a.T, CongruenceKind.TRANSPOSE),
+            TaggedMatrix(a @ a.T, CongruenceKind.TRANSPOSE),
+        ]
+        res = solve_pair(items, "gevd")
+        assert res.takagi is None and res.eig_gap is None and res.residual_identity is None
+        assert res.residual_offdiag == offdiag_residual(items, res.x)
+        x = res.x.matrix
+        assert np.array_equal(res.lam, np.diag(x.conj().T @ items[0].matrix @ x.conj()))
+
+    @pytest.mark.parametrize("method, kinds", [
+        ("put", ["hermitian"]),
+        ("sut", ["transpose", "transpose"]),
+        ("gevd", ["hermitian", "hermitian", "hermitian"]),
+    ])
+    def test_unusable_set_is_a_config_error(self, method, kinds):
+        items = [TaggedMatrix(np.eye(2), CongruenceKind(k)) for k in kinds]
+        with pytest.raises(ConfigError):
+            solve_pair(items, method)
+
+
+def test_numeric_errors_share_one_base_class():
+    for cls in (SingularPseudoCovariance, OrthogonalizationFailure, DefectiveMatrix,
+                DegenerateSpectrum, NotPositiveDefinite, SingularSecondMatrix):
+        assert issubclass(cls, NumericFailure)
 
 
 class TestPostconditionIdentities:

@@ -6,8 +6,9 @@ Usage:
 
 The script writes small seeded inputs under ``OUTDIR/inputs`` and runs
 ``python -m nujd.cli`` on them: ``estimate`` (covariance/pseudo-covariance, a
-lag, two windows, a fourth-order slice), ``solve`` (put, sut, gevd), ``check``
-(a Unique and a NotUnique spectra file, a diagonal matrix set) and
+lag, two windows, a fourth-order slice), ``solve`` (put, sut, gevd, gevd on a
+defective pencil, put on two Hermitian matrices), ``check`` (a Unique and a
+NotUnique spectra file, a diagonal matrix set, a non-diagonal one) and
 ``simulate`` (configs that cover the six source kinds, every statistic, noise
 and the three solvers).  Each command's stdout and stderr go to
 ``OUTDIR/<case>.out`` and ``OUTDIR/<case>.err`` and its exit code to
@@ -54,10 +55,25 @@ SPECTRA = {
     "not_unique": ([[0.5, 0.5]], [[1, 1]]),
 }
 
-DIAGONAL_SET = [
-    TaggedMatrix([[1.0, 0.0], [0.0, 2.0]], CongruenceKind.HERMITIAN),
-    TaggedMatrix([[1.0 + 1.0j, 0.0], [0.0, 2.0]], CongruenceKind.TRANSPOSE),
-]
+MATRIX_SETS = {
+    "diagonal_set": [
+        TaggedMatrix([[1.0, 0.0], [0.0, 2.0]], CongruenceKind.HERMITIAN),
+        TaggedMatrix([[1.0 + 1.0j, 0.0], [0.0, 2.0]], CongruenceKind.TRANSPOSE),
+    ],
+    # C1 C2^{-1} is nilpotent: gevd ends in a DefectiveMatrix failure
+    "defective_pencil": [
+        TaggedMatrix([[1.0, 1.0], [1.0, 1.0]], CongruenceKind.HERMITIAN),
+        TaggedMatrix([[1.0, 0.0], [0.0, -1.0]], CongruenceKind.HERMITIAN),
+    ],
+    "two_hermitian_set": [
+        TaggedMatrix([[1.0, 0.0], [0.0, 2.0]], CongruenceKind.HERMITIAN),
+        TaggedMatrix([[2.0, 0.0], [0.0, 1.0]], CongruenceKind.HERMITIAN),
+    ],
+    "non_diagonal_set": [
+        TaggedMatrix([[1.0, 0.3], [0.3, 2.0]], CongruenceKind.HERMITIAN),
+        TaggedMatrix([[1.0, 0.0], [0.0, 1.0]], CongruenceKind.TRANSPOSE),
+    ],
+}
 
 _NONCIRCULAR = [{"kind": "noncircular_gaussian", "circularity": 0.9},
                 {"kind": "noncircular_gaussian", "circularity": 0.3}]
@@ -128,7 +144,8 @@ def write_inputs(inputs: Path) -> None:
         nio.write_json(_signal(specs, 100 + i), inputs / f"signal_{name}.json")
     for name, (t, h) in SPECTRA.items():
         nio.write_json(_spectra(t, h), inputs / f"spectra_{name}.json")
-    nio.write_json(nio.matrix_set_to_dict(DIAGONAL_SET), inputs / "diagonal_set.json")
+    for name, items in MATRIX_SETS.items():
+        nio.write_json(nio.matrix_set_to_dict(items), inputs / f"{name}.json")
     for i, (name, doc) in enumerate(CONFIGS.items()):
         nio.write_json(_config(doc, 200 + i), inputs / f"config_{name}.json")
 
@@ -146,10 +163,13 @@ def cases(inputs: Path, out: Path):
     yield "solve_sut", ["solve", str(out / "estimate_cov_pseudocov.out"), "--method", "sut", "--tol", "1e-2"]
     yield "solve_put_lag", ["solve", str(out / "estimate_lag.out"), "--method", "put"]
     yield "solve_gevd", ["solve", str(out / "estimate_windows.out"), "--method", "gevd"]
+    yield "solve_gevd_defective", ["solve", str(inputs / "defective_pencil.json"), "--method", "gevd"]
+    yield "solve_put_two_hermitian", ["solve", str(inputs / "two_hermitian_set.json"), "--method", "put"]
     for name in SPECTRA:
         yield f"check_{name}", ["check", str(inputs / f"spectra_{name}.json")]
     yield "check_not_unique_margin", ["check", str(inputs / "spectra_not_unique.json"), "--margin", "1e-3"]
     yield "check_diagonal_set", ["check", str(inputs / "diagonal_set.json")]
+    yield "check_non_diagonal_set_margin", ["check", str(inputs / "non_diagonal_set.json"), "--margin", "0.5"]
     for name in CONFIGS:
         yield f"simulate_{name}", ["simulate", str(inputs / f"config_{name}.json")]
 
