@@ -14,7 +14,6 @@ from .core import (
     GLElement,
     GmElement,
     TaggedMatrix,
-    TaggedMatrixSet,
     apply_congruence,
     gm_pattern_distance,
     hermitian_skew_split,
@@ -53,17 +52,6 @@ from .simulation import (
     mix,
     run_experiment,
 )
-from .uniqueness import (
-    UniquenessReport,
-    collinearity,
-    complex_cosine,
-    identifiability_master,
-    unique_thm1,
-    unique_thm2,
-    unique_thm3,
-    witness_thm1,
-    witness_thm2,
-    witness_thm3,
-)
+from .uniqueness import UniquenessReport, identifiability_master
 
 __version__ = "0.1.0"

@@ -96,11 +96,13 @@ def _stacks_from_matrix_set(doc):
 def cmd_solve(input_path, method, tol, out_path):
     """Solve a two-matrix set, writing the demixer, spectrum, and residuals.
 
-    Exit 0 when the joint-diagonality residual meets --tol, 2 for sets the
-    method cannot consume, 4 for named numeric failures.
+    Exit 0 when the joint-diagonality residual meets --tol, 1 when --tol is
+    not in [0, 1), 2 for sets the method cannot consume, 4 for named numeric
+    failures or a residual above --tol.
     """
     doc = _load_json(input_path)
     try:
+        require_tol(tol, "--tol", error=ConfigError)
         items = nio.matrix_set_from_dict(doc)
     except NujdError as exc:
         _fail(1, str(exc))
@@ -208,8 +210,7 @@ def cmd_simulate(input_path, seed, out_path):
     text = nio.write_json(report, out_path)
     if out_path is None:
         click.echo(text, nl=False)
-    incomplete = len(report["trials"]) != config.trials
-    sys.exit(1 if incomplete else 0)
+    sys.exit(0)
 
 
 if __name__ == "__main__":

@@ -110,35 +110,6 @@ class TaggedMatrix:
 
 
 @dataclass(frozen=True)
-class TaggedMatrixSet:
-    """A non-empty collection of same-size tagged matrices."""
-
-    items: tuple
-
-    def __post_init__(self):
-        items = tuple(self.items)
-        if not items:
-            raise DimensionMismatch("matrix set must be non-empty")
-        m = items[0].m
-        for t in items:
-            if not isinstance(t, TaggedMatrix):
-                raise TypeError("matrix set items must be TaggedMatrix")
-            if t.m != m:
-                raise DimensionMismatch("matrix set items must share one dimension")
-        object.__setattr__(self, "items", items)
-
-    @property
-    def m(self) -> int:
-        return self.items[0].m
-
-    def __iter__(self):
-        return iter(self.items)
-
-    def __len__(self):
-        return len(self.items)
-
-
-@dataclass(frozen=True)
 class DiagonalStack:
     """Diagonal spectra of one congruence kind, viewed column-wise.
 
@@ -336,16 +307,15 @@ def is_essentially_equivalent(
     return True, GmElement(cleaned)
 
 
-def offdiag_residual(s: TaggedMatrixSet | Sequence[TaggedMatrix], x: GLElement) -> float:
+def offdiag_residual(s: Sequence[TaggedMatrix], x: GLElement) -> float:
     """Normalized joint-diagonality residual of the set under ``x``.
 
     sqrt( sum_i ||offdiag(X^H C_i X^dag_i)||_F^2 / sum_i ||C_i||_F^2 );
     zero exactly when every transformed matrix is diagonal.
     """
-    items = s.items if isinstance(s, TaggedMatrixSet) else tuple(s)
     num = 0.0
     den = 0.0
-    for c in items:
+    for c in s:
         t = apply_congruence(x, c).matrix
         off = t - np.diag(np.diag(t))
         num += float(np.sum(np.abs(off) ** 2))

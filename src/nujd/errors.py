@@ -32,7 +32,7 @@ class NumericFailure(NujdError):
 class SingularPseudoCovariance(NumericFailure):
     """A Takagi singular value fell below the invertibility floor.
 
-    Carries the offending index in ``args[1]`` when known.
+    Carries the offending index in ``.index`` when known.
     """
 
     def __init__(self, message, index=None):

@@ -19,19 +19,19 @@ factoring each (product, conjugate-product) pair back into a row; every
 witness is verified against the reconstructed matrix set before it is
 returned.
 
-One engine serves every entry point.  Each family's Gram matrix is formed
-once and gives the |cosine| matrix and the norms of its position vectors; the
-Thm 1, Thm 2 and Thm 3 pair conditions are then boolean m x m arrays over the
+One entry point, ``identifiability_master``, decides every case: the
+single-kind, two-matrix and mixed-residual conditions are its special cases
+(pass the other family as None, or one-row stacks).  Each family's Gram
+matrix is formed once and gives the |cosine| matrix and the norms of its
+position vectors; the pair conditions are then boolean m x m arrays over the
 upper triangle.  A decision costs O(n m^2) for the Gram matrices and O(m^2)
-for the pair tests.  Thm 1 fires at the pair of largest |cosine|, Thm 2 and
-the mixed scan at the first matching pair in row-major order.  One witness is
-built at the chosen pair and verified once, with the same checks as ever: it
-is certified invertible (``GLElement``), its joint-diagonality residual on the
+for the pair tests.  The pair scan fires at the first matching pair in
+row-major order.  One witness is built at that pair and verified once: it is
+certified invertible (``GLElement``), its joint-diagonality residual on the
 reconstructed set is at most max(1e-10, tol), and it is not essentially
 equivalent to the identity.  The residual is computed from the (n, m) spectra
 with the congruences and the re-symmetrization of ``apply_congruence``.  The
-theorem-named functions are thin shims that fix the rule label.  Every entry
-point raises InvalidPrecondition unless its ``tol`` lies in [0, 1).
+entry point raises InvalidPrecondition unless ``tol`` lies in [0, 1).
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .core import (
     TAU_RHO,
     TAU_PATTERN,
     _pattern_test,
-    require_finite,
     require_tol,
 )
 from .errors import (
@@ -58,10 +57,6 @@ from .errors import (
     WitnessVerificationError,
 )
 
-RULE_THM1A = "Thm1a"
-RULE_THM1B = "Thm1b"
-RULE_THM2 = "Thm2"
-RULE_THM3 = "Thm3"
 RULE_MASTER_I = "Identifiability-i"
 RULE_MASTER_II = "Identifiability-ii"
 RULE_MASTER_III = "Identifiability-iii"
@@ -89,19 +84,6 @@ class UniquenessReport:
         return self.verdict == "Unique"
 
 
-def complex_cosine(v, w) -> complex:
-    """Cosine of the complex angle, v^H w / (||v|| ||w||), and 1 for zero input."""
-    v = np.asarray(v, dtype=np.complex128).ravel()
-    w = np.asarray(w, dtype=np.complex128).ravel()
-    if v.shape != w.shape:
-        raise DimensionMismatch("vectors must have equal length")
-    nv = float(np.linalg.norm(v))
-    nw = float(np.linalg.norm(w))
-    if nv == 0.0 or nw == 0.0:
-        return complex(1.0)
-    return complex(np.vdot(v, w) / (nv * nw))
-
-
 def _cosine_abs_matrix(spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """|cosine| between all position-vector pairs, plus the vector norms.
 
@@ -125,20 +107,9 @@ def _family(stack: DiagonalStack) -> tuple[np.ndarray, np.ndarray]:
     return np.ones((stack.m, stack.m)), np.zeros(stack.m)
 
 
-def _require_pairs(m: int) -> None:
-    if m < 2:
-        raise InvalidPrecondition(
-            "collinearity needs at least two diagonal positions (m >= 2); "
-            "a single source is vacuously ambiguous"
-        )
-
-
-def _max_pair(c: np.ndarray) -> tuple[float, tuple]:
-    """Largest upper-triangle entry and its (k, l), the first on ties."""
-    iu, ju = np.triu_indices(c.shape[0], k=1)
-    vals = c[iu, ju]
-    best = int(np.argmax(vals))
-    return float(vals[best]), (int(iu[best]), int(ju[best]))
+def _rho(c: np.ndarray) -> float:
+    """Collinearity of a family: its largest |cosine| over pairs k < l."""
+    return float(np.max(c[np.triu_indices(c.shape[0], k=1)]))
 
 
 def _first_pair(hits: np.ndarray) -> Optional[tuple]:
@@ -161,19 +132,6 @@ def _ratios_match(x: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
     a = np.outer(x, y)
     b = a.T
     return ~(np.abs(a - b) > tol * np.maximum(np.maximum(a, b), np.finfo(float).tiny))
-
-
-def collinearity(stack: DiagonalStack) -> float:
-    """Largest |cosine| between position-vectors of the stack, in [0, 1]."""
-    rho, _ = _collinearity_with_pair(stack)
-    return rho
-
-
-def _collinearity_with_pair(stack: DiagonalStack) -> tuple[float, tuple]:
-    _require_pairs(stack.m)
-    if stack.n == 0:
-        raise InvalidPrecondition("collinearity of an empty stack is undefined")
-    return _max_pair(_cosine_abs_matrix(stack.spectra)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -311,150 +269,6 @@ def _report(rule, pair, t_spectra, h_spectra, tol, rho_t=None, rho_h=None):
     )
 
 
-def _by_kind(stack: DiagonalStack) -> tuple[np.ndarray, np.ndarray]:
-    """(transpose, Hermitian) spectra of a single-kind stack."""
-    empty = np.zeros((0, stack.m), dtype=np.complex128)
-    if stack.kind is CongruenceKind.TRANSPOSE:
-        return stack.spectra, empty
-    return empty, stack.spectra
-
-
-def _thm2_diagonals(omega1, omega2) -> tuple[np.ndarray, np.ndarray]:
-    w1 = np.asarray(omega1, dtype=np.complex128).ravel()
-    w2 = np.asarray(omega2, dtype=np.complex128).ravel()
-    scale = float(np.max(np.abs(w2))) if w2.size else 0.0
-    if scale > 0 and float(np.max(np.abs(w2.imag))) > 1e-8 * scale:
-        raise InvalidPrecondition(
-            "the Hermitian-side diagonal must be real; split the matrix first"
-        )
-    if w1.shape != w2.shape:
-        raise DimensionMismatch("omega1 and omega2 must have equal length")
-    for w in (w1, w2):
-        require_finite(w, "the diagonals contain NaN or infinite entries")
-    return w1, w2.real
-
-
-# ---------------------------------------------------------------------------
-# witnesses at a given pair
-
-
-def witness_thm1(stack: DiagonalStack, pair: tuple, tol: float = TAU_RHO) -> GLElement:
-    """Nontrivial joint diagonalizer for a single-kind stack at a collinear pair.
-
-    Embeds a nontrivial kernel solution of the pair's 2x2 system into an
-    identity; raises InvalidPrecondition when the pair is not collinear.
-    """
-    require_tol(tol)
-    k, l = pair
-    c, _ = _cosine_abs_matrix(stack.spectra)
-    if c[k, l] < 1.0 - tol:
-        raise InvalidPrecondition(
-            f"pair ({k}, {l}) is not collinear: |c| = {c[k, l]:.12f}"
-        )
-    return _witness(pair, *_by_kind(stack), tol)[0]
-
-
-def witness_thm2(omega1, omega2, pair: tuple, tol: float = TAU_RHO) -> GLElement:
-    """Common diagonalizer outside G(m) for one transpose + one Hermitian matrix.
-
-    Requires the modulus products to coincide at the pair,
-    |w1_k| |w2_l| = |w1_l| |w2_k|; both the invertible construction (a scaled
-    rotation composed with phase halving) and the singular cases come out of
-    the same kernel machinery.
-    """
-    require_tol(tol)
-    w1, w2 = _thm2_diagonals(omega1, omega2)
-    k, l = pair
-    if not _ratios_match(np.abs(w1), np.abs(w2), tol)[k, l]:
-        raise InvalidPrecondition(
-            f"pair ({k}, {l}) satisfies the strict modulus inequality; "
-            "no witness exists"
-        )
-    return _witness(pair, w1[None, :], w2[None, :], tol)[0]
-
-
-def witness_thm3(
-    sym: DiagonalStack, herm: DiagonalStack, pair: tuple, tol: float = TAU_RHO
-) -> GLElement:
-    """Common diagonalizer outside G(m) for mixed stacks at a matched pair.
-
-    Requires both families collinear at the pair and matching norm ratios
-    (the proportionality constants share one modulus r).  Degenerate
-    zero-vector positions fall back to the single-family construction.
-    """
-    require_tol(tol)
-    k, l = pair
-    (c_s, n_s), (c_h, n_h) = _family(sym), _family(herm)
-    if c_s[k, l] < 1.0 - tol:
-        why = f"transpose family not collinear (|c| = {c_s[k, l]:.12f})"
-    elif c_h[k, l] < 1.0 - tol:
-        why = f"Hermitian family not collinear (|c| = {c_h[k, l]:.12f})"
-    elif not _ratios_match(n_s, n_h, tol)[k, l]:
-        why = "norm ratios differ"
-    else:
-        return _witness(pair, sym.spectra, herm.spectra, tol)[0]
-    raise InvalidPrecondition(f"pair {pair} does not match: {why}")
-
-
-# ---------------------------------------------------------------------------
-# predicates
-
-
-def unique_thm1(stack: DiagonalStack, tol: float = TAU_RHO) -> UniquenessReport:
-    """Single-kind uniqueness: essentially unique iff collinearity < 1.
-
-    Covers both the transpose-congruence case with complex spectra and the
-    Hermitian-congruence case with real spectra, which share the criterion.
-    """
-    require_tol(tol)
-    rho, pair = _collinearity_with_pair(stack)
-    transpose = stack.kind is CongruenceKind.TRANSPOSE
-    return _report(
-        RULE_THM1A if transpose else RULE_THM1B,
-        None if rho < 1.0 - tol else pair,
-        *_by_kind(stack),
-        tol,
-        rho_t=rho if transpose else None,
-        rho_h=None if transpose else rho,
-    )
-
-
-def unique_thm2(omega1, omega2, tol: float = TAU_RHO) -> UniquenessReport:
-    """One transpose-kind + one Hermitian-kind matrix: modulus-product test.
-
-    Essentially unique iff |w1_k| |w2_l| != |w1_l| |w2_k| for every pair
-    k != l, with a relative margin of ``tol``.
-    """
-    require_tol(tol)
-    w1, w2 = _thm2_diagonals(omega1, omega2)
-    if w1.size < 2:
-        raise InvalidPrecondition("need m >= 2 diagonal positions")
-    pair = _first_pair(_ratios_match(np.abs(w1), np.abs(w2), tol))
-    return _report(RULE_THM2, pair, w1[None, :], w2[None, :], tol)
-
-
-def unique_thm3(
-    sym: DiagonalStack, herm: DiagonalStack, tol: float = TAU_RHO
-) -> UniquenessReport:
-    """Mixed-kind residual case: both collinearities must equal one on entry.
-
-    Not essentially unique iff some pair is collinear in both families with
-    matching norm ratios; the caller with general inputs should use
-    :func:`identifiability_master`, which routes here only when applicable.
-    """
-    if sym.kind is not CongruenceKind.TRANSPOSE or herm.kind is not CongruenceKind.HERMITIAN:
-        raise InvalidPrecondition("unique_thm3 expects (transpose, Hermitian) stacks")
-    if sym.n == 0 or herm.n == 0:
-        raise InvalidPrecondition("unique_thm3 needs both stacks non-empty")
-    rep = _mixed(sym, herm, tol, RULE_THM3)
-    if rep.rule_fired != RULE_THM3:
-        raise InvalidPrecondition(
-            "unique_thm3 requires both collinearities equal to one; "
-            "use identifiability_master for the general dispatch"
-        )
-    return rep
-
-
 def identifiability_master(
     sym: Optional[DiagonalStack],
     herm: Optional[DiagonalStack],
@@ -462,36 +276,36 @@ def identifiability_master(
 ) -> UniquenessReport:
     """Unified identifiability decision over mixed congruence kinds.
 
-    Unique iff the transpose family has collinearity < 1, or the Hermitian
-    family does, or both equal one and no position pair is simultaneously
-    collinear in both families with matching norm ratios.  An empty family
-    participates with collinearity one (it imposes no constraint), which
-    makes the decision agree with the single-kind predicate when the other
-    family is empty.
+    Unique iff the transpose family has collinearity < 1 (branch i), or the
+    Hermitian family does (branch ii), or both equal one and no position pair
+    is simultaneously collinear in both families with matching norm ratios
+    (branch iii).  An empty family, passed as None, participates with
+    collinearity one (it imposes no constraint), so a single-kind stack is
+    decided by its own collinearity and one-row stacks by the modulus-product
+    test |w1_k| |w2_l| != |w1_l| |w2_k|.
     """
     sym = _coerce_stack(sym, CongruenceKind.TRANSPOSE, herm)
     herm = _coerce_stack(herm, CongruenceKind.HERMITIAN, sym)
     if sym.n == 0 and herm.n == 0:
         raise InvalidPrecondition("both stacks are empty")
-    return _mixed(sym, herm, tol, RULE_MASTER_III)
-
-
-def _mixed(sym, herm, tol, rule_iii):
-    """Branches i and ii on the collinearities, then the Thm 3 pair scan."""
     if sym.m != herm.m:
         raise DimensionMismatch("stacks must share the dimension m")
     require_tol(tol)
-    _require_pairs(sym.m)
+    if sym.m < 2:
+        raise InvalidPrecondition(
+            "collinearity needs at least two diagonal positions (m >= 2); "
+            "a single source is vacuously ambiguous"
+        )
     (c_s, n_s), (c_h, n_h) = _family(sym), _family(herm)
-    rho_s = _max_pair(c_s)[0] if sym.n else None
-    rho_h = _max_pair(c_h)[0] if herm.n else None
+    rho_s = _rho(c_s) if sym.n else None
+    rho_h = _rho(c_h) if herm.n else None
     if rho_s is not None and rho_s < 1.0 - tol:
         return _report(RULE_MASTER_I, None, None, None, tol, rho_s, rho_h)
     if rho_h is not None and rho_h < 1.0 - tol:
         return _report(RULE_MASTER_II, None, None, None, tol, rho_s, rho_h)
     hits = _collinear(c_s, tol) & _collinear(c_h, tol) & _ratios_match(n_s, n_h, tol)
     return _report(
-        rule_iii, _first_pair(hits), sym.spectra, herm.spectra, tol, rho_s, rho_h
+        RULE_MASTER_III, _first_pair(hits), sym.spectra, herm.spectra, tol, rho_s, rho_h
     )
 
 

@@ -4,6 +4,10 @@ import pytest
 from nujd.core import CongruenceKind, DiagonalStack, TaggedMatrix
 
 
+# tolerances outside [0, 1) that every tolerance check must reject
+BAD_TOLERANCES = [-1.0, -0.5, 1.0, 2.0, np.inf, -np.inf, np.nan]
+
+
 def random_mixing(rng, m, cond_cap=100.0):
     while True:
         a = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(2)

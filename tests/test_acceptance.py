@@ -11,7 +11,8 @@ circularity coefficients are equal, that pair is not essentially unique:
 - so t_k = lambda_k h_k, and the Thm 2 products are
   |t_k||h_l| = lambda_k |h_k||h_l| and |t_l||h_k| = lambda_l |h_k||h_l|,
 - which coincide whenever lambda_k = lambda_l, whatever the poles; by
-  `unique_thm2` the pair is then not essentially unique.
+  the Thm 2 test of `identifiability_master` the pair is then not
+  essentially unique.
 
 The test therefore checks that the certifier flags the specified sources as
 NotUnique, and that PUT recovers the mixing from the same lag-1 recipe once

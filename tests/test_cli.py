@@ -13,6 +13,8 @@ from nujd.cli import main
 from nujd.core import CongruenceKind, DiagonalStack, GLElement, TaggedMatrix
 from nujd.simulation import SourceSpec, generate, mix
 
+from conftest import BAD_TOLERANCES
+
 
 @pytest.fixture
 def runner():
@@ -388,6 +390,21 @@ class TestEstimateAndSolve:
         res = runner.invoke(main, ["solve", str(path), "--method", method])
         assert res.exit_code == 4
         assert res.stderr.startswith(f"error: {name}:")
+
+    @pytest.mark.parametrize("tol", BAD_TOLERANCES)
+    def test_out_of_range_tolerance_exits_1_naming_the_value(self, runner, tmp_path, tol):
+        # the rule check --tol follows: unchecked, nan and -1 would exit 4 and
+        # inf and 2 exit 0 with tolerance_met true whatever the residuals
+        items = [
+            TaggedMatrix(np.diag([1.0, 2.0]), CongruenceKind.HERMITIAN),
+            TaggedMatrix(np.diag([1.0 + 1.0j, 3.0]), CongruenceKind.TRANSPOSE),
+        ]
+        path = tmp_path / "set.json"
+        nio.write_json(nio.matrix_set_to_dict(items), path)
+        assert invoke(runner, "solve", str(path)).exit_code == 0
+        res = invoke(runner, "solve", str(path), "--tol", str(tol))
+        assert res.exit_code == 1
+        assert res.output == f"error: --tol must be finite and lie in [0, 1), got {tol}\n"
 
     def test_gevd_method(self, runner, tmp_path, rng):
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))

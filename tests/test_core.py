@@ -10,7 +10,6 @@ from nujd.core import (
     GLElement,
     GmElement,
     TaggedMatrix,
-    TaggedMatrixSet,
     apply_congruence,
     as_complex_matrix,
     gm_pattern_distance,
@@ -53,13 +52,6 @@ class TestValidation:
             TaggedMatrix(np.array([[1, 2j], [-2j, 0]]), CongruenceKind.TRANSPOSE)
         with pytest.raises(SymmetryViolation):
             TaggedMatrix(np.array([[1, 2j], [2j, 0]]), CongruenceKind.HERMITIAN)
-
-    def test_tagged_set_nonempty_same_dim(self):
-        t = TaggedMatrix(np.eye(2), CongruenceKind.HERMITIAN)
-        with pytest.raises(DimensionMismatch):
-            TaggedMatrixSet(())
-        with pytest.raises(DimensionMismatch):
-            TaggedMatrixSet((t, TaggedMatrix(np.eye(3), CongruenceKind.HERMITIAN)))
 
     def test_diagonal_stack_hermitian_needs_real(self):
         with pytest.raises(SymmetryViolation):
@@ -183,15 +175,11 @@ class TestEssentialEquivalence:
 
 class TestOffdiagResidual:
     def test_diagonal_set_is_zero(self):
-        s = TaggedMatrixSet(
-            (TaggedMatrix(np.diag([1.0, 2.0]), CongruenceKind.HERMITIAN),)
-        )
+        s = (TaggedMatrix(np.diag([1.0, 2.0]), CongruenceKind.HERMITIAN),)
         assert offdiag_residual(s, GLElement(np.eye(2))) == 0.0
 
     def test_all_mass_off_diagonal(self):
-        s = TaggedMatrixSet(
-            (TaggedMatrix(np.array([[0, 1.0], [1.0, 0]]), CongruenceKind.HERMITIAN),)
-        )
+        s = (TaggedMatrix(np.array([[0, 1.0], [1.0, 0]]), CongruenceKind.HERMITIAN),)
         assert offdiag_residual(s, GLElement(np.eye(2))) == pytest.approx(1.0)
 
     def test_exact_diagonalizer(self, rng):
@@ -201,15 +189,13 @@ class TestOffdiagResidual:
             for _ in range(3)
         ]
         x = GLElement(np.linalg.inv(a).conj().T)
-        assert offdiag_residual(TaggedMatrixSet(tuple(mats)), x) <= 1e-12
+        assert offdiag_residual(mats, x) <= 1e-12
 
     def test_invariance_under_unit_modulus_gm(self, rng):
         a = random_mixing(rng, 3, cond_cap=30)
-        mats = TaggedMatrixSet(
-            (
-                TaggedMatrix(a @ np.diag([1.0, 2, 3]) @ a.conj().T, CongruenceKind.HERMITIAN),
-                TaggedMatrix(a @ np.diag([1j, 2, 1 + 1j]) @ a.T, CongruenceKind.TRANSPOSE),
-            )
+        mats = (
+            TaggedMatrix(a @ np.diag([1.0, 2, 3]) @ a.conj().T, CongruenceKind.HERMITIAN),
+            TaggedMatrix(a @ np.diag([1j, 2, 1 + 1j]) @ a.T, CongruenceKind.TRANSPOSE),
         )
         x = GLElement(random_mixing(rng, 3, cond_cap=30))
         e = np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, 3)))[:, [2, 0, 1]]
@@ -219,9 +205,7 @@ class TestOffdiagResidual:
 
     def test_zero_set_invariant_under_general_gm(self, rng):
         a = random_mixing(rng, 3, cond_cap=30)
-        mats = TaggedMatrixSet(
-            (TaggedMatrix(a @ np.diag([1.0, 2, 3]) @ a.conj().T, CongruenceKind.HERMITIAN),)
-        )
+        mats = (TaggedMatrix(a @ np.diag([1.0, 2, 3]) @ a.conj().T, CongruenceKind.HERMITIAN),)
         x = np.linalg.inv(a).conj().T
         e = np.diag([3.0, -2j, 0.25])[:, [1, 0, 2]]
         assert offdiag_residual(mats, GLElement(x @ e)) <= 1e-12

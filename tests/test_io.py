@@ -10,7 +10,7 @@ from nujd import io as nio
 from nujd.core import CongruenceKind, DiagonalStack, GLElement, TaggedMatrix
 from nujd.errors import ConfigError
 from nujd.statistics import SignalBlock
-from nujd.uniqueness import identifiability_master, unique_thm1
+from nujd.uniqueness import identifiability_master
 
 
 def test_matrix_set_roundtrip_byte_identical(tmp_path, rng):
@@ -46,7 +46,7 @@ def test_signal_roundtrip(tmp_path, rng):
 
 
 def test_uniqueness_report_serialization():
-    rep = unique_thm1(DiagonalStack(CongruenceKind.TRANSPOSE, np.array([[1 + 1j, 2 + 2j]])))
+    rep = identifiability_master(DiagonalStack(CongruenceKind.TRANSPOSE, np.array([[1 + 1j, 2 + 2j]])), None)
     doc = nio.uniqueness_report_to_dict(rep)
     assert doc["verdict"] == "NotUnique"
     assert doc["pair"] == [1, 2]  # 1-based at the file surface

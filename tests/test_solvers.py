@@ -24,7 +24,7 @@ from nujd.errors import (
 )
 from nujd.linalg import takagi
 from nujd.solvers import put, solve_pair, sut, two_matrix_same_kind
-from nujd.uniqueness import unique_thm1
+from nujd.uniqueness import identifiability_master
 from nujd.core import DiagonalStack
 
 from conftest import put_pair, random_mixing, random_unitary, tagged_put_pair
@@ -256,7 +256,7 @@ class TestTwoMatrixSameKind:
             c1 = TaggedMatrix(a @ np.diag(d1) @ a.T, CongruenceKind.TRANSPOSE)
             c2 = TaggedMatrix(a @ np.diag(d2) @ a.T, CongruenceKind.TRANSPOSE)
             stack = DiagonalStack(CongruenceKind.TRANSPOSE, np.vstack([d1, d2]))
-            verdict = unique_thm1(stack).verdict
+            verdict = identifiability_master(stack, None).verdict
             try:
                 two_matrix_same_kind(c1, c2)
                 solved = True

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from nujd.core import (
+    TAU_RHO,
     CongruenceKind,
     GLElement,
     TaggedMatrix,
@@ -18,19 +19,9 @@ from nujd.errors import (
     NonFiniteEntries,
     WitnessVerificationError,
 )
-from nujd.uniqueness import (
-    collinearity,
-    complex_cosine,
-    identifiability_master,
-    unique_thm1,
-    unique_thm2,
-    unique_thm3,
-    witness_thm1,
-    witness_thm2,
-    witness_thm3,
-)
+from nujd.uniqueness import identifiability_master
 
-from conftest import hermitian_stack, transpose_stack
+from conftest import BAD_TOLERANCES, hermitian_stack, transpose_stack
 
 
 def reconstructed(sym=None, herm=None):
@@ -53,58 +44,66 @@ def assert_sound_witness(report, sym=None, herm=None):
     assert gm_pattern_distance(w.matrix) > 0.1
 
 
-class TestComplexCosine:
-    def test_aligned(self):
-        assert complex_cosine([1, 0], [1, 0]) == 1.0
+def single(stack, tol=TAU_RHO):
+    """The identifiability decision of a single-kind stack."""
+    if stack.kind is CongruenceKind.TRANSPOSE:
+        return identifiability_master(stack, None, tol)
+    return identifiability_master(None, stack, tol)
 
-    def test_orthogonal(self):
-        assert complex_cosine([1, 0], [0, 1]) == 0.0
 
-    def test_zero_vector_convention(self):
-        assert complex_cosine([0, 0], [3, 4j]) == 1.0
-        assert complex_cosine([0, 0], [0, 0]) == 1.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            complex_cosine([1, 0], [1, 0, 0])
-
-    @settings(max_examples=80, deadline=None)
-    @given(
-        arrays(np.float64, (2, 4), elements=st.floats(-10, 10, width=32)),
-        arrays(np.float64, (2, 4), elements=st.floats(-10, 10, width=32)),
-    )
-    def test_modulus_bounded(self, a, b):
-        v = a[0] + 1j * a[1]
-        w = b[0] + 1j * b[1]
-        assert abs(complex_cosine(v, w)) <= 1.0 + 1e-12
+def two_matrix(w1, w2):
+    """The decision of one transpose-kind and one Hermitian-kind diagonal."""
+    return identifiability_master(transpose_stack([w1]), hermitian_stack([w2]))
 
 
 class TestCollinearity:
     def test_proportional_columns(self):
-        assert collinearity(transpose_stack([[1, 2], [2, 4]])) == pytest.approx(1.0)
+        assert single(transpose_stack([[1, 2], [2, 4]])).rho_transpose == pytest.approx(1.0)
 
     def test_orthogonal_positions(self):
-        assert collinearity(transpose_stack([[1, 0], [0, 1]])) == pytest.approx(0.0)
+        assert single(transpose_stack([[1, 0], [0, 1]])).rho_transpose == pytest.approx(0.0)
 
     def test_sign_flip_orthogonal(self):
-        assert collinearity(transpose_stack([[1, 1], [1, -1]])) == pytest.approx(0.0)
+        assert single(transpose_stack([[1, 1], [1, -1]])).rho_transpose == pytest.approx(0.0)
+
+    def test_zero_vector_convention(self):
+        # a zero position vector counts as collinear with everything
+        assert single(transpose_stack([[0, 3], [0, 4j]])).rho_transpose == 1.0
+        assert single(hermitian_stack([[0, 0, 1], [0, 0, 2]])).rho_hermitian == 1.0
 
     def test_m1_rejected(self):
         with pytest.raises(InvalidPrecondition):
-            collinearity(transpose_stack([[1.0]]))
+            single(transpose_stack([[1.0]]))
+
+    def test_families_must_share_m(self):
+        with pytest.raises(DimensionMismatch):
+            identifiability_master(transpose_stack([[1, 0]]), hermitian_stack([[1, 0, 0]]))
+
+    @settings(max_examples=80, deadline=None)
+    @given(arrays(np.float64, (2, 3, 4), elements=st.floats(-10, 10, width=32)))
+    def test_modulus_bounded(self, a):
+        assume(np.any(a != 0))
+        # a separated Hermitian family (rho = 0) settles the decision before
+        # any witness is built, so only the collinearity value is exercised
+        rep = identifiability_master(transpose_stack(a[0] + 1j * a[1]), hermitian_stack(np.eye(4)))
+        assert 0.0 <= rep.rho_transpose <= 1.0
 
     def test_invariances(self, rng):
         spectra = rng.standard_normal((4, 5)) + 1j * rng.standard_normal((4, 5))
-        base = collinearity(transpose_stack(spectra))
+
+        def rho(z):
+            return single(transpose_stack(z)).rho_transpose
+
+        base = rho(spectra)
         # reorder matrices in the stack
-        assert collinearity(transpose_stack(spectra[::-1])) == pytest.approx(base)
+        assert rho(spectra[::-1]) == pytest.approx(base)
         # scale one matrix by a nonzero unit-modulus scalar (value invariant)
         scaled = spectra.copy()
         scaled[2] *= np.exp(0.7j)
-        assert collinearity(transpose_stack(scaled)) == pytest.approx(base)
+        assert rho(scaled) == pytest.approx(base)
         # permute diagonal positions simultaneously
         perm = rng.permutation(5)
-        assert collinearity(transpose_stack(spectra[:, perm])) == pytest.approx(base)
+        assert rho(spectra[:, perm]) == pytest.approx(base)
 
     def test_scaling_one_matrix_preserves_the_verdict(self, rng):
         # general rescaling of one matrix reweights the cosines, but the
@@ -113,42 +112,43 @@ class TestCollinearity:
             spectra = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
             if collinear:
                 spectra[:, 2] = (0.4 + 1.1j) * spectra[:, 1]
-            base = unique_thm1(transpose_stack(spectra)).verdict
+            base = single(transpose_stack(spectra)).verdict
             scaled = spectra.copy()
             scaled[1] *= 7.0 - 3.0j
-            assert unique_thm1(transpose_stack(scaled)).verdict == base
+            assert single(transpose_stack(scaled)).verdict == base
 
 
-class TestThm1:
+class TestSingleKind:
+    # Thm 1: a single-kind stack is essentially unique iff its collinearity < 1
     def test_unique_four_fifths(self):
-        rep = unique_thm1(transpose_stack([[1, 2], [2, 1]]))
+        rep = single(transpose_stack([[1, 2], [2, 1]]))
         assert rep.unique and rep.rho_transpose == pytest.approx(0.8)
+        assert rep.rule_fired == "Identifiability-i"
 
     def test_single_matrix_equal_entries(self):
-        rep = unique_thm1(hermitian_stack([[1, 1]]))
+        rep = single(hermitian_stack([[1, 1]]))
+        assert rep.rule_fired == "Identifiability-iii"
         assert_sound_witness(rep, herm=hermitian_stack([[1, 1]]))
 
     def test_proportional_complex_spectra(self):
         st_ = transpose_stack([[1 + 1j, 2 + 2j]])
-        rep = unique_thm1(st_)
+        rep = single(st_)
         assert_sound_witness(rep, sym=st_)
 
     def test_zero_position_vector(self):
         st_ = transpose_stack([[0, 1 + 1j], [0, 2.0]])
-        rep = unique_thm1(st_)
+        rep = single(st_)
         assert_sound_witness(rep, sym=st_)
 
-    def test_witness_requires_collinear_pair(self):
-        with pytest.raises(InvalidPrecondition):
-            witness_thm1(transpose_stack([[1, 2], [2, 1]]), (0, 1))
 
-
-class TestThm2:
+class TestTwoMatrix:
+    # Thm 2: one matrix of each kind is essentially unique iff
+    # |w1_k| |w2_l| != |w1_l| |w2_k| for every pair k != l
     def test_distinct_products_unique(self):
-        assert unique_thm2([1 + 1j, 2], [1, 1]).unique
+        assert two_matrix([1 + 1j, 2], [1, 1]).unique
 
     def test_equal_products(self):
-        rep = unique_thm2([1, 1], [1, 1])
+        rep = two_matrix([1, 1], [1, 1])
         assert rep.violating_pair == (0, 1)
         assert_sound_witness(
             rep,
@@ -157,10 +157,10 @@ class TestThm2:
         )
 
     def test_crossed_zeros_unique(self):
-        assert unique_thm2([0, 5], [3, 0]).unique
+        assert two_matrix([0, 5], [3, 0]).unique
 
     def test_phase_only_difference(self):
-        rep = unique_thm2([np.exp(1j * np.pi / 2), 1], [1, 1])
+        rep = two_matrix([np.exp(1j * np.pi / 2), 1], [1, 1])
         assert_sound_witness(
             rep,
             sym=transpose_stack([[np.exp(1j * np.pi / 2), 1]]),
@@ -168,7 +168,7 @@ class TestThm2:
         )
 
     def test_negative_hermitian_entries(self):
-        rep = unique_thm2([1, 1], [1, -1])
+        rep = two_matrix([1, 1], [1, -1])
         assert_sound_witness(
             rep,
             sym=transpose_stack([[1, 1]]),
@@ -176,21 +176,19 @@ class TestThm2:
         )
 
     def test_aligned_zeros(self):
-        rep = unique_thm2([1, 0], [1, 0])
+        rep = two_matrix([1, 0], [1, 0])
         assert_sound_witness(
             rep, sym=transpose_stack([[1, 0]]), herm=hermitian_stack([[1, 0]])
         )
 
     def test_non_finite_diagonal_rejected(self):
         with pytest.raises(NonFiniteEntries):
-            unique_thm2([np.nan, 1], [1, 1])
-
-    def test_witness_rejects_separated_pair(self):
-        with pytest.raises(InvalidPrecondition):
-            witness_thm2([1 + 1j, 2], [1, 1], (0, 1))
+            two_matrix([np.nan, 1], [1, 1])
 
 
-class TestThm3:
+class TestMixedResidual:
+    # Thm 3: both collinearities equal one; not essentially unique iff some
+    # pair is collinear in both families with matching norm ratios
     def _matched(self, ratio_sym=2.0, phase=np.pi / 3, ratio_herm=2.0):
         zk = np.array([1.0, 0.5j])
         zl = ratio_sym * np.exp(1j * phase) * zk
@@ -202,38 +200,36 @@ class TestThm3:
 
     def test_matched_ratios_not_unique(self):
         sym, herm = self._matched()
-        rep = unique_thm3(sym, herm)
+        rep = identifiability_master(sym, herm)
+        assert rep.rule_fired == "Identifiability-iii"
         assert rep.violating_pair == (0, 1)
         assert_sound_witness(rep, sym=sym, herm=herm)
 
     def test_mismatched_ratios_unique(self):
         sym, herm = self._matched(ratio_herm=3.0)
-        assert unique_thm3(sym, herm).unique
+        rep = identifiability_master(sym, herm)
+        assert rep.unique and rep.rule_fired == "Identifiability-iii"
 
     def test_all_vectors_equal(self):
         sym = transpose_stack([[1, 1]])
         herm = hermitian_stack([[1, 1]])
-        rep = unique_thm3(sym, herm)
+        rep = identifiability_master(sym, herm)
         assert_sound_witness(rep, sym=sym, herm=herm)
 
     def test_zero_norm_falls_back_to_single_family(self):
         # position pair dead in the transpose family entirely
         sym = transpose_stack([[0, 0, 1.0]])
         herm = hermitian_stack([[1, 1, 2.0]])
-        rep = unique_thm3(sym, herm)
+        rep = identifiability_master(sym, herm)
         assert rep.violating_pair == (0, 1)
         assert_sound_witness(rep, sym=sym, herm=herm)
 
-    def test_precondition_enforced(self):
+    def test_separated_family_decides_before_the_pair_scan(self):
         sym = transpose_stack([[1, 0], [0, 1]])  # rho = 0
         herm = hermitian_stack([[1, 1]])
-        with pytest.raises(InvalidPrecondition):
-            unique_thm3(sym, herm)
-
-    def test_witness_rejects_unmatched_pair(self):
-        sym, herm = self._matched(ratio_herm=3.0)
-        with pytest.raises(InvalidPrecondition):
-            witness_thm3(sym, herm, (0, 1))
+        rep = identifiability_master(sym, herm)
+        assert rep.unique and rep.rule_fired == "Identifiability-i"
+        assert rep.violating_pair is None
 
 
 class TestMaster:
@@ -274,7 +270,7 @@ class TestMaster:
         rep = identifiability_master(transpose_stack([[1, 1]]), hermitian_stack([[1, 2]]))
         assert rep.unique and rep.rule_fired == "Identifiability-iii"
 
-    def test_agrees_with_thm1_when_one_stack_empty(self, rng):
+    def test_one_stack_empty_is_the_collinearity_test(self, rng):
         for _ in range(25):
             n = int(rng.integers(1, 4))
             m = int(rng.integers(2, 5))
@@ -282,22 +278,17 @@ class TestMaster:
             if rng.uniform() < 0.5:  # force some collinear cases
                 spectra[:, 1] = (1.5 - 0.5j) * spectra[:, 0]
             stack = transpose_stack(spectra)
-            assert (
-                identifiability_master(stack, None).verdict
-                == unique_thm1(stack).verdict
-            )
+            expected = "Unique" if _loop_rho(stack) < 1.0 - TAU_RHO else "NotUnique"
+            assert identifiability_master(stack, None).verdict == expected
 
-    def test_agrees_with_thm2_when_single_matrices(self, rng):
+    def test_single_matrices_are_the_modulus_product_test(self, rng):
         for _ in range(25):
             w1 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             w2 = rng.standard_normal(3)
             if rng.uniform() < 0.5:
                 w1[1] = w1[0] * abs(w2[1] / w2[0]) * np.exp(0.3j)
-            rep_m = identifiability_master(
-                transpose_stack([w1]), hermitian_stack([w2])
-            )
-            rep_2 = unique_thm2(w1, w2)
-            assert rep_m.verdict == rep_2.verdict
+            rep = two_matrix(w1, w2)
+            assert rep.unique == (loop_thm2(w1, w2, TAU_RHO) is None)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_spectra_get_no_witness_with_nan_residual(self):
@@ -318,30 +309,14 @@ class TestTolerance:
     # (1, 0.2), (0.3, 1) / (1, 2) is
     NOT_UNIQUE = ([[0.5, 0.5]], [[1, 1]])
     UNIQUE = ([[1, 0.2], [0.3, 1]], [[1, 2]])
-    BAD = [-1.0, -0.5, 1.0, 2.0, np.inf, -np.inf, np.nan]
-
-    @staticmethod
-    def _entry_points(sym, herm):
-        """Every public predicate and witness builder, as tol -> call."""
-        w1, w2 = sym.spectra[0], herm.spectra[0].real
-        return [
-            lambda tol: identifiability_master(sym, herm, tol),
-            lambda tol: unique_thm1(sym, tol),
-            lambda tol: unique_thm1(herm, tol),
-            lambda tol: unique_thm2(w1, w2, tol),
-            lambda tol: unique_thm3(sym, herm, tol),
-            lambda tol: witness_thm1(herm, (0, 1), tol),
-            lambda tol: witness_thm2(w1, w2, (0, 1), tol),
-            lambda tol: witness_thm3(sym, herm, (0, 1), tol),
-        ]
-
-    @pytest.mark.parametrize("tol", BAD)
-    def test_out_of_range_tol_rejected_by_every_entry_point(self, tol):
+    @pytest.mark.parametrize("tol", BAD_TOLERANCES)
+    def test_out_of_range_tol_rejected_in_every_case(self, tol):
+        # mixed, single-kind and one-row stacks all go through the one entry
         for spectra in (self.NOT_UNIQUE, self.UNIQUE):
             sym, herm = transpose_stack(spectra[0]), hermitian_stack(spectra[1])
-            for call in self._entry_points(sym, herm):
+            for pair in ((sym, herm), (sym, None), (None, herm)):
                 with pytest.raises(InvalidPrecondition, match=rf"^tol must be finite and lie in \[0, 1\), got {tol}$"):
-                    call(tol)
+                    identifiability_master(*pair, tol)
 
     def test_verdicts_at_valid_tolerances(self):
         sym, herm = transpose_stack(self.NOT_UNIQUE[0]), hermitian_stack(self.NOT_UNIQUE[1])
@@ -373,8 +348,8 @@ class TestSoundness:
         # nearly collinear (1 - |c| ~ 1e-9): certified Unique at the exact
         # tolerance, flagged NotUnique at a noisy-estimation margin
         st_ = transpose_stack([[1.0, 1.0], [1.0, 1.0 + 1e-4]])
-        assert unique_thm1(st_).verdict == "Unique"
-        rep = unique_thm1(st_, tol=1e-3)
+        assert single(st_).verdict == "Unique"
+        rep = single(st_, tol=1e-3)
         assert rep.verdict == "NotUnique"
         # witness residual is only as small as the margin allows
         assert rep.witness_residual <= 1e-3
@@ -388,14 +363,12 @@ import nujd.uniqueness as uniqueness_module
 
 
 def _loop_rho(stack):
-    """Largest |cos| over pairs k < l, the first on ties, by a per-pair loop."""
-    best = None
-    for k in range(stack.m):
-        for l in range(k + 1, stack.m):
-            c = _cosine_abs_matrix(stack.spectra)[0][k, l]
-            if best is None or c > best[0]:
-                best = (float(c), (k, l))
-    return best
+    """Largest |cos| over pairs k < l, by a per-pair loop."""
+    return max(
+        float(_cosine_abs_matrix(stack.spectra)[0][k, l])
+        for k in range(stack.m)
+        for l in range(k + 1, stack.m)
+    )
 
 
 def _loop_pair_condition(sym, herm, k, l, tol):
@@ -422,8 +395,8 @@ def loop_master(sym, herm, tol):
     m = sym.m if sym is not None else herm.m
     sym = sym if sym is not None else transpose_stack(np.zeros((0, m)))
     herm = herm if herm is not None else hermitian_stack(np.zeros((0, m)))
-    rho_s = _loop_rho(sym)[0] if sym.n else None
-    rho_h = _loop_rho(herm)[0] if herm.n else None
+    rho_s = _loop_rho(sym) if sym.n else None
+    rho_h = _loop_rho(herm) if herm.n else None
     if rho_s is not None and rho_s < 1.0 - tol:
         return "Unique", "Identifiability-i", None, rho_s, rho_h
     if rho_h is not None and rho_h < 1.0 - tol:
@@ -503,15 +476,15 @@ class TestEngineEquivalence:
         sym, herm, tol = case
         for stack in (sym, herm):
             if stack is not None:
-                rep = unique_thm1(stack, tol)
-                rho, pair = _loop_rho(stack)
+                rep = single(stack, tol)
+                rho = _loop_rho(stack)
                 assert (rep.rho_transpose, rep.rho_hermitian) == (
                     (rho, None) if stack.kind is CongruenceKind.TRANSPOSE else (None, rho)
                 )
-                assert rep.violating_pair == (None if rho < 1.0 - tol else pair)
+                assert rep.unique == (rho < 1.0 - tol)
         if sym is not None and herm is not None and sym.n == herm.n == 1:
             w1, w2 = sym.spectra[0], herm.spectra[0].real
-            rep = unique_thm2(w1, w2, tol)
+            rep = identifiability_master(sym, herm, tol)
             assert rep.violating_pair == loop_thm2(w1, w2, tol)
             if not rep.unique:
                 assert rep.witness_residual <= max(1e-10, tol)

@@ -7,8 +7,9 @@ Usage:
 The script writes small seeded inputs under ``OUTDIR/inputs`` and runs
 ``python -m nujd.cli`` on them: ``estimate`` (covariance/pseudo-covariance, a
 lag, two windows, a fourth-order slice), ``solve`` (put, sut, gevd, gevd on a
-defective pencil, put on two Hermitian matrices), ``check`` (a Unique and a
-NotUnique spectra file, a diagonal matrix set, a non-diagonal one) and
+defective pencil, put on two Hermitian matrices, an invalid ``--tol``),
+``check`` (a Unique and a NotUnique spectra file, a diagonal matrix set, a
+non-diagonal one, an invalid ``--tol``) and
 ``simulate`` (configs that cover the six source kinds, every statistic, noise
 and the three solvers).  Each command's stdout and stderr go to
 ``OUTDIR/<case>.out`` and ``OUTDIR/<case>.err`` and its exit code to
@@ -165,11 +166,13 @@ def cases(inputs: Path, out: Path):
     yield "solve_gevd", ["solve", str(out / "estimate_windows.out"), "--method", "gevd"]
     yield "solve_gevd_defective", ["solve", str(inputs / "defective_pencil.json"), "--method", "gevd"]
     yield "solve_put_two_hermitian", ["solve", str(inputs / "two_hermitian_set.json"), "--method", "put"]
+    yield "solve_tol_nan", ["solve", str(inputs / "diagonal_set.json"), "--tol", "nan"]
     for name in SPECTRA:
         yield f"check_{name}", ["check", str(inputs / f"spectra_{name}.json")]
     yield "check_not_unique_margin", ["check", str(inputs / "spectra_not_unique.json"), "--margin", "1e-3"]
     yield "check_diagonal_set", ["check", str(inputs / "diagonal_set.json")]
     yield "check_non_diagonal_set_margin", ["check", str(inputs / "non_diagonal_set.json"), "--margin", "0.5"]
+    yield "check_tol_nan", ["check", str(inputs / "spectra_unique.json"), "--tol", "nan"]
     for name in CONFIGS:
         yield f"simulate_{name}", ["simulate", str(inputs / f"config_{name}.json")]
 
