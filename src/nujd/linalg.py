@@ -18,6 +18,7 @@ from .core import GLElement, KAPPA_MAX, SIGMA_MIN, TAU_SYM, as_complex_matrix
 from .errors import (
     DefectiveMatrix,
     OrthogonalizationFailure,
+    SingularMatrix,
     SymmetryViolation,
 )
 
@@ -68,13 +69,22 @@ def takagi(c, rtol: float = TAU_SYM) -> TakagiFactorization:
     s = p.conj().T @ qh.T  # unitary, block diagonal over sigma clusters
     n = m.shape[0]
     u = np.zeros((n, n), dtype=np.complex128)
-    smax = sigma[0] if n else 0.0
+    values = sigma.tolist()
+    gap = _CLUSTER_RTOL * max(values[0] if n else 0.0, 1e-300)
+    singles = []
     start = 0
     for i in range(1, n + 1):
-        if i == n or sigma[start] - sigma[i] > _CLUSTER_RTOL * max(smax, 1e-300):
-            idx = slice(start, i)
-            u[:, idx] = p[:, idx] @ _unitary_sqrt(s[idx, idx])
+        if i == n or values[start] - values[i] > gap:
+            if i - start == 1:
+                singles.append(start)
+            else:
+                idx = slice(start, i)
+                u[:, idx] = p[:, idx] @ _unitary_sqrt(s[idx, idx])
             start = i
+    # a 1x1 cluster's root is its scalar principal root (see _unitary_sqrt);
+    # the batched (n, 1) @ (1, 1) products are the per-cluster ones, bit for bit
+    roots = np.sqrt(s[singles, singles])
+    u[:, singles] = np.matmul(p[:, singles].T[:, :, None], roots[:, None, None])[:, :, 0].T
     return TakagiFactorization(u=u, sigma=sigma)
 
 
@@ -98,12 +108,17 @@ def general_evd(c) -> tuple[GLElement, np.ndarray]:
     anchors = np.argmax(np.abs(w), axis=0)
     phases = w[anchors, np.arange(w.shape[1])]
     w = w * (np.abs(phases) / phases)
-    if np.linalg.cond(w) > KAPPA_MAX:
+    # one SVD certifies W: a singular W is as defective as an ill-conditioned one
+    try:
+        gl = GLElement(w)
+    except SingularMatrix:
+        gl = None
+    if gl is None or gl.cond > KAPPA_MAX:
         raise DefectiveMatrix(
             "matrix is numerically defective: eigenvector condition exceeds "
             f"{KAPPA_MAX:.0e}"
         )
-    return GLElement(w), lam
+    return gl, lam
 
 
 def symmetric_orthogonalize(w: GLElement) -> np.ndarray:

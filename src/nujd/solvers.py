@@ -82,13 +82,10 @@ def _sign_normalize_columns(x: np.ndarray) -> np.ndarray:
     Only +-1 flips are allowed here: a complex phase would break the
     X^H C2 conj(X) = I certificate of the transform.
     """
+    z = x[np.argmax(np.abs(x), axis=0), np.arange(x.shape[1])].conj()  # rows of X^H
+    flip = (z.real < 0) | ((z.real == 0) & (z.imag < 0))
     out = x.copy()
-    xh = out.conj().T
-    for i in range(xh.shape[0]):
-        j = int(np.argmax(np.abs(xh[i])))
-        z = xh[i, j]
-        if z.real < 0 or (z.real == 0 and z.imag < 0):
-            out[:, i] = -out[:, i]
+    np.negative(out, out=out, where=flip)
     return out
 
 

@@ -37,6 +37,7 @@ entry point raises InvalidPrecondition unless ``tol`` lies in [0, 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -90,14 +91,14 @@ def _cosine_abs_matrix(spectra: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Zero position-vectors follow the convention cos = 1 against everything.
     """
     g = spectra.conj().T @ spectra
-    norms = np.sqrt(np.clip(np.diag(g).real, 0.0, None))
-    denom = np.outer(norms, norms)
+    norms = np.sqrt(np.maximum(g.diagonal().real, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        c = np.abs(g) / denom
+        c = np.abs(g) / (norms[:, None] * norms)
     zero = norms == 0.0
-    c[zero, :] = 1.0
-    c[:, zero] = 1.0
-    return np.minimum(c, 1.0), norms
+    if zero.any():
+        c[zero, :] = 1.0
+        c[:, zero] = 1.0
+    return np.minimum(c, 1.0, out=c), norms
 
 
 def _family(stack: DiagonalStack) -> tuple[np.ndarray, np.ndarray]:
@@ -107,15 +108,26 @@ def _family(stack: DiagonalStack) -> tuple[np.ndarray, np.ndarray]:
     return np.ones((stack.m, stack.m)), np.zeros(stack.m)
 
 
+@lru_cache(maxsize=16)
+def _pairs(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, column and flat indices of the pairs k < l of an m x m array, row-major."""
+    rows, cols = np.triu_indices(m, k=1)
+    flat = rows * m + cols
+    for a in (rows, cols, flat):
+        a.flags.writeable = False
+    return rows, cols, flat
+
+
 def _rho(c: np.ndarray) -> float:
     """Collinearity of a family: its largest |cosine| over pairs k < l."""
-    return float(np.max(c[np.triu_indices(c.shape[0], k=1)]))
+    return float(np.max(c.ravel()[_pairs(c.shape[0])[2]]))
 
 
 def _first_pair(hits: np.ndarray) -> Optional[tuple]:
     """First True pair k < l in row-major order, or None."""
-    found = np.argwhere(np.triu(hits, k=1))
-    return (int(found[0, 0]), int(found[0, 1])) if found.size else None
+    rows, cols, flat = _pairs(hits.shape[0])
+    found = np.flatnonzero(hits.ravel()[flat])
+    return (int(rows[found[0]]), int(cols[found[0]])) if found.size else None
 
 
 # The pair tests below are written as "not separated", so that a comparison
@@ -209,7 +221,7 @@ def _spectra_residual(x: np.ndarray, t_spectra: np.ndarray, h_spectra: np.ndarra
     for spectra, right, hermitian in ((t_spectra, xc, False), (h_spectra, x, True)):
         if spectra.shape[0] == 0:
             continue
-        t = np.einsum("ja,ij,jb->iab", xc, spectra, right)
+        t = (xc.T * spectra[:, None, :]) @ right  # X^H diag(row) R, one per row
         t = (t + (t.conj() if hermitian else t).swapaxes(1, 2)) / 2.0
         diag = np.arange(x.shape[0])
         t[:, diag, diag] = 0.0

@@ -13,8 +13,12 @@ _P = 1.0 - np.eye(2)
 
 
 def _split(mats):
-    herm = np.array([c for kind, c in mats if kind == "h"]).reshape(-1, 2, 2)
-    sym = np.array([c for kind, c in mats if kind == "t"]).reshape(-1, 2, 2)
+    """Diagonals, shape (n, 2), of the Hermitian and transpose matrices, and their mass."""
+    for _, c in mats:
+        if np.any(_P * c):
+            raise ValueError("the search takes diagonal matrices only")
+    herm = np.array([np.diag(c) for kind, c in mats if kind == "h"]).reshape(-1, 2)
+    sym = np.array([np.diag(c) for kind, c in mats if kind == "t"]).reshape(-1, 2)
     den = sum(np.sum(np.abs(c) ** 2) for _, c in mats)
     return herm.astype(complex), sym.astype(complex), float(den)
 
@@ -25,11 +29,14 @@ def _mul(a, b):
 
 
 def _congruences(x, herm, sym):
-    """X^H C X per Hermitian matrix and X^H S conj(X) per symmetric one, shape (n, b, 2, 2)."""
+    """X^H C X per Hermitian matrix and X^H S conj(X) per symmetric one, shape (n, b, 2, 2).
+
+    ``herm`` and ``sym`` hold diagonals, so X^H D scales the columns of X^H.
+    """
     xh = x.conj().transpose(0, 2, 1)[None]
     return (
-        _mul(_mul(xh, herm[:, None]), x[None]),
-        _mul(_mul(xh, sym[:, None]), x.conj()[None]),
+        _mul(xh * herm[:, None, None, :], x[None]),
+        _mul(xh * sym[:, None, None, :], x.conj()[None]),
     )
 
 
@@ -42,9 +49,9 @@ def _gradient(x, herm, sym, den):
     mh, ms = _congruences(x, herm, sym)
     eh = _P * mh
     es = (_P * ms).conj().transpose(0, 1, 3, 2)
-    g = np.sum(_mul(_mul(herm[:, None], x[None]), eh.conj().transpose(0, 1, 3, 2) + eh), axis=0)
-    sym2 = sym + sym.transpose(0, 2, 1)
-    g = g + np.sum(_mul(_mul(sym2[:, None], x.conj()[None]), es), axis=0)
+    # D X and (S + S^T) conj(X) = 2 D conj(X) scale the rows of X
+    g = np.sum(_mul(herm[:, None, :, None] * x[None], eh.conj().transpose(0, 1, 3, 2) + eh), axis=0)
+    g = g + np.sum(_mul((2.0 * sym)[:, None, :, None] * x.conj()[None], es), axis=0)
     return g / den
 
 

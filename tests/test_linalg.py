@@ -1,8 +1,19 @@
 import numpy as np
 import pytest
 
-from nujd.errors import DefectiveMatrix, OrthogonalizationFailure, SymmetryViolation
-from nujd.linalg import _unitary_sqrt, general_evd, symmetric_orthogonalize, takagi
+from nujd.errors import (
+    DefectiveMatrix,
+    OrthogonalizationFailure,
+    SingularMatrix,
+    SymmetryViolation,
+)
+from nujd.linalg import (
+    _CLUSTER_RTOL,
+    _unitary_sqrt,
+    general_evd,
+    symmetric_orthogonalize,
+    takagi,
+)
 from nujd.core import GLElement
 
 from conftest import complex_symmetric, random_mixing
@@ -37,6 +48,40 @@ class TestTakagi:
             t, z = scipy.linalg.schur(s, output="complex")
             schur_root = z @ (np.sqrt(np.diag(t))[:, None] * z.conj().T)
             assert _unitary_sqrt(s).tobytes() == schur_root.tobytes()
+
+    @staticmethod
+    def _loop_u(c):
+        """Reference: U from one product per cluster, singletons included."""
+        m = (c + c.T) / 2.0
+        p, sigma, qh = np.linalg.svd(m)
+        s = p.conj().T @ qh.T
+        n = m.shape[0]
+        u = np.zeros((n, n), dtype=np.complex128)
+        start = 0
+        for i in range(1, n + 1):
+            if i == n or sigma[start] - sigma[i] > _CLUSTER_RTOL * max(sigma[0], 1e-300):
+                idx = slice(start, i)
+                u[:, idx] = p[:, idx] @ _unitary_sqrt(s[idx, idx])
+                start = i
+        return u
+
+    def test_singleton_clusters_match_the_per_cluster_products_bitwise(self):
+        rng = np.random.default_rng(44)
+        for m in list(range(1, 33)) * 3:
+            c = complex_symmetric(rng, m)
+            assert takagi(c).u.tobytes() == self._loop_u(c).tobytes()
+
+    def test_clustered_inputs_reconstruct(self):
+        rng = np.random.default_rng(45)
+        for sigma in ([3.0, 3.0, 1.0], [2.0, 2.0, 2.0, 0.5], [4.0, 1.5, 1.5, 1.0, 1.0, 0.2]):
+            m = len(sigma)
+            q, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+            c = q @ np.diag(sigma) @ q.T
+            tf = takagi(c)
+            assert tf.u.tobytes() == self._loop_u(c).tobytes()
+            assert np.allclose(tf.sigma, sigma)
+            assert np.linalg.norm(tf.reconstruct() - c) <= 1e-12 * np.linalg.norm(c)
+            assert np.linalg.norm(tf.u.conj().T @ tf.u - np.eye(m)) <= 1e-12 * m
 
     def test_rejects_nonsymmetric(self):
         with pytest.raises(SymmetryViolation):
@@ -78,6 +123,18 @@ class TestGeneralEVD:
     def test_jordan_block_rejected(self):
         with pytest.raises(DefectiveMatrix):
             general_evd(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("c", [
+        np.array([[0.0, 1.0], [0.0, 0.0]]),
+        np.array([[2.0, 1.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, 2.0]]),
+        np.eye(4, k=1),  # eigenvector matrix exactly singular: sigma_min = 0
+        3.0 * np.eye(6, k=1) + np.eye(6),
+    ])
+    def test_jordan_blocks_are_defective_never_singular(self, c):
+        # SingularMatrix is not a DefectiveMatrix, so it would escape here
+        assert not issubclass(SingularMatrix, DefectiveMatrix)
+        with pytest.raises(DefectiveMatrix):
+            general_evd(c)
 
     def test_trace_consistency(self, rng):
         for _ in range(25):

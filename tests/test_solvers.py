@@ -23,7 +23,7 @@ from nujd.errors import (
     SingularSecondMatrix,
 )
 from nujd.linalg import takagi
-from nujd.solvers import put, solve_pair, sut, two_matrix_same_kind
+from nujd.solvers import _sign_normalize_columns, put, solve_pair, sut, two_matrix_same_kind
 from nujd.uniqueness import identifiability_master
 from nujd.core import DiagonalStack
 
@@ -320,3 +320,41 @@ class TestPostconditionIdentities:
             # lam matches the model spectrum w1 / |w2| as a multiset
             expected = np.sort(w1 / np.abs(w2))
             assert np.allclose(np.sort(res.lam.real), expected, rtol=1e-6)
+
+
+def _loop_sign_normalize(x):
+    """Reference: the per-column loop over the rows of X^H."""
+    out = x.copy()
+    xh = out.conj().T
+    for i in range(xh.shape[0]):
+        j = int(np.argmax(np.abs(xh[i])))
+        z = xh[i, j]
+        if z.real < 0 or (z.real == 0 and z.imag < 0):
+            out[:, i] = -out[:, i]
+    return out
+
+
+class TestSignNormalize:
+    def test_matches_the_column_loop_bitwise(self):
+        rng = np.random.default_rng(43)
+        for _ in range(300):
+            m = int(rng.integers(1, 13))
+            x = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+            # zero out parts so that Re z == 0 (and signed zeros) occur
+            x.real[rng.uniform(size=(m, m)) < 0.2] = 0.0
+            x.real[rng.uniform(size=(m, m)) < 0.1] = -0.0
+            assert _sign_normalize_columns(x).tobytes() == _loop_sign_normalize(x).tobytes()
+
+    def test_ties_and_imaginary_anchors(self):
+        cases = [
+            # equal magnitudes: the first index is the anchor
+            np.array([[1.0, -1.0], [-1.0, 1.0]], dtype=complex),
+            np.array([[1j, -1.0], [-1j, 1j]]),
+            # Re z == 0 with Im z < 0, i.e. Im x > 0 at the anchor
+            np.array([[2j, 0.5], [0.5, -2j]]),
+            np.array([[-0.0 + 1j, 3.0], [1.0, -0.0 - 3j]]),
+            np.array([[0.0, 0.0], [0.0, 0.0]], dtype=complex),
+        ]
+        for x in cases:
+            assert _sign_normalize_columns(x).tobytes() == _loop_sign_normalize(x).tobytes()
+        assert np.array_equal(_sign_normalize_columns(cases[2])[:, 0], -cases[2][:, 0])

@@ -537,3 +537,55 @@ class TestEngineCost:
         calls.clear()
         identifiability_master(None, hermitian_stack([h]))
         assert len(calls) <= 1
+
+
+# ---------------------------------------------------------------------------
+# the cached-index helpers against the formulas they replace
+
+from nujd.uniqueness import _first_pair, _rho, _spectra_residual
+
+
+class TestPairHelpers:
+    def test_rho_matches_triu_indices(self):
+        rng = np.random.default_rng(40)
+        for m in range(2, 41):
+            for nan_share in (0.0, 0.05):
+                c = rng.uniform(size=(m, m))
+                c[rng.uniform(size=(m, m)) < nan_share] = np.nan
+                ref = float(np.max(c[np.triu_indices(m, k=1)]))
+                assert repr(_rho(c)) == repr(ref)
+            # NaN on and below the diagonal is outside every pair
+            c = np.triu(rng.uniform(size=(m, m)), k=1)
+            c[np.tril_indices(m)] = np.nan
+            assert _rho(c) == float(np.max(c[np.triu_indices(m, k=1)]))
+
+    def test_first_pair_matches_argwhere(self):
+        rng = np.random.default_rng(41)
+        for m in range(2, 41):
+            for density in (0.0, 0.002, 0.05, 1.0):
+                hits = rng.uniform(size=(m, m)) < density
+                found = np.argwhere(np.triu(hits, k=1))
+                ref = (int(found[0, 0]), int(found[0, 1])) if found.size else None
+                assert _first_pair(hits) == ref
+            assert _first_pair(np.zeros((m, m), dtype=bool)) is None
+            assert _first_pair(np.tril(np.ones((m, m), dtype=bool))) is None
+            last = np.zeros((m, m), dtype=bool)
+            last[m - 2, m - 1] = True
+            assert _first_pair(last) == (m - 2, m - 1)
+
+    def test_spectra_residual_matches_einsum(self):
+        rng = np.random.default_rng(42)
+        for m in (2, 5, 32):
+            x = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+            t = rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))
+            h = rng.standard_normal((2, m)).astype(complex)
+            xc = x.conj()
+            num = den = 0.0
+            for spectra, right, hermitian in ((t, xc, False), (h, x, True)):
+                a = np.einsum("ja,ij,jb->iab", xc, spectra, right)
+                a = (a + (a.conj() if hermitian else a).swapaxes(1, 2)) / 2.0
+                a[:, np.arange(m), np.arange(m)] = 0.0
+                num += float(np.sum(np.abs(a) ** 2))
+                den += float(np.sum(np.abs(spectra) ** 2))
+            ref = float(np.sqrt(num / den))
+            assert _spectra_residual(x, t, h) == pytest.approx(ref, rel=1e-12)

@@ -11,7 +11,10 @@ defective pencil, put on two Hermitian matrices, an invalid ``--tol``),
 ``check`` (a Unique and a NotUnique spectra file, a diagonal matrix set, a
 non-diagonal one, an invalid ``--tol``) and
 ``simulate`` (configs that cover the six source kinds, every statistic, noise
-and the three solvers).  Each command's stdout and stderr go to
+and the three solvers).  Seeded cases at m > 3 come last: ``solve`` with put
+and sut on population pairs at m = 8 and m = 32, and ``check`` on a NotUnique
+spectra file at m = 8 whose pair is the last one and on a three-row Hermitian
+family at m = 16.  Each command's stdout and stderr go to
 ``OUTDIR/<case>.out`` and ``OUTDIR/<case>.err`` and its exit code to
 ``OUTDIR/exit_codes.json``.
 
@@ -22,7 +25,7 @@ so two checkouts compare with
     PYTHONPATH=B/src python tools/output_corpus.py /tmp/b
     diff -r /tmp/a /tmp/b
 
-It uses only the standard library and ``nujd``.
+It uses only the standard library, numpy and ``nujd``.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 import nujd
 from nujd import io as nio
@@ -75,6 +80,10 @@ MATRIX_SETS = {
         TaggedMatrix([[1.0, 0.0], [0.0, 1.0]], CongruenceKind.TRANSPOSE),
     ],
 }
+
+# seeded cases at m > 3, after every case above so that their outputs keep their bytes
+POPULATION_PAIRS = {"population_m8": (8, 301), "population_m32": (32, 302)}
+LARGE_SPECTRA = {"not_unique_m8_last_pair": 303, "hermitian_rows_m16": 304}
 
 _NONCIRCULAR = [{"kind": "noncircular_gaussian", "circularity": 0.9},
                 {"kind": "noncircular_gaussian", "circularity": 0.3}]
@@ -135,6 +144,43 @@ def _spectra(transpose, hermitian):
     )
 
 
+def _ratio_rows(rng, m, pair=None):
+    """(t, h) with h > 0 and |t_k| / h_k pairwise at least 8% apart, or equal at ``pair``."""
+    h = rng.uniform(0.5, 2.0, m)
+    r = np.exp(rng.permutation(0.1 * np.arange(m)))
+    if pair is not None:
+        r[pair[1]] = r[pair[0]]
+    return r * h * np.exp(2j * np.pi * rng.uniform(size=m)), h
+
+
+def _unitary(rng, m):
+    q, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    return q
+
+
+def _population_pair(m, seed):
+    """C1 = A diag(h) A^H (positive definite) and C2 = A diag(t) A^T, cond(A) <= 10."""
+    rng = np.random.default_rng(seed)
+    t, h = _ratio_rows(rng, m)
+    a = (_unitary(rng, m) * np.geomspace(1.0, 10.0, m)) @ _unitary(rng, m)
+    c1 = a @ np.diag(h) @ a.conj().T
+    c2 = a @ np.diag(t) @ a.T
+    return [
+        TaggedMatrix((c1 + c1.conj().T) / 2.0, CongruenceKind.HERMITIAN),
+        TaggedMatrix((c2 + c2.T) / 2.0, CongruenceKind.TRANSPOSE),
+    ]
+
+
+def _large_spectra(name, seed):
+    rng = np.random.default_rng(seed)
+    if name == "not_unique_m8_last_pair":
+        t, h = _ratio_rows(rng, 8, pair=(6, 7))
+        return _spectra([t], [h])
+    m = 16
+    return _spectra(rng.standard_normal((1, m)) + 1j * rng.standard_normal((1, m)),
+                    rng.standard_normal((3, m)))
+
+
 def _config(doc, seed):
     return dict({"T": 5000, "seed": seed, "trials": 3}, **doc)
 
@@ -149,6 +195,10 @@ def write_inputs(inputs: Path) -> None:
         nio.write_json(nio.matrix_set_to_dict(items), inputs / f"{name}.json")
     for i, (name, doc) in enumerate(CONFIGS.items()):
         nio.write_json(_config(doc, 200 + i), inputs / f"config_{name}.json")
+    for name, (m, seed) in POPULATION_PAIRS.items():
+        nio.write_json(nio.matrix_set_to_dict(_population_pair(m, seed)), inputs / f"{name}.json")
+    for name, seed in LARGE_SPECTRA.items():
+        nio.write_json(_large_spectra(name, seed), inputs / f"spectra_{name}.json")
 
 
 def cases(inputs: Path, out: Path):
@@ -175,6 +225,11 @@ def cases(inputs: Path, out: Path):
     yield "check_tol_nan", ["check", str(inputs / "spectra_unique.json"), "--tol", "nan"]
     for name in CONFIGS:
         yield f"simulate_{name}", ["simulate", str(inputs / f"config_{name}.json")]
+    for name in POPULATION_PAIRS:
+        for method in ("put", "sut"):
+            yield f"solve_{method}_{name}", ["solve", str(inputs / f"{name}.json"), "--method", method]
+    for name in LARGE_SPECTRA:
+        yield f"check_{name}", ["check", str(inputs / f"spectra_{name}.json")]
 
 
 def main(argv) -> int:
