@@ -145,7 +145,7 @@ def _spectra(transpose, hermitian):
 
 
 def _ratio_rows(rng, m, pair=None):
-    """(t, h) with h > 0 and |t_k| / h_k pairwise at least 8% apart, or equal at ``pair``."""
+    """(t, h) with h > 0 and the ratios |t_k| / h_k about 10% apart, or equal at ``pair``."""
     h = rng.uniform(0.5, 2.0, m)
     r = np.exp(rng.permutation(0.1 * np.arange(m)))
     if pair is not None:
@@ -159,7 +159,7 @@ def _unitary(rng, m):
 
 
 def _population_pair(m, seed):
-    """C1 = A diag(h) A^H (positive definite) and C2 = A diag(t) A^T, cond(A) <= 10."""
+    """C1 = A diag(h) A^H (positive definite) and C2 = A diag(t) A^T, with cond(A) = 10."""
     rng = np.random.default_rng(seed)
     t, h = _ratio_rows(rng, m)
     a = (_unitary(rng, m) * np.geomspace(1.0, 10.0, m)) @ _unitary(rng, m)
