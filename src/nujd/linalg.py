@@ -108,16 +108,15 @@ def general_evd(c) -> tuple[GLElement, np.ndarray]:
     anchors = np.argmax(np.abs(w), axis=0)
     phases = w[anchors, np.arange(w.shape[1])]
     w = w * (np.abs(phases) / phases)
-    # one SVD certifies W: a singular W is as defective as an ill-conditioned one
+    # GLElement's one SVD certifies W; its floor sigma_min <= sigma_max / KAPPA_MAX is the
+    # condition ceiling, and a W that passes it has cond <= KAPPA_MAX after rounding
     try:
         gl = GLElement(w)
     except SingularMatrix:
-        gl = None
-    if gl is None or gl.cond > KAPPA_MAX:
         raise DefectiveMatrix(
             "matrix is numerically defective: eigenvector condition exceeds "
             f"{KAPPA_MAX:.0e}"
-        )
+        ) from None
     return gl, lam
 
 

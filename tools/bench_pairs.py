@@ -3,18 +3,20 @@
 Usage:
 
     python tools/bench_pairs.py PARENT CHANGE OUT.json \\
-        [--runs certify_solve=5 --runs cli_pipeline=1 ...] [--seconds 20]
+        [--runs certify_solve=5 --runs cli_pipeline=1 ...]
 
 PARENT and CHANGE are two checkouts of the repository, each with its own
 ``bench/`` and ``src/`` (for example two ``git clone``s).  For each workload
-the script runs ``python3 bench/run.py --workload W --seed S --seconds SEC
---trace 0`` the given number of times on each side, in pairs with seeds
-101, 102, ..., so that both runs of a pair see the same inputs.  The
+the script runs ``python3 bench/run.py --workload W --seed S --trace 0``
+the given number of times on each side, in pairs with seeds 101, 102, ...,
+so that both runs of a pair see the same inputs.  Each run lasts the
+benchmark's own length, ``bench/run.py``'s default.  The
 parent runs first in the first pair, the change in the second, and so on.
 OUT holds every run's end-to-end metrics and, per workload, side and
 metric, the median and the quartiles (``statistics.quantiles(n=4)``).
-Each side carries the stamp of its first run: nproc, the Python, numpy,
-scipy and BLAS versions, the git commit and a SHA-256 of ``src/``.
+Each side carries the stamp of its first run: the run length in seconds,
+nproc, the Python, numpy, scipy and BLAS versions, the git commit and a
+SHA-256 of ``src/``.
 
 It uses only the standard library.
 """
@@ -30,15 +32,15 @@ from pathlib import Path
 
 WORKLOADS = ("cli_pipeline", "simulate_sut", "simulate_cum4", "certify_solve")
 FIRST_SEED = 101
-STAMP_KEYS = ("nproc", "affinity_cpus", "python", "numpy", "scipy", "blas", "thread_env",
-              "git_commit", "src_sha256")
+STAMP_KEYS = ("seconds", "nproc", "affinity_cpus", "python", "numpy", "scipy", "blas",
+              "thread_env", "git_commit", "src_sha256")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """One untraced run's end-to-end metrics, counts and stamp, read from its last two lines."""
     proc = subprocess.run(
         [sys.executable, str(checkout / "bench" / "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--trace", "0"],
         capture_output=True, text=True, check=True,
     )
     report, summary = (json.loads(line) for line in proc.stdout.splitlines()[-2:])
@@ -59,16 +61,16 @@ def spread(values: list) -> dict:
             "iqr": q3 - q1}
 
 
-def record(parent: Path, change: Path, runs: dict, seconds: float) -> dict:
+def record(parent: Path, change: Path, runs: dict) -> dict:
     sides = {"parent": parent, "change": change}
-    out = {"seconds": seconds, "command": "python3 bench/run.py --workload W --seed S "
-           f"--seconds {seconds:g} --trace 0", "stamp": {}, "workloads": {}}
+    out = {"command": "python3 bench/run.py --workload W --seed S --trace 0",
+           "stamp": {}, "workloads": {}}
     for workload, n in runs.items():
         pairs = []
         for i in range(n):
             seed = FIRST_SEED + i
             order = list(sides) if i % 2 == 0 else list(sides)[::-1]
-            pair = {side: run_once(sides[side], workload, seed, seconds) for side in order}
+            pair = {side: run_once(sides[side], workload, seed) for side in order}
             for side, run in pair.items():
                 out["stamp"].setdefault(side, run.pop("stamp"))
             print(workload, seed, {s: r["metrics"]["op_s"] for s, r in pair.items()},
@@ -103,10 +105,9 @@ def main(argv=None) -> int:
     p.add_argument("change", type=Path)
     p.add_argument("out", type=Path)
     p.add_argument("--runs", action="append", default=[], metavar="WORKLOAD=N")
-    p.add_argument("--seconds", type=float, default=20.0)
     args = p.parse_args(argv)
     runs = parse_runs(args.runs) or {w: 1 for w in WORKLOADS}
-    doc = record(args.parent.resolve(), args.change.resolve(), runs, args.seconds)
+    doc = record(args.parent.resolve(), args.change.resolve(), runs)
     args.out.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     return 0
 

@@ -83,7 +83,6 @@ MATRIX_SETS = {
 
 # seeded cases at m > 3, after every case above so that their outputs keep their bytes
 POPULATION_PAIRS = {"population_m8": (8, 301), "population_m32": (32, 302)}
-LARGE_SPECTRA = {"not_unique_m8_last_pair": 303, "hermitian_rows_m16": 304}
 
 _NONCIRCULAR = [{"kind": "noncircular_gaussian", "circularity": 0.9},
                 {"kind": "noncircular_gaussian", "circularity": 0.3}]
@@ -171,14 +170,24 @@ def _population_pair(m, seed):
     ]
 
 
-def _large_spectra(name, seed):
-    rng = np.random.default_rng(seed)
-    if name == "not_unique_m8_last_pair":
-        t, h = _ratio_rows(rng, 8, pair=(6, 7))
-        return _spectra([t], [h])
+def _not_unique_m8_last_pair(rng):
+    """NotUnique at m = 8: the ratios match only at the last pair, (7, 8) 1-based."""
+    t, h = _ratio_rows(rng, 8, pair=(6, 7))
+    return _spectra([t], [h])
+
+
+def _hermitian_rows_m16(rng):
+    """One transpose row and a three-row Hermitian family at m = 16."""
     m = 16
     return _spectra(rng.standard_normal((1, m)) + 1j * rng.standard_normal((1, m)),
                     rng.standard_normal((3, m)))
+
+
+# name: (builder of a generator, seed)
+LARGE_SPECTRA = {
+    "not_unique_m8_last_pair": (_not_unique_m8_last_pair, 303),
+    "hermitian_rows_m16": (_hermitian_rows_m16, 304),
+}
 
 
 def _config(doc, seed):
@@ -197,8 +206,8 @@ def write_inputs(inputs: Path) -> None:
         nio.write_json(_config(doc, 200 + i), inputs / f"config_{name}.json")
     for name, (m, seed) in POPULATION_PAIRS.items():
         nio.write_json(nio.matrix_set_to_dict(_population_pair(m, seed)), inputs / f"{name}.json")
-    for name, seed in LARGE_SPECTRA.items():
-        nio.write_json(_large_spectra(name, seed), inputs / f"spectra_{name}.json")
+    for name, (build, seed) in LARGE_SPECTRA.items():
+        nio.write_json(build(np.random.default_rng(seed)), inputs / f"spectra_{name}.json")
 
 
 def cases(inputs: Path, out: Path):
