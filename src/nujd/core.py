@@ -221,13 +221,9 @@ def _pattern_test(e: np.ndarray, tol: float):
     a = np.abs(e)
     n = a.shape[0]
     cols = np.argmax(a, axis=1)
-    if len(set(cols.tolist())) != n:
+    # column argmaxes must name the same bijection (so cols is one-to-one)
+    if not np.array_equal(np.argmax(a, axis=0)[cols], np.arange(n)):
         return False, None
-    rows_of_col = np.argmax(a, axis=0)
-    # column argmaxes must name the same bijection
-    for i in range(n):
-        if rows_of_col[cols[i]] != i:
-            return False, None
     pattern = np.zeros_like(a, dtype=bool)
     pattern[np.arange(n), cols] = True
     scale = _fro(e)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GLElement, KAPPA_MAX, SIGMA_MIN, TAU_SYM, as_complex_matrix
+from .core import GLElement, KAPPA_MAX, SIGMA_MIN, TAU_RHO, TAU_SYM, as_complex_matrix
 from .errors import (
     DefectiveMatrix,
     OrthogonalizationFailure,
@@ -123,24 +123,45 @@ def general_evd(c) -> tuple[GLElement, np.ndarray]:
 def symmetric_orthogonalize(w: GLElement) -> np.ndarray:
     """Complex-orthogonal polar factor V = W (W^T W)^{-1/2}.
 
-    The principal square root of W^T W is taken through its
-    eigendecomposition with the root branch arg in (-pi/2, pi/2].  Fails
-    when W^T W is numerically singular (columns of W are complex-isotropic)
-    or when the result does not satisfy V^T V = I to the module tolerance.
+    G = W^T W is formed once.  When every off-diagonal entry satisfies
+    |g_kl| <= TAU_RHO sqrt(|g_kk| |g_ll|), as it does to rounding for the
+    eigenvectors of a complex symmetric matrix with distinct eigenvalues,
+    G^{-1/2} is taken to first order about diag(G).  With r = sqrt(diag G)
+    (principal roots) and F the off-diagonal part of G,
+
+        V = W diag(r)^{-1} (I - K),   K_kl = F_kl / (r_l (r_k + r_l)),
+
+    so V differs from the exact polar factor by O(TAU_RHO^2) and, on an
+    exactly diagonal G, is the column scaling W diag(r)^{-1}.  Every other G
+    takes its principal square root through an eigendecomposition, root
+    branch arg in (-pi/2, pi/2], and fails when that eigenbasis is
+    ill-conditioned.  Both branches fail when G is numerically singular
+    (columns of W are complex-isotropic; the singular values of a diagonal G
+    are its |g_kk|) or when the result does not satisfy V^T V = I to the
+    module tolerance.
     """
     mat = w.matrix
     m = mat.T @ mat
-    svals = np.linalg.svd(m, compute_uv=False)
-    if svals[-1] <= SIGMA_MIN * svals[0]:
+    d = m.diagonal()
+    mags = np.abs(d)
+    off = m - np.diag(d)
+    diagonal = np.all(np.abs(off) <= TAU_RHO * np.sqrt(mags[:, None] * mags))
+    svals = mags if diagonal else np.linalg.svd(m, compute_uv=False)
+    if svals.min() <= SIGMA_MIN * svals.max():
         raise OrthogonalizationFailure(
             "W^T W is numerically singular; no complex-orthogonal polar part"
         )
-    vals, vecs = np.linalg.eig(m)
-    if np.linalg.cond(vecs) > KAPPA_MAX:
-        raise OrthogonalizationFailure("W^T W has an ill-conditioned eigenbasis")
-    inv_root = vecs @ (np.diag(1.0 / np.sqrt(vals.astype(np.complex128))))
-    inv_root = inv_root @ np.linalg.inv(vecs)
-    v = mat @ inv_root
+    if diagonal:
+        r = np.sqrt(d)
+        v = mat / r
+        v = v - v @ (off / (r * (r[:, None] + r)))
+    else:
+        vals, vecs = np.linalg.eig(m)
+        if np.linalg.cond(vecs) > KAPPA_MAX:
+            raise OrthogonalizationFailure("W^T W has an ill-conditioned eigenbasis")
+        inv_root = vecs @ (np.diag(1.0 / np.sqrt(vals.astype(np.complex128))))
+        inv_root = inv_root @ np.linalg.inv(vecs)
+        v = mat @ inv_root
     n = mat.shape[0]
     err = float(np.linalg.norm(v.T @ v - np.eye(n)))
     if err > 1e-8 * n:

@@ -29,9 +29,10 @@ for the pair tests.  The pair scan fires at the first matching pair in
 row-major order.  One witness is built at that pair and verified once: it is
 certified invertible (``GLElement``), its joint-diagonality residual on the
 reconstructed set is at most max(1e-10, tol), and it is not essentially
-equivalent to the identity.  The residual is computed from the (n, m) spectra
-with the congruences and the re-symmetrization of ``apply_congruence``.  The
-entry point raises InvalidPrecondition unless ``tol`` lies in [0, 1).
+equivalent to the identity.  The witness is the identity outside the pair, so
+the residual is computed on its 2x2 block at the pair with the congruences
+and the re-symmetrization of ``apply_congruence``.  The entry point raises
+InvalidPrecondition unless ``tol`` lies in [0, 1).
 """
 
 from __future__ import annotations
@@ -210,22 +211,29 @@ def _pair_witness_block(t_kernel, h_kernel) -> np.ndarray:
     return block
 
 
-def _spectra_residual(x: np.ndarray, t_spectra: np.ndarray, h_spectra: np.ndarray) -> float:
-    """``offdiag_residual`` of the reconstructed diagonal set under ``x``.
+def _spectra_residual(
+    block: np.ndarray, pair: tuple, t_spectra: np.ndarray, h_spectra: np.ndarray
+) -> float:
+    """``offdiag_residual`` of the reconstructed diagonal set under a pair witness.
 
-    Row i of a family stands for diag(row i).  The congruences and the exact
-    re-symmetrization are those of ``apply_congruence``, batched over rows.
+    The witness is the identity outside rows and columns ``pair``, where it
+    holds ``block``.  Row i of a family stands for diag(row i), and on finite
+    spectra every transformed matrix is then diagonal outside the 2x2 block
+    at ``pair``: those entries are exact zeros.  The congruences and the
+    exact re-symmetrization of ``apply_congruence`` are evaluated on that
+    block, batched over rows, in O(n) per family; the two symmetrized
+    off-diagonal entries have one modulus.  The normalization is every
+    spectrum's full squared norm.
     """
-    xc = x.conj()
+    cols = list(pair)
+    bc = block.conj()
     num = den = 0.0
-    for spectra, right, hermitian in ((t_spectra, xc, False), (h_spectra, x, True)):
+    for spectra, right, hermitian in ((t_spectra, bc, False), (h_spectra, block, True)):
         if spectra.shape[0] == 0:
             continue
-        t = (xc.T * spectra[:, None, :]) @ right  # X^H diag(row) R, one per row
-        t = (t + (t.conj() if hermitian else t).swapaxes(1, 2)) / 2.0
-        diag = np.arange(x.shape[0])
-        t[:, diag, diag] = 0.0
-        num += float(np.sum(np.abs(t) ** 2))
+        t = (bc.T * spectra[:, None, cols]) @ right  # B^H diag(row at pair) R, one per row
+        lower = t[:, 1, 0].conj() if hermitian else t[:, 1, 0]
+        num += 2.0 * float(np.sum(np.abs((t[:, 0, 1] + lower) / 2.0) ** 2))
         den += float(np.sum(np.abs(spectra) ** 2))
     if den == 0.0:
         return 0.0
@@ -246,12 +254,13 @@ def _witness(
     )
     m = t_spectra.shape[1] if t_spectra.shape[0] else h_spectra.shape[1]
     x = np.eye(m, dtype=np.complex128)
-    x[np.ix_([k, l], [k, l])] = block
+    x[k, k], x[k, l] = block[0]
+    x[l, k], x[l, l] = block[1]
     try:
         witness = GLElement(x)
     except SingularMatrix as exc:
         raise WitnessVerificationError(f"witness block is singular: {exc}") from exc
-    residual = _spectra_residual(witness.matrix, t_spectra, h_spectra)
+    residual = _spectra_residual(block, pair, t_spectra, h_spectra)
     rtol = max(1e-10, tol)
     if not residual <= rtol:
         raise WitnessVerificationError(

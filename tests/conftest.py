@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from nujd.core import CongruenceKind, DiagonalStack, TaggedMatrix
+from nujd.core import KAPPA_MAX, SIGMA_MIN, CongruenceKind, DiagonalStack, TaggedMatrix
+from nujd.errors import OrthogonalizationFailure
 
 
 # tolerances outside [0, 1) that every tolerance check must reject
@@ -46,6 +47,35 @@ def tagged_put_pair(a, w1, w2):
     c1 = TaggedMatrix(a @ np.diag(w1) @ a.conj().T, CongruenceKind.HERMITIAN)
     c2 = TaggedMatrix(a @ np.diag(w2) @ a.T, CongruenceKind.TRANSPOSE)
     return c1, c2
+
+
+def eig_polar_factor(w):
+    """Reference polar factor W (W^T W)^{-1/2} through a full eigendecomposition.
+
+    This is ``linalg.symmetric_orthogonalize`` before it took W^T W that is
+    diagonal to TAU_RHO by a column scaling: the floor SVD, ``eig``, the
+    eigenbasis condition, the principal root and ``inv`` on every input.
+    """
+    mat = w.matrix
+    m = mat.T @ mat
+    svals = np.linalg.svd(m, compute_uv=False)
+    if svals[-1] <= SIGMA_MIN * svals[0]:
+        raise OrthogonalizationFailure(
+            "W^T W is numerically singular; no complex-orthogonal polar part"
+        )
+    vals, vecs = np.linalg.eig(m)
+    if np.linalg.cond(vecs) > KAPPA_MAX:
+        raise OrthogonalizationFailure("W^T W has an ill-conditioned eigenbasis")
+    inv_root = vecs @ (np.diag(1.0 / np.sqrt(vals.astype(np.complex128))))
+    inv_root = inv_root @ np.linalg.inv(vecs)
+    v = mat @ inv_root
+    n = mat.shape[0]
+    err = float(np.linalg.norm(v.T @ v - np.eye(n)))
+    if err > 1e-8 * n:
+        raise OrthogonalizationFailure(
+            f"polar factor failed V^T V = I check: error {err:.3e}"
+        )
+    return v
 
 
 def transpose_stack(spectra):

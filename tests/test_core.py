@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from nujd.core import (
+    TAU_PATTERN,
     CongruenceKind,
+    _pattern_test,
     DiagonalStack,
     GLElement,
     GmElement,
@@ -219,3 +221,75 @@ class TestPatternDistance:
         assert gm_pattern_distance(np.array([[1, 1], [1, -1]])) == pytest.approx(
             np.sqrt(0.5)
         )
+
+
+def _loop_pattern_test(e, tol):
+    """Reference: the bijection check as a per-row loop over the argmaxes."""
+    a = np.abs(e)
+    n = a.shape[0]
+    cols = np.argmax(a, axis=1)
+    if len(set(cols.tolist())) != n:
+        return False, None
+    rows_of_col = np.argmax(a, axis=0)
+    for i in range(n):
+        if rows_of_col[cols[i]] != i:
+            return False, None
+    pattern = np.zeros_like(a, dtype=bool)
+    pattern[np.arange(n), cols] = True
+    scale = float(np.linalg.norm(e))
+    off = float(np.linalg.norm(np.where(pattern, 0.0, e)))
+    if off > tol * max(scale, np.finfo(float).tiny):
+        return False, None
+    row_max = a[np.arange(n), cols]
+    off_rows = np.where(pattern, 0.0, a)
+    if np.any(off_rows.max(axis=1) > np.maximum(tol * row_max, tol * scale)):
+        return False, None
+    return True, np.where(pattern, e, 0.0)
+
+
+class TestPatternTest:
+    @staticmethod
+    def _inputs(rng):
+        for m in range(1, 13):
+            p = np.eye(m)[rng.permutation(m)]
+            d = rng.uniform(0.1, 3.0, m) * np.exp(2j * np.pi * rng.uniform(size=m))
+            pd = np.diag(d) @ p
+            yield pd
+            # off-pattern noise on both sides of the tolerance
+            for noise in (1e-9, 1e-7, 1e-5, 1e-2):
+                yield pd + noise * (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+            yield rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+            # argmax ties: equal moduli across a row, a column, everywhere
+            tie = pd.copy()
+            if m > 1:
+                tie[0, :] = abs(tie[0]).max()
+                yield tie
+                tie = pd.copy()
+                tie[:, 0] = abs(tie[:, 0]).max()
+                yield tie
+            yield np.ones((m, m))
+            # non-bijections: two rows pointing at one column, a zero row
+            if m > 1:
+                bad = pd.copy()
+                bad[1] = 0.0
+                bad[1, np.argmax(abs(pd[0]))] = 5.0
+                yield bad
+                zero = pd.copy()
+                zero[m - 1] = 0.0
+                yield zero
+                yield np.triu(np.ones((m, m))) + 1e-3 * np.eye(m)
+
+    def test_matches_the_row_loop(self):
+        rng = np.random.default_rng(12)
+        seen = {True: 0, False: 0}
+        for e in self._inputs(rng):
+            for tol in (TAU_PATTERN, 1e-3):
+                ok, cleaned = _pattern_test(e, tol)
+                ref_ok, ref_cleaned = _loop_pattern_test(e, tol)
+                assert ok == ref_ok
+                if ok:
+                    assert cleaned.tobytes() == ref_cleaned.tobytes()
+                else:
+                    assert cleaned is None and ref_cleaned is None
+                seen[ok] += 1
+        assert seen[True] > 20 and seen[False] > 20

@@ -14,9 +14,9 @@ from nujd.linalg import (
     symmetric_orthogonalize,
     takagi,
 )
-from nujd.core import GLElement
+from nujd.core import TAU_RHO, GLElement
 
-from conftest import complex_symmetric, random_mixing
+from conftest import complex_symmetric, eig_polar_factor, random_mixing, random_unitary
 
 
 class TestTakagi:
@@ -194,3 +194,102 @@ class TestSymmetricOrthogonalize:
         w = GLElement(base @ np.diag([2.0, 0.5]))
         v = symmetric_orthogonalize(w)
         assert np.linalg.norm(v.T @ v - np.eye(2)) <= 1e-8 * 2
+
+
+def _diagonal_branch(w):
+    """Whether W^T W is diagonal to TAU_RHO, the test that picks the branch."""
+    g = w.T @ w
+    d = np.abs(np.diag(g))
+    return bool(np.all(np.abs(g - np.diag(np.diag(g))) <= TAU_RHO * np.sqrt(np.outer(d, d))))
+
+
+def _rotation_blocks(rng, m):
+    """Permuted block-diagonal complex rotations times complex column scales."""
+    w = np.zeros((m, m), dtype=complex)
+    for j in range(0, m - 1, 2):
+        th = rng.standard_normal() + 1j * rng.standard_normal()
+        w[j:j + 2, j:j + 2] = [[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]]
+    if m % 2:
+        w[m - 1, m - 1] = 1.0
+    d = rng.uniform(0.2, 3.0, m) * np.exp(2j * np.pi * rng.uniform(size=m))
+    return w[rng.permutation(m)] * d
+
+
+class TestPolarFactorBranches:
+    """The diagonal branch against the eigendecomposition formula it replaces."""
+
+    EPS = np.finfo(float).eps
+
+    def test_exactly_diagonal_gram_agrees_to_rounding(self):
+        rng = np.random.default_rng(60)
+        for m in range(1, 17):
+            for _ in range(10):
+                # a permutation times a diagonal: every off-diagonal g_kl is 0
+                d = rng.uniform(0.05, 5.0, m) * np.exp(2j * np.pi * rng.uniform(size=m))
+                d[rng.uniform(size=m) < 0.2] *= -1.0  # negative reals and their roots
+                w = np.eye(m)[rng.permutation(m)] * d
+                g = w.T @ w
+                assert np.count_nonzero(g - np.diag(np.diag(g))) == 0
+                v = symmetric_orthogonalize(GLElement(w))
+                ref = eig_polar_factor(GLElement(w))
+                assert np.abs(v - ref).max() <= 4 * self.EPS * np.abs(ref).max()
+
+    def test_near_diagonal_gram_agrees_with_eig_formula(self, rng):
+        # W^T W diagonal up to rounding: real orthogonal, scaled complex
+        # rotations, block-diagonal complex rotations
+        q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+        theta = 0.3 + 0.2j
+        base = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+        cases = [q, base @ np.diag([2.0, 0.5])]
+        cases += [_rotation_blocks(rng, m) for m in range(2, 17) for _ in range(3)]
+        for w in cases:
+            assert _diagonal_branch(w)
+            v = symmetric_orthogonalize(GLElement(w))
+            ref = eig_polar_factor(GLElement(w))
+            assert np.abs(v - ref).max() <= 1e-13 * np.abs(ref).max()
+            assert np.linalg.norm(v.T @ v - np.eye(w.shape[0])) <= 1e-13 * w.shape[0]
+
+    def test_dense_gram_is_bitwise_the_eig_formula(self, rng):
+        cases = [random_unitary(rng, m) for m in (2, 3, 5, 8)]
+        cases += [random_mixing(rng, m, cond_cap=20) for m in (2, 4, 6, 12)]
+        cases.append(np.array([[1.0, 1j], [1j, 1.0]]))
+        for t in (1e-12, 1e-8, 1e-4):  # the defective family of the test above
+            tf = takagi(np.array([[2j, 1.0], [1.0, t]]))
+            cases.append(np.sqrt(tf.sigma)[:, None] * tf.u.T)
+        for w in cases:
+            assert not _diagonal_branch(w)
+            try:
+                ref = eig_polar_factor(GLElement(w))
+            except OrthogonalizationFailure as exc:
+                with pytest.raises(OrthogonalizationFailure, match=str(exc)):
+                    symmetric_orthogonalize(GLElement(w))
+                continue
+            assert symmetric_orthogonalize(GLElement(w)).tobytes() == ref.tobytes()
+
+    def test_first_order_correction_is_second_order_accurate(self):
+        # off-diagonal g_kl at about 1e-12 relative: the corrected V is the
+        # eig formula's polar factor, and V^T V = I, to rounding
+        rng = np.random.default_rng(61)
+        for m in (2, 5, 9):
+            for _ in range(10):
+                w = _rotation_blocks(rng, m)
+                w = w + 1e-12 * np.abs(w).max() * rng.standard_normal((m, m))
+                assert _diagonal_branch(w)
+                g = w.T @ w
+                assert np.count_nonzero(np.abs(g - np.diag(np.diag(g))) > 1e-14)
+                v = symmetric_orthogonalize(GLElement(w))
+                ref = eig_polar_factor(GLElement(w))
+                assert np.abs(v - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("t,delta", [(1e-5, 5e-3), (3e-6, 1e-1)])
+    def test_nearly_isotropic_column_on_the_diagonal_branch_fails(self, t, delta):
+        # column 1 has w^T w = t^2 delta against ||w||^2 = t^2; column 2 is
+        # transpose-orthogonal to it, so W^T W = diag(t^2 delta, delta, 1) up
+        # to rounding, below the floor, while W is certifiably invertible
+        a, b = np.sqrt((1 + delta) / 2), np.sqrt((1 - delta) / 2)
+        w = GLElement(np.array([[t * a, 1j * b, 0], [1j * t * b, -a, 0], [0, 0, 1]]))
+        assert _diagonal_branch(w.matrix)
+        with pytest.raises(OrthogonalizationFailure, match="numerically singular"):
+            symmetric_orthogonalize(w)
+        with pytest.raises(OrthogonalizationFailure, match="numerically singular"):
+            eig_polar_factor(w)

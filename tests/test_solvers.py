@@ -27,7 +27,9 @@ from nujd.solvers import _sign_normalize_columns, put, solve_pair, sut, two_matr
 from nujd.uniqueness import identifiability_master
 from nujd.core import DiagonalStack
 
-from conftest import put_pair, random_mixing, random_unitary, tagged_put_pair
+from nujd import solvers
+
+from conftest import eig_polar_factor, put_pair, random_mixing, random_unitary, tagged_put_pair
 
 
 def classical_sut(c_h: np.ndarray, c_s: np.ndarray) -> np.ndarray:
@@ -320,6 +322,27 @@ class TestPostconditionIdentities:
             # lam matches the model spectrum w1 / |w2| as a multiset
             expected = np.sort(w1 / np.abs(w2))
             assert np.allclose(np.sort(res.lam.real), expected, rtol=1e-6)
+
+
+class TestPolarFactorInPut:
+    @pytest.mark.parametrize("m", [2, 4, 8, 16, 32])
+    def test_matches_the_eig_polar_factor_pipeline(self, m, monkeypatch):
+        # the eigenvectors of a distinct-spectrum C1~ C1~^T have W^T W
+        # diagonal to rounding, so PUT takes the column-scaling branch; its X
+        # is the eigendecomposition pipeline's to rounding
+        rng = np.random.default_rng(70 + m)
+        for _ in range(8):
+            a, w1, w2 = put_pair(rng, m, margin=0.07 if m < 16 else 1e-3)
+            c1, c2 = tagged_put_pair(a, w1, w2)
+            res = put(c1, c2)
+            with monkeypatch.context() as patch:
+                patch.setattr(solvers, "symmetric_orthogonalize", eig_polar_factor)
+                ref = put(c1, c2)
+            x, xr = res.x.matrix, ref.x.matrix
+            assert np.abs(x - xr).max() <= 1e-12 * np.abs(xr).max()
+            assert np.abs(res.lam - ref.lam).max() <= 1e-12 * np.abs(ref.lam).max()
+            assert res.takagi.u.tobytes() == ref.takagi.u.tobytes()
+            assert res.eig_gap == ref.eig_gap
 
 
 def _loop_sign_normalize(x):

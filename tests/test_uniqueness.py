@@ -542,7 +542,13 @@ class TestEngineCost:
 # ---------------------------------------------------------------------------
 # the cached-index helpers against the formulas they replace
 
-from nujd.uniqueness import _first_pair, _rho, _spectra_residual
+from nujd.uniqueness import (
+    _first_pair,
+    _pair_kernel,
+    _pair_witness_block,
+    _rho,
+    _spectra_residual,
+)
 
 
 class TestPairHelpers:
@@ -573,19 +579,59 @@ class TestPairHelpers:
             last[m - 2, m - 1] = True
             assert _first_pair(last) == (m - 2, m - 1)
 
+    @staticmethod
+    def _full_residual(x, t, h):
+        """Reference: the congruences on the whole m x m witness, by einsum."""
+        m = x.shape[0]
+        xc = x.conj()
+        num = den = 0.0
+        for spectra, right, hermitian in ((t, xc, False), (h, x, True)):
+            if spectra.shape[0] == 0:
+                continue
+            a = np.einsum("ja,ij,jb->iab", xc, spectra, right)
+            a = (a + (a.conj() if hermitian else a).swapaxes(1, 2)) / 2.0
+            a[:, np.arange(m), np.arange(m)] = 0.0
+            num += float(np.sum(np.abs(a) ** 2))
+            den += float(np.sum(np.abs(spectra) ** 2))
+        return float(np.sqrt(num / den)) if den else 0.0
+
     def test_spectra_residual_matches_einsum(self):
+        # the block residual against the full-matrix formula on witnesses
+        # that are the identity outside rows and columns {k, l}
         rng = np.random.default_rng(42)
-        for m in (2, 5, 32):
-            x = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-            t = rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))
-            h = rng.standard_normal((2, m)).astype(complex)
-            xc = x.conj()
-            num = den = 0.0
-            for spectra, right, hermitian in ((t, xc, False), (h, x, True)):
-                a = np.einsum("ja,ij,jb->iab", xc, spectra, right)
-                a = (a + (a.conj() if hermitian else a).swapaxes(1, 2)) / 2.0
-                a[:, np.arange(m), np.arange(m)] = 0.0
-                num += float(np.sum(np.abs(a) ** 2))
-                den += float(np.sum(np.abs(spectra) ** 2))
-            ref = float(np.sqrt(num / den))
-            assert _spectra_residual(x, t, h) == pytest.approx(ref, rel=1e-12)
+        for m in range(2, 41):
+            for nt in range(4):
+                for nh in range(4):
+                    k, l = sorted(int(i) for i in rng.choice(m, size=2, replace=False))
+                    block = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+                    x = np.eye(m, dtype=complex)
+                    x[np.ix_([k, l], [k, l])] = block
+                    t = rng.standard_normal((nt, m)) + 1j * rng.standard_normal((nt, m))
+                    h = rng.standard_normal((nh, m)).astype(complex)
+                    ref = self._full_residual(x, t, h)
+                    got = _spectra_residual(block, (k, l), t, h)
+                    assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_witness_matrix_is_the_embedded_block(self):
+        # plain assignment of the block gives the bits of the np.ix_ embedding
+        rng = np.random.default_rng(43)
+        checked = 0
+        for _ in range(300):
+            sym, herm = random_nonidentifiable_stacks(rng, m=int(rng.integers(2, 9)))
+            rep = identifiability_master(sym, herm)
+            if rep.unique:
+                continue
+            k, l = rep.violating_pair
+            t = sym.spectra if sym is not None else np.zeros((0, rep.witness.m), complex)
+            h = herm.spectra if herm is not None else np.zeros((0, rep.witness.m), complex)
+            block = _pair_witness_block(
+                _pair_kernel(np.conj(t), (k, l), TAU_RHO), _pair_kernel(h.real, (k, l), TAU_RHO)
+            )
+            x = np.eye(rep.witness.m, dtype=complex)
+            x[np.ix_([k, l], [k, l])] = block
+            assert rep.witness.matrix.tobytes() == x.tobytes()
+            assert rep.witness_residual == pytest.approx(
+                self._full_residual(x, t, h), rel=1e-9, abs=1e-15
+            )
+            checked += 1
+        assert checked >= 250
