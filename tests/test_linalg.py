@@ -226,7 +226,8 @@ class TestPolarFactorBranches:
             for _ in range(10):
                 # a permutation times a diagonal: every off-diagonal g_kl is 0
                 d = rng.uniform(0.05, 5.0, m) * np.exp(2j * np.pi * rng.uniform(size=m))
-                d[rng.uniform(size=m) < 0.2] *= -1.0  # negative reals and their roots
+                cut = rng.uniform(size=m) < 0.2
+                d[cut] = 1j * np.abs(d[cut])  # g_kk < 0: the root on its branch cut
                 w = np.eye(m)[rng.permutation(m)] * d
                 g = w.T @ w
                 assert np.count_nonzero(g - np.diag(np.diag(g))) == 0
