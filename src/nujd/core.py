@@ -37,6 +37,12 @@ KAPPA_MAX = 1e8       # condition-number ceiling for certified invertibility
 SIGMA_MIN = 1e-12     # relative singular-value floor
 
 
+def below_floor(small, large) -> bool:
+    """Whether ``small`` is at or below SIGMA_MIN times ``large`` (the
+    smallest normal float when ``large`` is zero or smaller)."""
+    return small <= SIGMA_MIN * max(large, np.finfo(float).tiny)
+
+
 def require_finite(a: np.ndarray, message: str) -> None:
     """Raise NonFiniteEntries(message) unless every entry of ``a`` is finite.
 

@@ -4,15 +4,13 @@ Sources are generated channel-independent with controllable circularity,
 temporal color, and block nonstationarity; the mixing model is noise-free
 w(t) = A s(t) with an optional additive-noise hook for exploration.  Every
 stream is seeded through numpy SeedSequence spawning, so a (seed, trial)
-pair reproduces a trial bit-exactly regardless of batch parallelism.
+pair reproduces a trial bit-exactly.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -588,39 +586,13 @@ def run_trial(config: ExperimentConfig, trial: int) -> dict:
     return record
 
 
-def worker_count(value: Optional[str], trials: int) -> int:
-    """Batch threads for a ``NUJD_THREADS`` value: unset or empty means 1.
-
-    Raises ConfigError unless the value is an integer >= 1, and clamps it to
-    [1, min(trials, cpu count)].
-    """
-    if value is None or not value.strip():
-        return 1
-    invalid = ConfigError(f"NUJD_THREADS must be an integer >= 1, got {value!r}")
-    try:
-        requested = int(value)
-    except ValueError:
-        raise invalid from None
-    if requested < 1:
-        raise invalid
-    return max(1, min(requested, trials, os.cpu_count() or 1))
-
-
 def run_experiment(config: ExperimentConfig) -> dict:
-    """Run the configured batch and aggregate demixing quality.
+    """Run the configured batch, one trial after another, and aggregate
+    demixing quality.
 
-    Per-trial errors are recorded, not fatal.  The NUJD_THREADS environment
-    variable caps batch parallelism (see :func:`worker_count`); results are
-    identical either way because every trial owns an independent
-    (seed, trial) stream.
+    Per-trial errors are recorded, not fatal.
     """
-    workers = worker_count(os.environ.get("NUJD_THREADS"), config.trials)
-    trials = list(range(config.trials))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(lambda t: run_trial(config, t), trials))
-    else:
-        records = [run_trial(config, t) for t in trials]
+    records = [run_trial(config, t) for t in range(config.trials)]
     amaris = [r["amari"] for r in records if r.get("error") is None and "amari" in r]
     aggregate = {"trials": config.trials, "failed": sum(1 for r in records if r["error"])}
     if amaris:

@@ -22,8 +22,8 @@ import numpy as np
 from .core import (
     CongruenceKind,
     GLElement,
-    SIGMA_MIN,
     TaggedMatrix,
+    below_floor,
     offdiag_residual,
 )
 from .errors import (
@@ -105,7 +105,7 @@ def put(c1: TaggedMatrix, c2: TaggedMatrix) -> PutResult:
         raise DimensionMismatch("c1 and c2 must share a dimension")
     m = c1.m
     tak = takagi(c2.matrix)
-    if tak.sigma[-1] <= SIGMA_MIN * max(tak.sigma[0], np.finfo(float).tiny):
+    if below_floor(tak.sigma[-1], tak.sigma[0]):
         raise SingularPseudoCovariance(
             f"Takagi singular value {m - 1} is below the floor "
             f"({tak.sigma[-1]:.3e})",
@@ -154,7 +154,7 @@ def sut(c_hermitian_pd: TaggedMatrix, c_symmetric: TaggedMatrix) -> PutResult:
     if c_hermitian_pd.kind is not CongruenceKind.HERMITIAN:
         raise InvalidPrecondition("the first matrix must be Hermitian kind")
     eig = np.linalg.eigvalsh((c_hermitian_pd.matrix + c_hermitian_pd.matrix.conj().T) / 2)
-    if eig[0] <= SIGMA_MIN * max(eig[-1], np.finfo(float).tiny):
+    if below_floor(eig[0], eig[-1]):
         raise NotPositiveDefinite(
             f"Hermitian matrix is not positive definite (min eigenvalue {eig[0]:.3e})"
         )
@@ -174,7 +174,7 @@ def two_matrix_same_kind(c1: TaggedMatrix, c2: TaggedMatrix) -> GLElement:
     if c1.m != c2.m:
         raise DimensionMismatch("c1 and c2 must share a dimension")
     svals = np.linalg.svd(c2.matrix, compute_uv=False)
-    if svals[-1] <= SIGMA_MIN * max(svals[0], np.finfo(float).tiny):
+    if below_floor(svals[-1], svals[0]):
         raise SingularSecondMatrix("the second matrix is numerically singular")
     m = np.linalg.solve(c2.matrix.T, c1.matrix.T).T
     w, lam = general_evd(m)

@@ -33,14 +33,19 @@ def hermitian(rng, m):
 
 
 def put_pair(rng, m, margin=0.07, cond_cap=100.0):
-    """(A, omega1 real, omega2 complex) with separated two-matrix margins."""
+    """(A, omega1 real, omega2 complex) with separated two-matrix margins.
+
+    Redraws the spectra at most 1000 times, then raises ValueError: at large
+    m with a wide margin hardly any draw separates every ratio.
+    """
     a = random_mixing(rng, m, cond_cap)
-    while True:
+    for _ in range(1000):
         w1 = rng.uniform(0.3, 3.0, m) * rng.choice([-1.0, 1.0], m)
         w2 = rng.uniform(0.3, 3.0, m) * np.exp(2j * np.pi * rng.uniform(size=m))
         ratios = np.sort(np.abs(w1) / np.abs(w2))
         if np.min(np.diff(ratios) / ratios[:-1]) > margin:
             return a, w1, w2
+    raise ValueError(f"put_pair: no spectra draw at m={m} separates every ratio by margin={margin}")
 
 
 def tagged_put_pair(a, w1, w2):

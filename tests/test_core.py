@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from nujd.core import (
+    SIGMA_MIN,
     TAU_PATTERN,
     CongruenceKind,
     _pattern_test,
@@ -14,6 +15,7 @@ from nujd.core import (
     TaggedMatrix,
     apply_congruence,
     as_complex_matrix,
+    below_floor,
     gm_pattern_distance,
     hermitian_skew_split,
     is_essentially_equivalent,
@@ -79,6 +81,16 @@ class TestValidation:
         t = TaggedMatrix(np.eye(2), CongruenceKind.HERMITIAN)
         with pytest.raises(ValueError):
             t.matrix[0, 0] = 5.0
+
+    def test_below_floor_is_relative_and_inclusive(self):
+        tiny = np.finfo(float).tiny
+        assert below_floor(SIGMA_MIN * 4.0, 4.0)
+        assert not below_floor(np.nextafter(SIGMA_MIN * 4.0, 1.0), 4.0)
+        # a zero or negative reference scale counts as the smallest normal float
+        assert below_floor(0.0, 0.0)
+        assert below_floor(-1.0, -2.0)
+        assert not below_floor(tiny, 0.0)
+        assert not below_floor(np.nan, 1.0)
 
 
 class TestHermitianSkewSplit:

@@ -344,6 +344,11 @@ class TestPolarFactorInPut:
             assert res.takagi.u.tobytes() == ref.takagi.u.tobytes()
             assert res.eig_gap == ref.eig_gap
 
+    def test_put_pair_raises_when_no_draw_separates(self, rng):
+        # at m = 32 no draw in 20,000 clears the default 7% margin
+        with pytest.raises(ValueError, match=r"m=32 .*margin=0\.07"):
+            put_pair(rng, 32)
+
 
 def _loop_sign_normalize(x):
     """Reference: the per-column loop over the rows of X^H."""
