@@ -38,8 +38,8 @@ SIGMA_MIN = 1e-12     # relative singular-value floor
 
 
 def below_floor(small, large) -> bool:
-    """Whether ``small`` is at or below SIGMA_MIN times ``large`` (the
-    smallest normal float when ``large`` is zero or smaller)."""
+    """Whether ``small`` is at or below SIGMA_MIN times ``large``, or times
+    the smallest normal float when ``large`` is below it (zero, negative)."""
     return small <= SIGMA_MIN * max(large, np.finfo(float).tiny)
 
 

@@ -347,9 +347,9 @@ class TestRunExperiment:
 
     def test_thread_variable_ignored_and_filters_kept(self, monkeypatch):
         # The batch runs its trials in turn, so each trial's catch_warnings
-        # restores the filters it saved and NUJD_THREADS is not read.  Trials
-        # run on threads would interleave those saves and restores; many
-        # short trials make such a batch leave an "ignore" filter behind.
+        # restores the filters it saved.  Trials run on threads would
+        # interleave those saves and restores; many short trials make such
+        # a batch leave an "ignore" filter behind.
         cfg = _sut_config(trials=64, T=1000)
         monkeypatch.delenv("NUJD_THREADS", raising=False)
         unset = run_experiment(cfg)
