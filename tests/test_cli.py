@@ -515,11 +515,13 @@ class TestSimulate:
         res = runner.invoke(main, ["simulate", str(cfg)])
         assert res.exit_code == 1
 
-    def test_thread_variable_is_ignored(self, runner, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
+    def test_thread_variable_is_ignored(self, runner, tmp_path, monkeypatch, value):
+        # values the batch once rejected with exit 1 now change nothing
         cfg = self._config(tmp_path)
         monkeypatch.delenv("NUJD_THREADS", raising=False)
         unset = invoke(runner, "simulate", str(cfg))
-        monkeypatch.setenv("NUJD_THREADS", "abc")
+        monkeypatch.setenv("NUJD_THREADS", value)
         res = invoke(runner, "simulate", str(cfg))
         assert res.exit_code == 0
         assert res.stdout_bytes == unset.stdout_bytes

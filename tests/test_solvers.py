@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -265,6 +267,46 @@ class TestTwoMatrixSameKind:
             except (DegenerateSpectrum, SingularSecondMatrix):
                 solved = False
             assert solved == (verdict == "Unique")
+
+
+def _floor_site(solver, r, scale=1.0):
+    """Call one floor-checking solver on diagonal inputs whose checked matrix
+    is scale * diag(1, r)."""
+    h, t = CongruenceKind.HERMITIAN, CongruenceKind.TRANSPOSE
+    checked = scale * np.diag([1.0, r])
+    if solver is put:
+        put(TaggedMatrix(scale * np.diag([2.0, 3.0]), h), TaggedMatrix(checked, t))
+    elif solver is sut:
+        sut(TaggedMatrix(checked, h), TaggedMatrix(scale * np.diag([1.0, 0.5j]), t))
+    else:
+        two_matrix_same_kind(TaggedMatrix(scale * np.diag([1.0, 2.0]), h), TaggedMatrix(checked, h))
+
+
+_FLOOR_SITES = [
+    (put, SingularPseudoCovariance),
+    (sut, NotPositiveDefinite),
+    (two_matrix_same_kind, SingularSecondMatrix),
+]
+
+
+class TestRelativeFloor:
+    # put, sut and two_matrix_same_kind share one floor check (core.below_floor)
+    # and each keeps its own error class
+    @pytest.mark.parametrize("solver, error", _FLOOR_SITES)
+    def test_all_zero_matrix_raises_the_site_error(self, solver, error):
+        # with every value 0 the smallest sits on the floor (0 <= 0)
+        with pytest.raises(error):
+            _floor_site(solver, 0.0, scale=0.0)
+
+    @pytest.mark.parametrize("solver, error", _FLOOR_SITES)
+    def test_floor_scales_with_the_matrix(self, solver, error):
+        # a ratio of 1e-13 is under SIGMA_MIN = 1e-12 at any scale; 1e-11 is not
+        for scale in (1.0, 1e-150):
+            with pytest.raises(error):
+                _floor_site(solver, 1e-13, scale)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DegenerateSpectrumWarning)
+                _floor_site(solver, 1e-11, scale)
 
 
 class TestSolvePair:
