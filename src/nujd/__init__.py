@@ -15,7 +15,6 @@ from .core import (
     GmElement,
     TaggedMatrix,
     apply_congruence,
-    gm_pattern_distance,
     hermitian_skew_split,
     is_essentially_equivalent,
     offdiag_residual,
@@ -47,7 +46,6 @@ from .simulation import (
     ExperimentTruth,
     SourceSpec,
     amari_index,
-    demix,
     generate,
     mix,
     run_experiment,

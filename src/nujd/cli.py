@@ -11,9 +11,8 @@ import sys
 import warnings
 
 import click
-import numpy as np
 
-from .core import CongruenceKind, TAU_RHO, TAU_SYM, require_tol, stacks_from_rows
+from .core import TAU_RHO, require_tol
 from .errors import ConfigError, NujdError, NumericFailure
 from . import io as nio
 from .simulation import estimate_statistic, run_experiment
@@ -59,33 +58,13 @@ def cmd_check(input_path, tol, margin, out_path):
     use_tol = margin if margin is not None else tol
     try:
         require_tol(use_tol, "--tol" if margin is None else "--margin", error=ConfigError)
-        if not isinstance(doc, dict) or "spectra" in doc:
-            sym, herm, _ = nio.stacks_from_dict(doc)
-        elif "matrices" in doc:
-            sym, herm = _stacks_from_matrix_set(doc)
-        else:
-            _fail(1, "input is neither a spectra file nor a matrix-set file")
+        sym, herm, _ = nio.stacks_from_dict(doc)
         report = identifiability_master(sym, herm, use_tol)
     except NujdError as exc:
         _fail(1, str(exc))
     text = nio.write_json(nio.uniqueness_report_to_dict(report), out_path)
     click.echo(text, nl=False)
     sys.exit(0 if report.unique else 3)
-
-
-def _stacks_from_matrix_set(doc):
-    items = nio.matrix_set_from_dict(doc)
-    rows = []
-    for t in items:
-        diag = np.diag(t.matrix)
-        scale = max(float(np.linalg.norm(t.matrix)), np.finfo(float).tiny)
-        if float(np.linalg.norm(t.matrix - np.diag(diag))) > TAU_SYM * scale:
-            raise ConfigError(
-                "matrix-set input to check must hold diagonal matrices "
-                "(ground-truth spectra); run solve first for estimated sets"
-            )
-        rows.append((t.kind, diag.real if t.kind is CongruenceKind.HERMITIAN else diag))
-    return stacks_from_rows(rows, items[0].m)
 
 
 @main.command("solve")

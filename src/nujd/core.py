@@ -245,20 +245,6 @@ def _pattern_test(e: np.ndarray, tol: float):
     return True, cleaned
 
 
-def gm_pattern_distance(x: np.ndarray) -> float:
-    """Row-wise Frobenius distance of ``x`` from the G(m) pattern, in [0, 1].
-
-    For each row, everything except the largest-magnitude entry counts as
-    off-pattern mass; the total is normalized by ||x||_F.
-    """
-    a = np.abs(np.asarray(x))
-    total = float(np.sum(a**2))
-    if total == 0.0:
-        return 0.0
-    off = total - float(np.sum(np.max(a, axis=1) ** 2))
-    return float(np.sqrt(max(off, 0.0) / total))
-
-
 def hermitian_skew_split(c) -> tuple[np.ndarray, np.ndarray]:
     """Split C into Hermitian parts (H, S) with C = H + i*S.
 

@@ -21,9 +21,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import CongruenceKind, DiagonalStack, TaggedMatrix, stacks_from_rows
+from .core import TAU_SYM, CongruenceKind, DiagonalStack, TaggedMatrix, stacks_from_rows
 from .errors import ConfigError
-from .simulation import STATISTICS, ExperimentConfig, SourceSpec, _check_statistic
+from .simulation import STATISTICS, ExperimentConfig, SourceSpec
 from .statistics import _as_pattern
 from .solvers import PutResult
 from .uniqueness import UniquenessReport
@@ -244,6 +244,12 @@ def stacks_to_dict(sym: Optional[DiagonalStack], herm: Optional[DiagonalStack]) 
 
 
 def stacks_from_dict(doc: dict):
+    """(transpose stack, Hermitian stack, m) of a spectra document, or of a
+    matrix-set document whose matrices are all diagonal (``check``'s input)."""
+    if isinstance(doc, dict) and "spectra" not in doc:
+        if "matrices" not in doc:
+            raise ConfigError("input is neither a spectra file nor a matrix-set file")
+        return _stacks_from_matrix_set(doc)
     m = _count(doc, "m")
     rows = []
     for i, entry in enumerate(_list(doc, "spectra")):
@@ -253,6 +259,22 @@ def stacks_from_dict(doc: dict):
         if diag.size != m:
             raise ConfigError(f"{path}.diag has length {diag.size}, m = {m}")
         rows.append((kind, diag))
+    return (*stacks_from_rows(rows, m), m)
+
+
+def _stacks_from_matrix_set(doc: dict):
+    items = matrix_set_from_dict(doc)
+    rows = []
+    for t in items:
+        diag = np.diag(t.matrix)
+        scale = max(float(np.linalg.norm(t.matrix)), np.finfo(float).tiny)
+        if float(np.linalg.norm(t.matrix - np.diag(diag))) > TAU_SYM * scale:
+            raise ConfigError(
+                "matrix-set input to check must hold diagonal matrices "
+                "(ground-truth spectra); run solve first for estimated sets"
+            )
+        rows.append((t.kind, diag.real if t.kind is CongruenceKind.HERMITIAN else diag))
+    m = items[0].m
     return (*stacks_from_rows(rows, m), m)
 
 
@@ -398,7 +420,6 @@ def _statistic_from_dict(entry, path: str, m: int) -> dict:
         stat["fixed"] = tuple(c - 1 for c in fixed)
     if "offsets" in fields:
         stat["offsets"] = _ints(_field(entry, "offsets", path), f"{path}.offsets", 0, size=k)
-    _check_statistic(stat, path)
     return stat
 
 

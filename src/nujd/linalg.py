@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GLElement, KAPPA_MAX, SIGMA_MIN, TAU_RHO, TAU_SYM, as_complex_matrix
+from .core import GLElement, KAPPA_MAX, TAU_RHO, TAU_SYM, as_complex_matrix, below_floor
 from .errors import (
     DefectiveMatrix,
     OrthogonalizationFailure,
@@ -88,6 +88,15 @@ def takagi(c, rtol: float = TAU_SYM) -> TakagiFactorization:
     return TakagiFactorization(u=u, sigma=sigma)
 
 
+def unit_phase_columns(w: np.ndarray) -> np.ndarray:
+    """``w`` with unit-norm columns, each column's largest-magnitude entry
+    made real positive (the deterministic phase of an eigenvector)."""
+    w = w / np.linalg.norm(w, axis=0)
+    anchors = np.argmax(np.abs(w), axis=0)
+    phases = w[anchors, np.arange(w.shape[1])]
+    return w * (np.abs(phases) / phases)
+
+
 def general_evd(c) -> tuple[GLElement, np.ndarray]:
     """General (non-normal) eigendecomposition C W = W diag(lam).
 
@@ -101,13 +110,7 @@ def general_evd(c) -> tuple[GLElement, np.ndarray]:
     lam, w = np.linalg.eig(m)
     order = np.lexsort((-lam.imag, -lam.real, -np.abs(lam)))
     lam = lam[order]
-    w = w[:, order]
-    norms = np.linalg.norm(w, axis=0)
-    w = w / norms
-    # deterministic column phases
-    anchors = np.argmax(np.abs(w), axis=0)
-    phases = w[anchors, np.arange(w.shape[1])]
-    w = w * (np.abs(phases) / phases)
+    w = unit_phase_columns(w[:, order])
     # GLElement's one SVD certifies W; its floor sigma_min <= sigma_max / KAPPA_MAX is the
     # condition ceiling, and a W that passes it has cond <= KAPPA_MAX after rounding
     try:
@@ -147,7 +150,7 @@ def symmetric_orthogonalize(w: GLElement) -> np.ndarray:
     off = m - np.diag(d)
     diagonal = np.all(np.abs(off) <= TAU_RHO * np.sqrt(mags[:, None] * mags))
     svals = mags if diagonal else np.linalg.svd(m, compute_uv=False)
-    if svals.min() <= SIGMA_MIN * svals.max():
+    if below_floor(svals.min(), svals.max()):
         raise OrthogonalizationFailure(
             "W^T W is numerically singular; no complex-orthogonal polar part"
         )

@@ -152,12 +152,18 @@ def _generate_channel(spec: SourceSpec, rng, out: np.ndarray) -> None:
     else:  # block_nonstationary
         prof = spec.variance_profile
         nb = len(prof)
-        edges = np.linspace(0, t, nb + 1).astype(int)
+        edges = _block_edges(t, nb)
         x, y = _gaussian_pair(rng, t)
         _complex_into(out, 1.0, x, 1j, y)
         out /= np.sqrt(2.0)
         for b in range(nb):
             out[edges[b] : edges[b + 1]] *= math.sqrt(spec.power * prof[b])
+
+
+def _block_edges(t: int, blocks: int) -> np.ndarray:
+    """Sample indices that cut T samples into the blocks of a variance profile;
+    the generator and the population diagonals both use them."""
+    return np.linspace(0, t, blocks + 1).astype(int)
 
 
 def _complex_into(out: np.ndarray, ax: float, x: np.ndarray, by: complex, y: np.ndarray) -> None:
@@ -194,13 +200,6 @@ def mix(sources: SignalBlock, a: GLElement) -> SignalBlock:
     return SignalBlock(_handover(a.matrix @ sources.data))
 
 
-def demix(w: SignalBlock, x: GLElement) -> SignalBlock:
-    """Extracted signals y(t) = X^H w(t)."""
-    if x.m != w.m:
-        raise ConfigError("demixing matrix dimension must match the channel count")
-    return SignalBlock(_handover(x.matrix.conj().T @ w.data))
-
-
 def amari_index(g) -> float:
     """Demixing score of the global matrix g = X^H A.
 
@@ -229,23 +228,11 @@ def amari_index(g) -> float:
 # population (analytic) diagonals
 
 
-def _pop_variance(spec: SourceSpec) -> float:
-    if spec.kind == "block_nonstationary":
-        return spec.power * float(np.mean(spec.variance_profile))
-    return spec.power
-
-
-def _pop_pseudo_variance(spec: SourceSpec) -> complex:
-    if spec.kind == "bpsk":
-        return spec.power
-    if spec.kind in ("noncircular_gaussian", "ar1_noncircular"):
-        return spec.circularity * spec.power
-    return 0.0
-
-
 def _pop_autocov(spec: SourceSpec, lag: int) -> complex:
     if lag == 0:
-        return _pop_variance(spec)
+        if spec.kind == "block_nonstationary":
+            return spec.power * float(np.mean(spec.variance_profile))
+        return spec.power
     if spec.kind == "ar1_noncircular":
         return (spec.coefficient ** lag) * spec.power
     return 0.0
@@ -253,7 +240,11 @@ def _pop_autocov(spec: SourceSpec, lag: int) -> complex:
 
 def _pop_pseudo_autocov(spec: SourceSpec, lag: int) -> complex:
     if lag == 0:
-        return _pop_pseudo_variance(spec)
+        if spec.kind == "bpsk":
+            return spec.power
+        if spec.kind in ("noncircular_gaussian", "ar1_noncircular"):
+            return spec.circularity * spec.power
+        return 0.0
     if spec.kind == "ar1_noncircular":
         return (spec.coefficient ** lag) * spec.circularity * spec.power
     return 0.0
@@ -264,7 +255,7 @@ def _pop_window_variance(spec: SourceSpec, start: int, length: int, t: int) -> f
         return spec.power
     prof = spec.variance_profile
     nb = len(prof)
-    edges = np.linspace(0, t, nb + 1).astype(int)
+    edges = _block_edges(t, nb)
     total = 0.0
     for b in range(nb):
         lo = max(start, int(edges[b]))
@@ -312,18 +303,6 @@ def _part(values: np.ndarray, part: Optional[str]) -> np.ndarray:
     return values
 
 
-def _per_source(value):
-    """Population rule of a one-matrix statistic from its per-source value."""
-    return lambda truth, stat, t: [
-        np.array([value(s, stat) for s in truth.specs], dtype=np.complex128)
-    ]
-
-
-def _pop_autocorrelation(truth: ExperimentTruth, stat: dict, t: int) -> list:
-    vals = np.array([_pop_autocov(s, stat["lag"]) for s in truth.specs], dtype=np.complex128)
-    return [_part(vals, stat.get("part", "hermitian"))]
-
-
 def _pop_windows(truth: ExperimentTruth, stat: dict, t: int) -> list:
     return [
         np.array(
@@ -337,10 +316,11 @@ def _pop_windows(truth: ExperimentTruth, stat: dict, t: int) -> list:
 def _pop_slice(truth: ExperimentTruth, stat: dict, offs: tuple) -> Optional[list]:
     """Effective diagonal of a cumulant slice in the model C = A D A^dagger.
 
-    It absorbs the mixing-row factors of the fixed slots, so the mixing
-    matrix enters for orders above two.  None when no closed form is
-    implemented: orders above four, and lagged order-four slices of
-    block-nonstationary sources.
+    Every second-order statistic takes its population diagonal from here,
+    as the order-2 slice at time offsets (0, lag).  The diagonal absorbs
+    the mixing-row factors of the fixed slots, so the mixing matrix enters
+    for orders above two.  None when no closed form is implemented: orders
+    above four, and lagged order-four slices of block-nonstationary sources.
     """
     bits = tuple(_as_pattern(stat["pattern"]).bits)
     p, q = stat["axes"]
@@ -360,6 +340,14 @@ def _pop_slice(truth: ExperimentTruth, stat: dict, offs: tuple) -> Optional[list
         col = a[c, :]
         base = base * (np.conj(col) if bits[r] else col)
     return [_part(base, stat.get("part"))]
+
+
+def _pop_order2(pattern: tuple):
+    """Population rule of a one-matrix second-order statistic: the slice of
+    ``pattern`` at time offsets (0, lag), lag 0 when the entry has none."""
+    return lambda truth, stat, t: _pop_slice(
+        truth, dict(stat, pattern=pattern, axes=(0, 1)), (0, stat.get("lag", 0))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -409,20 +397,20 @@ class Statistic:
 STATISTICS = {
     "covariance": Statistic(
         (), _always(CongruenceKind.HERMITIAN), lambda stat, w: [covariance(w)],
-        _per_source(lambda s, stat: _pop_variance(s)),
+        _pop_order2((0, 1)),
     ),
     "pseudo_covariance": Statistic(
         (), _always(CongruenceKind.TRANSPOSE), lambda stat, w: [pseudo_covariance(w)],
-        _per_source(lambda s, stat: _pop_pseudo_variance(s)),
+        _pop_order2((0, 0)),
     ),
     "autocorrelation": Statistic(
         ("lag", "part"), _always(CongruenceKind.HERMITIAN), _estimate_autocorrelation,
-        _pop_autocorrelation,
+        _pop_order2((0, 1)),
     ),
     "pseudo_autocorrelation": Statistic(
         ("lag",), _always(CongruenceKind.TRANSPOSE),
         lambda stat, w: [pseudo_autocorrelation(w, stat["lag"])],
-        _per_source(lambda s, stat: _pop_pseudo_autocov(s, stat["lag"])),
+        _pop_order2((0, 0)),
     ),
     "windowed_covariance": Statistic(
         ("windows",), _always(CongruenceKind.HERMITIAN),

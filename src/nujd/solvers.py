@@ -36,7 +36,13 @@ from .errors import (
     SingularPseudoCovariance,
     SingularSecondMatrix,
 )
-from .linalg import TakagiFactorization, general_evd, symmetric_orthogonalize, takagi
+from .linalg import (
+    TakagiFactorization,
+    general_evd,
+    symmetric_orthogonalize,
+    takagi,
+    unit_phase_columns,
+)
 
 EIG_GAP_WARN = 1e-6
 
@@ -187,12 +193,8 @@ def two_matrix_same_kind(c1: TaggedMatrix, c2: TaggedMatrix) -> GLElement:
             "diagonalizer is not essentially unique"
         )
     xh = np.linalg.solve(w.matrix, np.eye(c1.m))
-    norms = np.linalg.norm(xh, axis=1)
-    xh = xh / norms[:, None]
-    anchors = np.argmax(np.abs(xh), axis=1)
-    phases = xh[np.arange(xh.shape[0]), anchors]
-    xh = xh * (np.abs(phases) / phases)[:, None]
-    return GLElement(xh.conj().T)
+    # unit-norm rows of X^H, each with its largest entry real positive
+    return GLElement(unit_phase_columns(xh.T).conj())
 
 
 def solve_pair(items, method: str) -> PutResult:

@@ -28,7 +28,6 @@ from nujd.core import (
     DiagonalStack,
     GLElement,
     TaggedMatrix,
-    gm_pattern_distance,
     is_essentially_equivalent,
     offdiag_residual,
 )
@@ -49,7 +48,7 @@ from nujd.uniqueness import identifiability_master
 from nujd.statistics import circularity_coefficient
 
 from conftest import put_pair, random_nonidentifiable_stacks, tagged_put_pair
-from _search import find_counterexample
+from _search import find_counterexample, gm_distance_batch
 
 
 def _report(criterion, ok, detail):
@@ -102,7 +101,7 @@ def test_criterion_2_witness_soundness():
             bad += 1
             continue
         resid = offdiag_residual(mats, w)
-        dist = gm_pattern_distance(w.matrix)
+        dist = gm_distance_batch(w.matrix[None])[0]
         if resid > 1e-10 or dist <= 0.1:
             bad += 1
     elapsed = time.time() - t0
@@ -176,7 +175,7 @@ def test_criterion_3_predicate_oracle_agreement_m2():
         if (
             w is None
             or offdiag_residual(mats, w) > 1e-10
-            or gm_pattern_distance(w.matrix) <= 0.1
+            or gm_distance_batch(w.matrix[None])[0] <= 0.1
         ):
             bad_witnesses += 1
     elapsed = time.time() - t0

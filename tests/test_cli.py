@@ -174,6 +174,7 @@ _SIMULATE_DOC = {
         ("simulate", dict(_SIMULATE_DOC, sources=5), "sources must be a list"),
         ("simulate", dict(_SIMULATE_DOC, T="x"), "T must be a positive integer, got 'x'"),
         ("simulate", dict(_SIMULATE_DOC, statistics=[5]), "statistics[0] must be an object"),
+        ("check", {"m": 2}, "input is neither a spectra file nor a matrix-set file"),
         (
             "check",
             {"m": 2, "spectra": [{"kind": "transpose", "diag": [["1", "0"], ["2", "0"]]}]},

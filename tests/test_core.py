@@ -16,7 +16,6 @@ from nujd.core import (
     apply_congruence,
     as_complex_matrix,
     below_floor,
-    gm_pattern_distance,
     hermitian_skew_split,
     is_essentially_equivalent,
     offdiag_residual,
@@ -24,12 +23,16 @@ from nujd.core import (
 from nujd.errors import (
     DimensionMismatch,
     NonFiniteEntries,
+    OrthogonalizationFailure,
     PatternViolation,
     SingularMatrix,
     SymmetryViolation,
 )
 
+from nujd.linalg import symmetric_orthogonalize
+
 from conftest import complex_symmetric, hermitian, random_mixing
+from _search import gm_distance_batch
 
 
 def small_complex_matrices(n):
@@ -91,6 +94,12 @@ class TestValidation:
         assert below_floor(-1.0, -2.0)
         assert not below_floor(tiny, 0.0)
         assert not below_floor(np.nan, 1.0)
+        # symmetric_orthogonalize floors the diagonal G = W^T W = diag(1, b * b),
+        # and 1e-6 * 1e-6 is SIGMA_MIN exactly
+        assert 1e-6 * 1e-6 == SIGMA_MIN
+        with pytest.raises(OrthogonalizationFailure):
+            symmetric_orthogonalize(GLElement(np.diag([1.0, 1e-6])))
+        symmetric_orthogonalize(GLElement(np.diag([1.0, np.nextafter(1e-6, 1.0)])))
 
 
 class TestHermitianSkewSplit:
@@ -227,10 +236,10 @@ class TestOffdiagResidual:
 
 class TestPatternDistance:
     def test_gm_member_is_zero(self):
-        assert gm_pattern_distance(np.diag([5.0, -1j])[:, [1, 0]]) == 0.0
+        assert gm_distance_batch(np.diag([5.0, -1j])[:, [1, 0]][None])[0] == 0.0
 
     def test_balanced_row_is_far(self):
-        assert gm_pattern_distance(np.array([[1, 1], [1, -1]])) == pytest.approx(
+        assert gm_distance_batch(np.array([[[1, 1], [1, -1]]]))[0] == pytest.approx(
             np.sqrt(0.5)
         )
 

@@ -15,7 +15,6 @@ from nujd.simulation import (
     SourceSpec,
     _generate_channel,
     amari_index,
-    demix,
     estimate_statistic,
     generate,
     mix,
@@ -202,8 +201,8 @@ class TestMixDemix:
     def test_demix_inverts(self):
         src, truth = generate((SourceSpec("bpsk"), SourceSpec("qpsk")), 300, 10)
         w = mix(src, truth.a)
-        y = demix(w, GLElement(np.linalg.inv(truth.a.matrix).conj().T))
-        assert np.allclose(y.data, src.data)
+        x = np.linalg.inv(truth.a.matrix).conj().T
+        assert np.allclose(x.conj().T @ w.data, src.data)
 
 
 class TestAmariIndex:
@@ -415,12 +414,17 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             _sut_config(solver="magic")
 
-    def test_zero_length_window_rejected_in_a_python_built_config(self):
-        # the file decoder and ExperimentConfig share one window check; a
-        # zero-length window used to end the batch in a ZeroDivisionError
-        with pytest.raises(
-            ConfigError, match=r"^statistics\[0\]\.windows\[0\]\[1\] must be a positive integer, got 0$"
-        ):
+    @pytest.mark.parametrize("stat, message", [
+        # a zero-length window used to end the batch in a ZeroDivisionError
+        ({"statistic": "windowed_covariance", "windows": [(0, 0), (500, 500)]},
+         r"^statistics\[0\]\.windows\[0\]\[1\] must be a positive integer, got 0$"),
+        ({"statistic": "cumulant_slice", "pattern": "0000", "axes": (0, 1), "fixed": (0, 0),
+          "part": "hermitian"},
+         r"^statistics\[0\]: part applies only to a Hermitian-kind slice"),
+    ], ids=["zero_length_window", "part_on_transpose_slice"])
+    def test_bad_statistic_rejected_in_a_python_built_config(self, stat, message):
+        # ExperimentConfig runs the one statistic check, for file and Python configs alike
+        with pytest.raises(ConfigError, match=message):
             ExperimentConfig(
                 sources=(
                     SourceSpec("block_nonstationary", variance_profile=(1.0, 4.0)),
@@ -428,7 +432,7 @@ class TestRunExperiment:
                 ),
                 T=1000,
                 seed=5,
-                statistics=({"statistic": "windowed_covariance", "windows": [(0, 0), (500, 500)]},),
+                statistics=(stat,),
                 solver="gevd",
             )
 
