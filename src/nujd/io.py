@@ -399,12 +399,7 @@ def _statistic_from_dict(entry, path: str, m: int) -> dict:
         choices = ", ".join(repr(k) for k in STATISTICS)
         raise ConfigError(f"{path}.statistic must be one of {choices}, got {name!r}")
     fields = STATISTICS[name].fields
-    extra = set(entry) - {"statistic", *fields}
-    if extra:
-        raise ConfigError(f"{path} has unknown fields {sorted(extra)}")
     stat = dict(entry)
-    if entry.get("part", "hermitian") not in ("hermitian", "skew"):
-        raise ConfigError(f"{path}.part must be 'hermitian' or 'skew', got {entry['part']!r}")
     if "lag" in fields:
         stat["lag"] = _int(_field(entry, "lag", path), f"{path}.lag", 0)
     if "windows" in fields:

@@ -40,29 +40,25 @@ def _unitary_sqrt(s: np.ndarray) -> np.ndarray:
     """Principal square root of a (numerically) unitary matrix.
 
     Schur form of a normal matrix is diagonal, so this is eigenphase halving
-    in an orthonormal basis; the branch maps arg to (-pi/2, pi/2].  A 1x1
-    block is its own Schur form (t = s, z = [[1]]), so its root is the
-    scalar principal root, bit for bit what the Schur path returns.
+    in an orthonormal basis; the branch maps arg to (-pi/2, pi/2].
     """
-    if s.shape[0] == 1:
-        return np.sqrt(s)
     import scipy.linalg  # only clusters of size >= 2 need it
 
     t, z = scipy.linalg.schur(s, output="complex")
     return z @ (np.sqrt(np.diag(t))[:, None] * z.conj().T)
 
 
-def takagi(c, rtol: float = TAU_SYM) -> TakagiFactorization:
+def takagi(c) -> TakagiFactorization:
     """Takagi factorization of a complex symmetric matrix.
 
     The input is symmetrized as (C + C^T)/2 first and must be symmetric
-    within ``rtol`` relative Frobenius error.  With degenerate singular
+    within ``TAU_SYM`` relative Frobenius error.  With degenerate singular
     values U is not unique; any unitary U with U diag(sigma) U^T = C is a
     valid answer and the reconstruction is what callers should test.
     """
     m = as_complex_matrix(c, square=True)
     scale = float(np.linalg.norm(m))
-    if float(np.linalg.norm(m - m.T)) > rtol * max(scale, np.finfo(float).tiny):
+    if float(np.linalg.norm(m - m.T)) > TAU_SYM * max(scale, np.finfo(float).tiny):
         raise SymmetryViolation("takagi requires a complex symmetric matrix")
     m = (m + m.T) / 2.0
     p, sigma, qh = np.linalg.svd(m)
@@ -81,7 +77,8 @@ def takagi(c, rtol: float = TAU_SYM) -> TakagiFactorization:
                 idx = slice(start, i)
                 u[:, idx] = p[:, idx] @ _unitary_sqrt(s[idx, idx])
             start = i
-    # a 1x1 cluster's root is its scalar principal root (see _unitary_sqrt);
+    # a 1x1 block is its own Schur form (t = s, z = [[1]]), so its root is the
+    # scalar principal root, bit for bit what _unitary_sqrt's Schur path gives;
     # the batched (n, 1) @ (1, 1) products are the per-cluster ones, bit for bit
     roots = np.sqrt(s[singles, singles])
     u[:, singles] = np.matmul(p[:, singles].T[:, :, None], roots[:, None, None])[:, :, 0].T

@@ -30,6 +30,9 @@ from .statistics import (
     slice_kind,
     windowed_covariances,
     _as_pattern,
+    _check_lag,
+    _check_slice,
+    _check_windows,
     _handover,
 )
 from .uniqueness import identifiability_master
@@ -368,17 +371,27 @@ def _slice_kind_rule(stat: dict) -> CongruenceKind:
     return kind
 
 
-def _slice_matrix(sl, stat: dict) -> list:
-    if stat.get("part") == "skew":
-        if sl.skew is None:
-            raise ConfigError("transpose-kind slices have no skew part")
-        return [sl.skew]
-    return [sl.matrix]
+def _pick(stat: dict, carrier, skew) -> list:
+    """The skew companion when the entry's ``part`` is "skew", else the carrier."""
+    if stat.get("part") != "skew":
+        return [carrier]
+    if skew is None:
+        raise ConfigError("transpose-kind slices have no skew part")
+    return [skew]
 
 
 def _estimate_autocorrelation(stat: dict, w: SignalBlock) -> list:
     corr = autocorrelation(w, stat["lag"])
-    return [corr.skew if stat.get("part") == "skew" else corr.hermitian]
+    return _pick(stat, corr.hermitian, corr.skew)
+
+
+def _estimate_slice(stat: dict, w: SignalBlock) -> list:
+    axes, fixed = tuple(stat["axes"]), tuple(stat.get("fixed", ()))
+    if "offsets" in stat:
+        sl = lagged_cumulant_slice(w, stat["pattern"], tuple(stat["offsets"]), axes, fixed)
+    else:
+        sl = cumulant_slice(w, stat["pattern"], fixed, axes)
+    return _pick(stat, sl.matrix, sl.skew)
 
 
 @dataclass(frozen=True)
@@ -417,18 +430,11 @@ STATISTICS = {
         lambda stat, w: windowed_covariances(w, stat["windows"]), _pop_windows,
     ),
     "cumulant_slice": Statistic(
-        ("pattern", "axes", "fixed", "part"), _slice_kind_rule,
-        lambda stat, w: _slice_matrix(cumulant_slice(
-            w, stat["pattern"], tuple(stat.get("fixed", ())), tuple(stat["axes"])
-        ), stat),
+        ("pattern", "axes", "fixed", "part"), _slice_kind_rule, _estimate_slice,
         lambda truth, stat, t: _pop_slice(truth, stat, (0,) * len(stat["pattern"])),
     ),
     "lagged_cumulant_slice": Statistic(
-        ("pattern", "offsets", "axes", "fixed", "part"), _slice_kind_rule,
-        lambda stat, w: _slice_matrix(lagged_cumulant_slice(
-            w, stat["pattern"], tuple(stat["offsets"]), tuple(stat["axes"]),
-            tuple(stat.get("fixed", ())),
-        ), stat),
+        ("pattern", "offsets", "axes", "fixed", "part"), _slice_kind_rule, _estimate_slice,
         lambda truth, stat, t: _pop_slice(truth, stat, tuple(stat["offsets"])),
     ),
 }
@@ -441,17 +447,31 @@ def _entry(stat: dict) -> Statistic:
     return STATISTICS[name]
 
 
-def _check_statistic(stat: dict, path: str) -> None:
+def _check_statistic(stat: dict, path: str, m: int, t: int) -> None:
     """ConfigError naming ``path`` (the entry's JSON path) for an entry that
-    cannot be estimated: a window shorter than one sample, or a kind rule
-    that rejects the entry."""
+    cannot be estimated on m channels of T samples: a field its statistic
+    does not take, a ``part`` other than "hermitian" or "skew", a window
+    shorter than one sample, an argument its estimator rejects, or a kind
+    rule that rejects the entry."""
     entry = _entry(stat)
+    extra = set(stat) - {"statistic", *entry.fields}
+    if extra:
+        raise ConfigError(f"{path} has unknown fields {sorted(extra)}")
+    if stat.get("part", "hermitian") not in ("hermitian", "skew"):
+        raise ConfigError(f"{path}.part must be 'hermitian' or 'skew', got {stat['part']!r}")
     for i, (_, length) in enumerate(stat.get("windows", ())):
         if length < 1:
             raise ConfigError(f"{path}.windows[{i}][1] must be a positive integer, got {length!r}")
-    try:
+    try:  # the estimator's own argument rules, then the kind rule
+        if "lag" in stat:
+            _check_lag(stat["lag"], t)
+        _check_windows(stat.get("windows", ()), m, t)
+        if "pattern" in stat:
+            pat = _as_pattern(stat["pattern"])
+            offsets = stat.get("offsets", (0,) * len(pat))
+            _check_slice(pat, offsets, stat["axes"], stat.get("fixed", ()), m, t)
         entry.kind(stat)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
@@ -511,7 +531,7 @@ class ExperimentConfig:
         object.__setattr__(self, "sources", tuple(self.sources))
         object.__setattr__(self, "statistics", tuple(self.statistics))
         for i, stat in enumerate(self.statistics):
-            _check_statistic(stat, f"statistics[{i}]")
+            _check_statistic(stat, f"statistics[{i}]", len(self.sources), self.T)
 
 
 def _add_noise(w: SignalBlock, snr_db: float, rng) -> SignalBlock:

@@ -167,6 +167,29 @@ def set_partitions(k: int) -> tuple:
     return tuple(parts)
 
 
+def _check_lag(lag: int, t: int) -> None:
+    if not 0 <= lag < t:
+        raise ValueError(f"lag must satisfy 0 <= lag < T, got {lag}")
+
+
+def _lagged(w: SignalBlock, lag: int, conj: bool) -> np.ndarray:
+    """Raw (1/(T-lag)) sum w(t) w(t+lag)^T, centred, second factor conjugated if ``conj``."""
+    _check_lag(lag, w.T)
+    xc = w.centered()
+    n = w.T - lag
+    right = xc[:, lag:]
+    # lag-0 factors are views of one buffer: numpy's symmetric a @ a.T, bit for bit
+    return xc[:, :n] @ (right.conj() if conj else right).T / n
+
+
+def _carriers(raw: np.ndarray, kind: CongruenceKind) -> tuple:
+    """(carrier, skew companion): the symmetric part and None, or the Hermitian/skew split."""
+    if kind is CongruenceKind.TRANSPOSE:
+        return TaggedMatrix((raw + raw.T) / 2.0, kind), None
+    herm, skew = hermitian_skew_split(raw)
+    return TaggedMatrix(herm, kind), TaggedMatrix(skew, kind)
+
+
 def covariance(w: SignalBlock) -> TaggedMatrix:
     """Sample covariance (1/T) sum w(t) w(t)^H after mean removal."""
     if w.T < w.m:
@@ -175,18 +198,12 @@ def covariance(w: SignalBlock) -> TaggedMatrix:
             RankDeficiencyWarning,
             stacklevel=2,
         )
-    xc = w.centered()
-    c = xc @ xc.conj().T / w.T
-    c = (c + c.conj().T) / 2.0
-    return TaggedMatrix(c, CongruenceKind.HERMITIAN)
+    return _carriers(_lagged(w, 0, True), CongruenceKind.HERMITIAN)[0]
 
 
 def pseudo_covariance(w: SignalBlock) -> TaggedMatrix:
     """Sample pseudo-covariance (1/T) sum w(t) w(t)^T, complex symmetric."""
-    xc = w.centered()
-    r = xc @ xc.T / w.T
-    r = (r + r.T) / 2.0
-    return TaggedMatrix(r, CongruenceKind.TRANSPOSE)
+    return _carriers(_lagged(w, 0, False), CongruenceKind.TRANSPOSE)[0]
 
 
 def autocorrelation(w: SignalBlock, lag: int) -> LaggedCorrelation:
@@ -195,38 +212,28 @@ def autocorrelation(w: SignalBlock, lag: int) -> LaggedCorrelation:
     The raw matrix is not Hermitian in general; both Hermitian and skew
     parts are attached so callers can feed certified carriers downstream.
     """
-    if not 0 <= lag < w.T:
-        raise ValueError(f"lag must satisfy 0 <= lag < T, got {lag}")
-    xc = w.centered()
-    n = w.T - lag
-    raw = xc[:, :n] @ xc[:, lag:].conj().T / n
-    herm, skew = hermitian_skew_split(raw)
-    return LaggedCorrelation(
-        raw=raw,
-        hermitian=TaggedMatrix(herm, CongruenceKind.HERMITIAN),
-        skew=TaggedMatrix(skew, CongruenceKind.HERMITIAN),
-        lag=lag,
-    )
+    raw = _lagged(w, lag, True)
+    herm, skew = _carriers(raw, CongruenceKind.HERMITIAN)
+    return LaggedCorrelation(raw=raw, hermitian=herm, skew=skew, lag=lag)
 
 
 def pseudo_autocorrelation(w: SignalBlock, lag: int) -> TaggedMatrix:
     """Lagged pseudo-correlation (1/(T-lag)) sum w(t) w(t+lag)^T, symmetrized."""
-    if not 0 <= lag < w.T:
-        raise ValueError(f"lag must satisfy 0 <= lag < T, got {lag}")
-    xc = w.centered()
-    n = w.T - lag
-    raw = xc[:, :n] @ xc[:, lag:].T / n
-    return TaggedMatrix((raw + raw.T) / 2.0, CongruenceKind.TRANSPOSE)
+    return _carriers(_lagged(w, lag, False), CongruenceKind.TRANSPOSE)[0]
+
+
+def _check_windows(windows: Sequence[tuple], m: int, t: int) -> None:
+    for start, length in windows:
+        if start < 0 or length < m or start + length > t:
+            raise ValueError(f"bad window (start={start}, length={length})")
 
 
 def windowed_covariances(w: SignalBlock, windows: Sequence[tuple]) -> list:
     """One covariance per (start, length) window; empty list for no windows."""
-    out = []
-    for start, length in windows:
-        if start < 0 or length < w.m or start + length > w.T:
-            raise ValueError(f"bad window (start={start}, length={length})")
-        out.append(covariance(SignalBlock(w.data[:, start : start + length])))
-    return out
+    _check_windows(windows, w.m, w.T)
+    return [
+        covariance(SignalBlock(w.data[:, start : start + length])) for start, length in windows
+    ]
 
 
 def circularity_coefficient(channel) -> float:
@@ -372,28 +379,8 @@ def slice_kind(pattern, axes) -> CongruenceKind:
     return CongruenceKind.HERMITIAN if bits[p] != bits[q] else CongruenceKind.TRANSPOSE
 
 
-def _finish_slice(raw, k, pat, fixed_indices, axes):
-    kind = slice_kind(pat, axes)
-    if kind is CongruenceKind.TRANSPOSE:
-        tagged = TaggedMatrix((raw + raw.T) / 2.0, kind)
-        skew = None
-    else:
-        herm, skew_part = hermitian_skew_split(raw)
-        tagged = TaggedMatrix(herm, kind)
-        skew = TaggedMatrix(skew_part, kind)
-    return CumulantSlice(
-        raw=raw,
-        order=k,
-        pattern=pat,
-        fixed_indices=tuple(fixed_indices),
-        axes=tuple(axes),
-        kind=kind,
-        matrix=tagged,
-        skew=skew,
-    )
-
-
-def _check_slice_args(w, pat, fixed_indices, axes):
+def _check_slice(pat: ConjugationPattern, offsets, axes, fixed_indices, m: int, t: int) -> tuple:
+    """(k, p, q, offsets as ints) of a slice on m channels of T samples, or ValueError."""
     k = len(pat)
     p, q = axes
     if p == q:
@@ -402,9 +389,16 @@ def _check_slice_args(w, pat, fixed_indices, axes):
         raise ValueError(f"axes must be slot indices in 0..{k - 1}")
     if len(fixed_indices) != k - 2:
         raise ValueError(f"need {k - 2} fixed channel indices, got {len(fixed_indices)}")
-    if any(not 0 <= c < w.m for c in fixed_indices):
+    if any(not 0 <= c < m for c in fixed_indices):
         raise ValueError("fixed channel index out of range")
-    return k, p, q
+    offs = [int(o) for o in offsets]
+    if len(offs) != k:
+        raise ValueError(f"need one offset per slot, got {len(offs)}")
+    if any(o < 0 for o in offs):
+        raise ValueError("offsets must be nonnegative")
+    if max(offs) >= t:
+        raise ValueError("offsets leave no overlapping samples")
+    return k, p, q, offs
 
 
 def cumulant_slice(w: SignalBlock, pattern, fixed_indices, axes) -> CumulantSlice:
@@ -430,20 +424,13 @@ def lagged_cumulant_slice(
     window-mean correction the cumulant subtracts.
     """
     pat = _as_pattern(pattern)
-    k, p, q = _check_slice_args(w, pat, fixed_indices, axes)
-    offs = [int(t) for t in offsets]
-    if len(offs) != k:
-        raise ValueError(f"need one offset per slot, got {len(offs)}")
-    if any(t < 0 for t in offs):
-        raise ValueError("offsets must be nonnegative")
-    top = max(offs)
-    if top >= w.T:
-        raise ValueError("offsets leave no overlapping samples")
-    n = w.T - top
+    k, p, q, offs = _check_slice(pat, offsets, axes, fixed_indices, w.m, w.T)
+    n = w.T - max(offs)
     it = iter(fixed_indices)
     reads = [
         (None if r in (p, q) else next(it), bit, off)
         for r, (bit, off) in enumerate(zip(pat.bits, offs))
     ]
     raw = _slice_from_series(w.centered(), reads, p, q, n)
-    return _finish_slice(raw, k, pat, fixed_indices, axes)
+    kind = slice_kind(pat, axes)
+    return CumulantSlice(raw, k, pat, tuple(fixed_indices), tuple(axes), kind, *_carriers(raw, kind))

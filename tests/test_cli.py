@@ -566,16 +566,18 @@ class TestSimulate:
         assert res.exit_code == 1
         assert res.output == f"error: {message}\n"
 
-    def test_window_past_the_signal_exits_2(self, runner, tmp_path):
-        cfg = self._config(
-            tmp_path,
-            T=1000,
-            statistics=[{"statistic": "windowed_covariance", "windows": [[0, 5000]]}],
-            solver="gevd",
-        )
+    @pytest.mark.parametrize("stat, message", [
+        ({"statistic": "windowed_covariance", "windows": [[0, 5000]]},
+         "statistics[0]: bad window (start=0, length=5000)"),
+        ({"statistic": "autocorrelation", "lag": 1000},
+         "statistics[0]: lag must satisfy 0 <= lag < T, got 1000"),
+    ], ids=["window", "lag"])
+    def test_argument_past_the_signal_exits_1(self, runner, tmp_path, stat, message):
+        # the config check knows T, so these fail before any trial runs
+        cfg = self._config(tmp_path, T=1000, statistics=[stat], solver="gevd")
         res = invoke(runner, "simulate", str(cfg))
-        assert res.exit_code == 2
-        assert "error: bad window" in res.output
+        assert res.exit_code == 1
+        assert res.output == f"error: {message}\n"
 
     def test_seed_override_changes_report(self, runner, tmp_path):
         cfg = self._config(tmp_path)

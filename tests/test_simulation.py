@@ -421,7 +421,26 @@ class TestRunExperiment:
         ({"statistic": "cumulant_slice", "pattern": "0000", "axes": (0, 1), "fixed": (0, 0),
           "part": "hermitian"},
          r"^statistics\[0\]: part applies only to a Hermitian-kind slice"),
-    ], ids=["zero_length_window", "part_on_transpose_slice"])
+        # stray fields changed the population verdict but not the estimate
+        ({"statistic": "covariance", "part": "skew"},
+         r"^statistics\[0\] has unknown fields \['part'\]$"),
+        ({"statistic": "pseudo_covariance", "lag": 3},
+         r"^statistics\[0\] has unknown fields \['lag'\]$"),
+        ({"statistic": "autocorrelation", "lag": 1, "part": "both"},
+         r"^statistics\[0\]\.part must be 'hermitian' or 'skew', got 'both'$"),
+        # arguments the estimator rejects used to raise ValueError in the first trial
+        ({"statistic": "autocorrelation", "lag": 1000},
+         r"^statistics\[0\]: lag must satisfy 0 <= lag < T, got 1000$"),
+        ({"statistic": "lagged_cumulant_slice", "pattern": "0101", "offsets": (0, 1000, 0, 0),
+          "axes": (0, 1), "fixed": (0, 0)},
+         r"^statistics\[0\]: offsets leave no overlapping samples$"),
+        ({"statistic": "windowed_covariance", "windows": [(500, 501)]},
+         r"^statistics\[0\]: bad window \(start=500, length=501\)$"),
+        ({"statistic": "windowed_covariance", "windows": [(0, 1)]},
+         r"^statistics\[0\]: bad window \(start=0, length=1\)$"),
+    ], ids=["zero_length_window", "part_on_transpose_slice", "part_on_covariance",
+            "lag_on_pseudo_covariance", "unknown_part", "lag_at_T", "offset_at_T",
+            "window_past_T", "window_shorter_than_m"])
     def test_bad_statistic_rejected_in_a_python_built_config(self, stat, message):
         # ExperimentConfig runs the one statistic check, for file and Python configs alike
         with pytest.raises(ConfigError, match=message):

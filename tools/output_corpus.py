@@ -14,7 +14,9 @@ non-diagonal one, an invalid ``--tol``) and
 and the three solvers).  Seeded cases at m > 3 come last: ``solve`` with put
 and sut on population pairs at m = 8 and m = 32, and ``check`` on a NotUnique
 spectra file at m = 8 whose pair is the last one and on a three-row Hermitian
-family at m = 16.  Each command's stdout and stderr go to
+family at m = 16.  After them come ``estimate`` of a Hermitian-kind
+fourth-order slice and ``simulate`` on a config whose lag equals ``T``.
+Each command's stdout and stderr go to
 ``OUTDIR/<case>.out`` and ``OUTDIR/<case>.err`` and its exit code to
 ``OUTDIR/exit_codes.json``.
 
@@ -130,6 +132,15 @@ CONFIGS = {
         "solver": "put"},
 }
 
+# cases after every one above, so that earlier outputs keep their bytes
+LATE_CONFIGS = {
+    "lag_at_T": {
+        "sources": _NONCIRCULAR,
+        "statistics": [{"statistic": "autocorrelation", "lag": 5000},
+                       {"statistic": "pseudo_autocorrelation", "lag": 1}],
+        "solver": "put"},
+}
+
 
 def _signal(specs, seed):
     sources, truth = generate(specs, T_SIGNAL, seed)
@@ -208,6 +219,8 @@ def write_inputs(inputs: Path) -> None:
         nio.write_json(nio.matrix_set_to_dict(_population_pair(m, seed)), inputs / f"{name}.json")
     for name, (build, seed) in LARGE_SPECTRA.items():
         nio.write_json(build(np.random.default_rng(seed)), inputs / f"spectra_{name}.json")
+    for i, (name, doc) in enumerate(LATE_CONFIGS.items()):
+        nio.write_json(_config(doc, 300 + i), inputs / f"config_{name}.json")
 
 
 def cases(inputs: Path, out: Path):
@@ -239,6 +252,9 @@ def cases(inputs: Path, out: Path):
             yield f"solve_{method}_{name}", ["solve", str(inputs / f"{name}.json"), "--method", method]
     for name in LARGE_SPECTRA:
         yield f"check_{name}", ["check", str(inputs / f"spectra_{name}.json")]
+    yield "estimate_cum4_hermitian", ["estimate", sig("digital"), "--cum4", "0101", "1,2", "1,3"]
+    for name in LATE_CONFIGS:
+        yield f"simulate_{name}", ["simulate", str(inputs / f"config_{name}.json")]
 
 
 def main(argv) -> int:
