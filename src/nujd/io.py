@@ -7,7 +7,9 @@ cycle is byte identical.  Pair lists are encoded and decoded per array, not
 per value, and with the cyclic GC paused: documents are trees, so its passes
 over them would find nothing to collect.  Channel and tensor-slot
 indices are 1-based at the file surface and 0-based inside the library;
-time offsets and window starts are plain 0-based sample indices.
+time offsets and window starts are plain 0-based sample indices.  A config's
+recipe entries are checked once, by ``ExperimentConfig``; their decoder here
+only makes a slice's 1-based ``axes`` and ``fixed`` 0-based.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .core import TAU_SYM, CongruenceKind, DiagonalStack, TaggedMatrix, stacks_from_rows
 from .errors import ConfigError
-from .simulation import STATISTICS, ExperimentConfig, SourceSpec
+from .simulation import ExperimentConfig, SourceSpec
 from .statistics import _as_pattern
 from .solvers import PutResult
 from .uniqueness import UniquenessReport
@@ -169,17 +171,6 @@ def _list(doc, key: str, path: str = "") -> list:
     if not isinstance(value, list):
         raise ConfigError(f"{_at(path, key)} must be a list")
     return value
-
-
-def _ints(
-    value, name: str, low: int, high: Optional[int] = None, size: Optional[int] = None
-) -> tuple:
-    """A list of integers in [low, high], of length ``size`` when given."""
-    if not isinstance(value, list):
-        raise ConfigError(f"{name} must be a list")
-    if size is not None and len(value) != size:
-        raise ConfigError(f"{name} must list {size} integers, got {len(value)}")
-    return tuple(_int(v, f"{name}[{i}]", low, high) for i, v in enumerate(value))
 
 
 def _kind_at(entry, path: str) -> CongruenceKind:
@@ -382,39 +373,23 @@ def _source_from_dict(entry, path: str) -> SourceSpec:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _pattern_length(entry, path: str) -> int:
-    value = _field(entry, "pattern", path)
-    if not isinstance(value, (str, list)):
+def _statistic_from_dict(entry, path: str, m: int):
+    """One recipe entry with a slice's 1-based ``axes`` and ``fixed`` made
+    0-based; ExperimentConfig checks the entry."""
+    if not isinstance(entry, dict) or "pattern" not in entry:
+        return entry
+    pattern = entry["pattern"]
+    if not isinstance(pattern, (str, list)):
         raise ConfigError(f"{path}.pattern must be a string or a list of 0/1 bits")
     try:
-        return len(_as_pattern(value))
+        k = len(_as_pattern(pattern))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path}.pattern: {exc}") from None
-
-
-def _statistic_from_dict(entry, path: str, m: int) -> dict:
-    """One recipe entry, with 1-based slots and channels made 0-based."""
-    name = _field(entry, "statistic", path)
-    if name not in STATISTICS:
-        choices = ", ".join(repr(k) for k in STATISTICS)
-        raise ConfigError(f"{path}.statistic must be one of {choices}, got {name!r}")
-    fields = STATISTICS[name].fields
     stat = dict(entry)
-    if "lag" in fields:
-        stat["lag"] = _int(_field(entry, "lag", path), f"{path}.lag", 0)
-    if "windows" in fields:
-        windows = _list(entry, "windows", path) if "windows" in entry else []
-        stat["windows"] = [_ints(w, f"{path}.windows[{i}]", 0, size=2) for i, w in enumerate(windows)]
-    if "pattern" in fields:
-        k = _pattern_length(entry, path)
-        axes = _ints(_field(entry, "axes", path), f"{path}.axes", 1, k, size=2)
-        if axes[0] == axes[1]:
-            raise ConfigError(f"{path}.axes must name two different slots, got {list(axes)}")
-        stat["axes"] = tuple(a - 1 for a in axes)
-        fixed = _ints(entry.get("fixed", []), f"{path}.fixed", 1, m, size=k - 2)
-        stat["fixed"] = tuple(c - 1 for c in fixed)
-    if "offsets" in fields:
-        stat["offsets"] = _ints(_field(entry, "offsets", path), f"{path}.offsets", 0, size=k)
+    for key, high in (("axes", k), ("fixed", m)):
+        if key in entry:
+            value = _list(entry, key, path)
+            stat[key] = tuple(_int(v, f"{path}.{key}[{i}]", 1, high) - 1 for i, v in enumerate(value))
     return stat
 
 

@@ -312,7 +312,7 @@ def _pop_windows(truth: ExperimentTruth, stat: dict, t: int) -> list:
             [_pop_window_variance(s, start, length, t) for s in truth.specs],
             dtype=np.complex128,
         )
-        for start, length in stat["windows"]
+        for start, length in stat.get("windows", ())
     ]
 
 
@@ -427,7 +427,7 @@ STATISTICS = {
     ),
     "windowed_covariance": Statistic(
         ("windows",), _always(CongruenceKind.HERMITIAN),
-        lambda stat, w: windowed_covariances(w, stat["windows"]), _pop_windows,
+        lambda stat, w: windowed_covariances(w, stat.get("windows", ())), _pop_windows,
     ),
     "cumulant_slice": Statistic(
         ("pattern", "axes", "fixed", "part"), _slice_kind_rule, _estimate_slice,
@@ -440,28 +440,29 @@ STATISTICS = {
 }
 
 
-def _entry(stat: dict) -> Statistic:
-    name = stat["statistic"]
-    if name not in STATISTICS:
-        raise ConfigError(f"unknown statistic {name!r}")
-    return STATISTICS[name]
-
-
-def _check_statistic(stat: dict, path: str, m: int, t: int) -> None:
+def _check_statistic(stat, path: str, m: int, t: int) -> None:
     """ConfigError naming ``path`` (the entry's JSON path) for an entry that
-    cannot be estimated on m channels of T samples: a field its statistic
-    does not take, a ``part`` other than "hermitian" or "skew", a window
-    shorter than one sample, an argument its estimator rejects, or a kind
-    rule that rejects the entry."""
-    entry = _entry(stat)
+    cannot be estimated on m channels of T samples: not an object, no known
+    statistic name, a field its statistic does not take, a required field
+    missing, a ``part`` other than "hermitian" or "skew", an argument its
+    estimator rejects, or a kind rule that rejects the entry."""
+    if not isinstance(stat, dict):
+        raise ConfigError(f"{path} must be an object")
+    if "statistic" not in stat:
+        raise ConfigError(f"{path}.statistic is missing")
+    name = stat["statistic"]
+    if not isinstance(name, str) or name not in STATISTICS:
+        choices = ", ".join(repr(k) for k in STATISTICS)
+        raise ConfigError(f"{path}.statistic must be one of {choices}, got {name!r}")
+    entry = STATISTICS[name]
     extra = set(stat) - {"statistic", *entry.fields}
     if extra:
         raise ConfigError(f"{path} has unknown fields {sorted(extra)}")
+    for key in entry.fields:
+        if key not in stat and key not in ("fixed", "part", "windows"):  # the optional fields
+            raise ConfigError(f"{path}.{key} is missing")
     if stat.get("part", "hermitian") not in ("hermitian", "skew"):
         raise ConfigError(f"{path}.part must be 'hermitian' or 'skew', got {stat['part']!r}")
-    for i, (_, length) in enumerate(stat.get("windows", ())):
-        if length < 1:
-            raise ConfigError(f"{path}.windows[{i}][1] must be a positive integer, got {length!r}")
     try:  # the estimator's own argument rules, then the kind rule
         if "lag" in stat:
             _check_lag(stat["lag"], t)
@@ -477,7 +478,7 @@ def _check_statistic(stat: dict, path: str, m: int, t: int) -> None:
 
 def estimate_statistic(stat: dict, w: SignalBlock) -> list:
     """Estimate one recipe entry, returning its tagged matrices."""
-    return _entry(stat).estimate(stat, w)
+    return STATISTICS[stat["statistic"]].estimate(stat, w)
 
 
 def population_stacks(truth: ExperimentTruth, statistics, t: int):
@@ -489,7 +490,7 @@ def population_stacks(truth: ExperimentTruth, statistics, t: int):
     """
     rows = []
     for stat in statistics:
-        entry = _entry(stat)
+        entry = STATISTICS[stat["statistic"]]
         diagonals = entry.population(truth, stat, t)
         if diagonals is None:
             return None, None, False
@@ -506,7 +507,7 @@ def population_stacks(truth: ExperimentTruth, statistics, t: int):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated batch-experiment configuration (see io.load_config)."""
+    """Validated batch-experiment configuration (see io.config_from_dict)."""
 
     sources: tuple
     T: int

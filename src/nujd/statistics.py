@@ -24,9 +24,11 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import warnings
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -167,7 +169,22 @@ def set_partitions(k: int) -> tuple:
     return tuple(parts)
 
 
+def _is_int(value) -> bool:
+    """An integer, numpy's included; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _integers(values, name: str, size: Optional[int] = None) -> tuple:
+    """``values`` as a tuple of integers, ``size`` of them when given, or ValueError."""
+    out = tuple(values) if isinstance(values, Iterable) else None
+    if out is None or not all(map(_is_int, out)) or size not in (None, len(out)):
+        raise ValueError(f"{name} must be {size or 'a list of'} integers, got {values!r}")
+    return out
+
+
 def _check_lag(lag: int, t: int) -> None:
+    if not _is_int(lag):
+        raise ValueError(f"lag must be an integer, got {lag!r}")
     if not 0 <= lag < t:
         raise ValueError(f"lag must satisfy 0 <= lag < T, got {lag}")
 
@@ -223,7 +240,10 @@ def pseudo_autocorrelation(w: SignalBlock, lag: int) -> TaggedMatrix:
 
 
 def _check_windows(windows: Sequence[tuple], m: int, t: int) -> None:
-    for start, length in windows:
+    if not isinstance(windows, Iterable):
+        raise ValueError(f"windows must be a list of (start, length) pairs, got {windows!r}")
+    for window in windows:
+        start, length = _integers(window, "a (start, length) window", 2)
         if start < 0 or length < m or start + length > t:
             raise ValueError(f"bad window (start={start}, length={length})")
 
@@ -380,18 +400,22 @@ def slice_kind(pattern, axes) -> CongruenceKind:
 
 
 def _check_slice(pat: ConjugationPattern, offsets, axes, fixed_indices, m: int, t: int) -> tuple:
-    """(k, p, q, offsets as ints) of a slice on m channels of T samples, or ValueError."""
+    """(k, p, q, offsets) of a slice on m channels of T samples, or ValueError."""
     k = len(pat)
+    axes = _integers(axes, "slice axes")
+    if len(axes) != 2:
+        raise ValueError(f"need two slice axes, got {len(axes)}")
     p, q = axes
     if p == q:
         raise ValueError("slice axes must be distinct")
     if not (0 <= p < k and 0 <= q < k):
         raise ValueError(f"axes must be slot indices in 0..{k - 1}")
+    fixed_indices = _integers(fixed_indices, "fixed channel indices")
     if len(fixed_indices) != k - 2:
         raise ValueError(f"need {k - 2} fixed channel indices, got {len(fixed_indices)}")
     if any(not 0 <= c < m for c in fixed_indices):
         raise ValueError("fixed channel index out of range")
-    offs = [int(o) for o in offsets]
+    offs = _integers(offsets, "offsets")
     if len(offs) != k:
         raise ValueError(f"need one offset per slot, got {len(offs)}")
     if any(o < 0 for o in offs):

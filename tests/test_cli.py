@@ -208,7 +208,7 @@ _SIMULATE_DOC = {
                 statistics=[{"statistic": "windowed_covariance", "windows": [[0, 0], [500, 500]]}],
                 solver="gevd",
             ),
-            "statistics[0].windows[0][1] must be a positive integer, got 0",
+            "statistics[0]: bad window (start=0, length=0)",
         ),
         (
             "simulate",
@@ -228,6 +228,17 @@ _SIMULATE_DOC = {
         (
             "simulate",
             dict(_SIMULATE_DOC, statistics=[{"statistic": "bogus"}]),
+            "statistics[0].statistic must be one of 'covariance', ",
+        ),
+        # unhashable names used to end in a TypeError traceback
+        (
+            "simulate",
+            dict(_SIMULATE_DOC, statistics=[{"statistic": []}]),
+            "statistics[0].statistic must be one of 'covariance', ",
+        ),
+        (
+            "simulate",
+            dict(_SIMULATE_DOC, statistics=[{"statistic": {"a": 1}}]),
             "statistics[0].statistic must be one of 'covariance', ",
         ),
     ],

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from nujd import io as nio
 from nujd.core import CongruenceKind, DiagonalStack, GLElement, TaggedMatrix
 from nujd.errors import ConfigError
+from nujd.simulation import run_experiment
 from nujd.statistics import SignalBlock
 from nujd.uniqueness import identifiability_master
 
@@ -123,18 +124,18 @@ def _with(**kw):
         (_with(statistics=[{"statistic": "autocorrelation"}]), "statistics[0].lag is missing"),
         (
             _with(statistics=[{"statistic": "pseudo_autocorrelation", "lag": -1}]),
-            "statistics[0].lag must be a non-negative integer, got -1",
+            "statistics[0]: lag must satisfy 0 <= lag < T, got -1",
         ),
         (
             _with(statistics=[{"statistic": "windowed_covariance", "windows": [[0]]}]),
-            "statistics[0].windows[0] must list 2 integers, got 1",
+            "statistics[0]: a (start, length) window must be 2 integers, got [0]",
         ),
         (_with(statistics=[dict(_CUM4, pattern=5)]), "statistics[0].pattern must be a string"),
         (_with(statistics=[dict(_CUM4, pattern="0a00")]), "statistics[0].pattern: "),
         (_with(statistics=[dict(_CUM4, pattern="0")]), "statistics[0].pattern: pattern length"),
         (_with(statistics=[dict(_CUM4, axes=[1, 5])]), "statistics[0].axes[1] must be an integer in 1..4, got 5"),
-        (_with(statistics=[dict(_CUM4, axes=[2, 2])]), "statistics[0].axes must name two different slots"),
-        (_with(statistics=[dict(_CUM4, fixed=[1])]), "statistics[0].fixed must list 2 integers, got 1"),
+        (_with(statistics=[dict(_CUM4, axes=[2, 2])]), "statistics[0]: slice axes must be distinct"),
+        (_with(statistics=[dict(_CUM4, fixed=[1])]), "statistics[0]: need 2 fixed channel indices, got 1"),
         (_with(statistics=[dict(_CUM4, fixed=[1, 3])]), "statistics[0].fixed[1] must be an integer in 1..2, got 3"),
         (_with(statistics=[dict(_CUM4, part="both")]), "statistics[0].part must be 'hermitian' or 'skew'"),
         (
@@ -154,7 +155,7 @@ def _with(**kw):
                 sources=[{"kind": "block_nonstationary", "variance_profile": [1, 2]}],
                 statistics=[{"statistic": "windowed_covariance", "windows": [[0, 0], [500, 500]]}],
             ),
-            "statistics[0].windows[0][1] must be a positive integer, got 0",
+            "statistics[0]: bad window (start=0, length=0)",
         ),
         (
             _with(statistics=[{"statistic": "autocorrelation", "lag": 1, "prat": "skew"}]),
@@ -202,6 +203,54 @@ def test_part_on_hermitian_kind_slice_accepted():
 def test_part_on_autocorrelation_accepted():
     stat = {"statistic": "autocorrelation", "lag": 2, "part": "skew"}
     assert nio.config_from_dict(_with(statistics=[stat])).statistics[0] == stat
+
+
+# one valid entry per statistic, at T = 200 on two sources
+_VALID_ENTRIES = [
+    {"statistic": "covariance"},
+    {"statistic": "pseudo_covariance"},
+    {"statistic": "autocorrelation", "lag": 1, "part": "skew"},
+    {"statistic": "pseudo_autocorrelation", "lag": 2},
+    {"statistic": "windowed_covariance", "windows": [[0, 100], [100, 100]]},
+    {"statistic": "cumulant_slice", "pattern": "0101", "axes": [1, 2], "fixed": [1, 2], "part": "skew"},
+    {"statistic": "lagged_cumulant_slice", "pattern": "0000", "offsets": [0, 1, 0, 0],
+     "axes": [1, 2], "fixed": [1, 1]},
+]
+_ODD_VALUES = [[], {}, {"a": 1}, "x", True, False, None, float("nan"), 1.5, -1, 10**30,
+               [1.5], [True, 1], ["0", "1"], [0, 199]]
+
+
+@st.composite
+def _mutated_entries(draw):
+    """A valid entry with one field dropped, replaced, or one list item replaced."""
+    entry = dict(draw(st.sampled_from(_VALID_ENTRIES)))
+    key = draw(st.sampled_from(sorted(entry)))
+    how = draw(st.sampled_from(["drop", "replace", "replace_item"]))
+    if how == "drop":
+        del entry[key]
+    elif how == "replace" or not isinstance(entry[key], list):
+        entry[key] = draw(st.sampled_from(_ODD_VALUES))
+    else:
+        items = list(entry[key])
+        items[draw(st.integers(0, len(items) - 1))] = draw(st.sampled_from(_ODD_VALUES))
+        entry[key] = items
+    return entry
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mutated_entries())
+def test_mutated_recipe_entry_is_rejected_or_runs(entry):
+    doc = {
+        "sources": [{"kind": "ar1_noncircular", "circularity": 0.9, "coefficient": 0.5}, {"kind": "qpsk"}],
+        "T": 200,
+        "seed": 3,
+        "statistics": [entry],
+    }
+    try:
+        config = nio.config_from_dict(doc)
+    except ConfigError:
+        return
+    run_experiment(config)  # per-trial errors are records, not exceptions
 
 
 # ---------------------------------------------------------------------------

@@ -417,7 +417,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize("stat, message", [
         # a zero-length window used to end the batch in a ZeroDivisionError
         ({"statistic": "windowed_covariance", "windows": [(0, 0), (500, 500)]},
-         r"^statistics\[0\]\.windows\[0\]\[1\] must be a positive integer, got 0$"),
+         r"^statistics\[0\]: bad window \(start=0, length=0\)$"),
         ({"statistic": "cumulant_slice", "pattern": "0000", "axes": (0, 1), "fixed": (0, 0),
           "part": "hermitian"},
          r"^statistics\[0\]: part applies only to a Hermitian-kind slice"),
@@ -438,9 +438,34 @@ class TestRunExperiment:
          r"^statistics\[0\]: bad window \(start=500, length=501\)$"),
         ({"statistic": "windowed_covariance", "windows": [(0, 1)]},
          r"^statistics\[0\]: bad window \(start=0, length=1\)$"),
+        # missing or non-integer fields used to raise a traceback in the first trial
+        ({}, r"^statistics\[0\]\.statistic is missing$"),
+        ({"statistic": []},
+         r"^statistics\[0\]\.statistic must be one of 'covariance', 'pseudo_covariance', "
+         r"'autocorrelation', 'pseudo_autocorrelation', 'windowed_covariance', "
+         r"'cumulant_slice', 'lagged_cumulant_slice', got \[\]$"),
+        (5, r"^statistics\[0\] must be an object$"),
+        ({"statistic": "autocorrelation"}, r"^statistics\[0\]\.lag is missing$"),
+        ({"statistic": "autocorrelation", "lag": 1.5},
+         r"^statistics\[0\]: lag must be an integer, got 1\.5$"),
+        ({"statistic": "autocorrelation", "lag": True},
+         r"^statistics\[0\]: lag must be an integer, got True$"),
+        ({"statistic": "windowed_covariance", "windows": [(0,)]},
+         r"^statistics\[0\]: a \(start, length\) window must be 2 integers, got \(0,\)$"),
+        ({"statistic": "lagged_cumulant_slice", "pattern": "01", "axes": (0, 1)},
+         r"^statistics\[0\]\.offsets is missing$"),
+        ({"statistic": "cumulant_slice", "pattern": "0000", "axes": (0, 1, 2), "fixed": (0, 0)},
+         r"^statistics\[0\]: need two slice axes, got 3$"),
+        ({"statistic": "cumulant_slice", "pattern": "0000", "axes": (0, 1.5), "fixed": (0, 0)},
+         r"^statistics\[0\]: slice axes must be a list of integers, got \(0, 1\.5\)$"),
+        # the estimator truncated this offset to 1 while the population used a^1.5
+        ({"statistic": "lagged_cumulant_slice", "pattern": "01", "offsets": (0, 1.5), "axes": (0, 1)},
+         r"^statistics\[0\]: offsets must be a list of integers, got \(0, 1\.5\)$"),
     ], ids=["zero_length_window", "part_on_transpose_slice", "part_on_covariance",
             "lag_on_pseudo_covariance", "unknown_part", "lag_at_T", "offset_at_T",
-            "window_past_T", "window_shorter_than_m"])
+            "window_past_T", "window_shorter_than_m", "empty_entry", "unhashable_name",
+            "entry_not_an_object", "missing_lag", "float_lag", "bool_lag", "window_not_a_pair",
+            "missing_offsets", "three_axes", "float_axis", "float_offset"])
     def test_bad_statistic_rejected_in_a_python_built_config(self, stat, message):
         # ExperimentConfig runs the one statistic check, for file and Python configs alike
         with pytest.raises(ConfigError, match=message):
@@ -454,6 +479,24 @@ class TestRunExperiment:
                 statistics=(stat,),
                 solver="gevd",
             )
+
+    def test_numpy_integer_lag_accepted(self):
+        def report(lag):
+            return run_experiment(_sut_config(
+                sources=(
+                    SourceSpec("ar1_noncircular", circularity=0.9, coefficient=0.9),
+                    SourceSpec("ar1_noncircular", circularity=0.3, coefficient=0.2),
+                ),
+                T=2000,
+                trials=1,
+                statistics=({"statistic": "autocorrelation", "lag": lag},
+                            {"statistic": "pseudo_autocorrelation", "lag": lag}),
+                solver="put",
+            ))
+
+        rep = report(np.int64(1))
+        assert rep["aggregate"]["failed"] == 0
+        assert rep == report(1)
 
     @pytest.mark.parametrize(
         "field, value, interval",

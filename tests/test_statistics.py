@@ -173,6 +173,10 @@ class TestSecondOrder:
             autocorrelation(w, 100)
         with pytest.raises(ValueError):
             pseudo_autocorrelation(w, -1)
+        for lag in (1.5, True):
+            with pytest.raises(ValueError, match=r"^lag must be an integer, got "):
+                autocorrelation(w, lag)
+        assert autocorrelation(w, np.int64(1)).raw.tobytes() == autocorrelation(w, 1).raw.tobytes()
 
 
 class TestWindowedCovariances:
@@ -197,6 +201,11 @@ class TestWindowedCovariances:
             windowed_covariances(w, [(90, 20)])
         with pytest.raises(ValueError):
             windowed_covariances(w, [(0, 0)])
+        for window in [(0,), (0, 50, 1), (0, 50.0), (False, 50)]:
+            with pytest.raises(ValueError, match=r"^a \(start, length\) window must be 2 integers"):
+                windowed_covariances(w, [window])
+        with pytest.raises(ValueError, match=r"^windows must be a list of \(start, length\) pairs"):
+            windowed_covariances(w, 5)
 
 
 class TestCircularity:
@@ -312,6 +321,12 @@ class TestCumulantSlices:
             cumulant_slice(w, (0, 0, 0, 0), (0,), (0, 1))
         with pytest.raises(ValueError):
             cumulant_slice(w, (0, 0, 0, 0), (0, 5), (0, 1))
+        with pytest.raises(ValueError, match=r"^need two slice axes, got 3$"):
+            cumulant_slice(w, (0, 0, 0, 0), (0, 0), (0, 1, 2))
+        with pytest.raises(ValueError, match=r"^slice axes must be a list of integers"):
+            cumulant_slice(w, (0, 0, 0, 0), (0, 0), (0, 1.0))
+        with pytest.raises(ValueError, match=r"^fixed channel indices must be a list of integers"):
+            cumulant_slice(w, (0, 0, 0, 0), (0, True), (0, 1))
 
 
 class TestLaggedSlices:
@@ -344,6 +359,15 @@ class TestLaggedSlices:
             lagged_cumulant_slice(w, (0, 1), (0, -1), (0, 1))
         with pytest.raises(ValueError):
             lagged_cumulant_slice(w, (0, 1), (0,), (0, 1))
+
+    def test_float_offset_rejected(self, rng):
+        # int(1.5) made the estimate the lag-1 slice while the population took a^1.5
+        t = 4000
+        w = SignalBlock(np.vstack([ar1(rng, t, 0.9, 0.5), ar1(rng, t, -0.5, 0.5)]))
+        with pytest.raises(ValueError, match=r"^offsets must be a list of integers, got \(0, 1\.5\)$"):
+            lagged_cumulant_slice(w, "01", (0, 1.5), (0, 1))
+        lagged = lagged_cumulant_slice(w, "01", (0, np.int64(1)), (0, 1))
+        assert lagged.raw.tobytes() == lagged_cumulant_slice(w, "01", (0, 1), (0, 1)).raw.tobytes()
 
 
 def _per_block_slice(series, p, q, m, length):

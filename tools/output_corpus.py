@@ -15,7 +15,8 @@ and the three solvers).  Seeded cases at m > 3 come last: ``solve`` with put
 and sut on population pairs at m = 8 and m = 32, and ``check`` on a NotUnique
 spectra file at m = 8 whose pair is the last one and on a three-row Hermitian
 family at m = 16.  After them come ``estimate`` of a Hermitian-kind
-fourth-order slice and ``simulate`` on a config whose lag equals ``T``.
+fourth-order slice and ``simulate`` on three malformed configs: a lag equal
+to ``T``, a statistic name that is a list and a negative lag.
 Each command's stdout and stderr go to
 ``OUTDIR/<case>.out`` and ``OUTDIR/<case>.err`` and its exit code to
 ``OUTDIR/exit_codes.json``.
@@ -137,6 +138,16 @@ LATE_CONFIGS = {
     "lag_at_T": {
         "sources": _NONCIRCULAR,
         "statistics": [{"statistic": "autocorrelation", "lag": 5000},
+                       {"statistic": "pseudo_autocorrelation", "lag": 1}],
+        "solver": "put"},
+    # malformed entries: an unhashable statistic name and a negative lag
+    "statistic_list": {
+        "sources": _NONCIRCULAR,
+        "statistics": [{"statistic": []}],
+        "solver": "put"},
+    "negative_lag": {
+        "sources": _NONCIRCULAR,
+        "statistics": [{"statistic": "autocorrelation", "lag": -1},
                        {"statistic": "pseudo_autocorrelation", "lag": 1}],
         "solver": "put"},
 }
