@@ -2,6 +2,9 @@
 
 Exit codes: 0 success (or Unique verdict), 1 generic error, 2 usage or
 incompatible input, 3 NotUnique verdict, 4 numeric solver failure.
+
+``estimate`` turns its flags into config-file recipe entries, so the file
+decoder (``io``) and the one entry check (``simulation``) apply to them.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import click
 from .core import TAU_RHO, require_tol
 from .errors import ConfigError, NujdError, NumericFailure
 from . import io as nio
-from .simulation import estimate_statistic, run_experiment
+from .simulation import _check_statistic, estimate_statistic, run_experiment
 from .solvers import solve_pair
 from .uniqueness import identifiability_master
 
@@ -116,24 +119,36 @@ def cmd_solve(input_path, method, tol, out_path):
 @click.option("--cum4", "cum4", type=str, nargs=3, multiple=True, metavar="PATTERN AXES FIXED", help="fourth-order slice, e.g. 0000 3,4 1,1 (axes/channels 1-based)")
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
 def cmd_estimate(input_path, cov, pseudocov, lags, windows, cum4, out_path):
-    """Estimate matrices from a signal file into a matrix-set file."""
+    """Estimate matrices from a signal file into a matrix-set file.
+
+    Every flag's recipe entry is checked against the signal, as a config
+    file's entries are, before any is estimated; exit 2 names a rejected flag.
+    """
     if not (cov or pseudocov or lags or windows or cum4):
         _fail(2, "empty recipe: pass at least one of --cov --pseudocov --lag --window --cum4")
     doc = _load_json(input_path)
     try:
         block = nio.signal_from_dict(doc)
-        items = []
-        recipe = []
-        for stat in _recipe(cov, pseudocov, lags, windows, cum4):
+    except NujdError as exc:
+        _fail(1, str(exc))
+    recipe = _recipe(cov, pseudocov, lags, windows, cum4)
+    stats = []
+    for flag, entry in recipe:
+        try:
+            stat = nio._statistic_from_dict(entry, flag, block.m)
+            _check_statistic(stat, flag, block.m, block.T)
+        except ConfigError as exc:
+            _fail(2, str(exc))
+        stats.append(stat)
+    items = []
+    try:
+        for (_, entry), stat in zip(recipe, stats):
             mats = estimate_statistic(stat, block)
             items.extend(mats)
-            if stat["statistic"] == "cumulant_slice":  # 1-based at the file surface
-                stat = dict(stat, axes=[a + 1 for a in stat["axes"]],
-                            fixed=[c + 1 for c in stat["fixed"]], kind=mats[0].kind.value)
-            recipe.append(stat)
-        out = nio.matrix_set_to_dict(items, provenance={"source": "estimate", "recipe": recipe})
-    except ValueError as exc:
-        _fail(2, str(exc))
+            if "pattern" in entry:
+                entry["kind"] = mats[0].kind.value
+        provenance = {"source": "estimate", "recipe": [entry for _, entry in recipe]}
+        out = nio.matrix_set_to_dict(items, provenance=provenance)
     except NujdError as exc:
         _fail(1, str(exc))
     text = nio.write_json(out, out_path)
@@ -142,34 +157,40 @@ def cmd_estimate(input_path, cov, pseudocov, lags, windows, cum4, out_path):
     sys.exit(0)
 
 
-def _recipe(cov, pseudocov, lags, windows, cum4):
-    """Yield the 0-based recipe entries of ``estimate``'s flags in output order,
-    parsing each flag only when its entry is reached."""
+def _recipe(cov, pseudocov, lags, windows, cum4) -> list:
+    """(flag, config-file recipe entry) for each of ``estimate``'s flags, in
+    output order, with slice indices 1-based as typed.  Only the flag syntax
+    is checked here: START:LEN, comma-separated integers, a 4-bit pattern."""
+    recipe = []
     if cov:
-        yield {"statistic": "covariance"}
+        recipe.append(("--cov", {"statistic": "covariance"}))
     if pseudocov:
-        yield {"statistic": "pseudo_covariance"}
+        recipe.append(("--pseudocov", {"statistic": "pseudo_covariance"}))
     for lag in lags:
-        yield {"statistic": "autocorrelation", "lag": lag, "part": "hermitian"}
-        yield {"statistic": "pseudo_autocorrelation", "lag": lag}
-    parsed_windows = []
-    for spec in windows:
-        try:
-            start, length = (int(v) for v in spec.split(":"))
-        except ValueError:
-            _fail(2, f"bad --window {spec!r}, expected START:LEN")
-        parsed_windows.append((start, length))
-    if parsed_windows:
-        yield {"statistic": "windowed_covariance", "windows": parsed_windows}
-    for pattern, axes_s, fixed_s in cum4:
-        if len(pattern) != 4 or set(pattern) - {"0", "1"}:
-            _fail(2, f"bad --cum4 pattern {pattern!r}")
-        try:
-            axes = tuple(int(a) - 1 for a in axes_s.split(","))
-            fixed = tuple(int(c) - 1 for c in fixed_s.split(",")) if fixed_s else ()
-        except ValueError:
-            _fail(2, "bad --cum4 axes/fixed, expected comma-separated integers")
-        yield {"statistic": "cumulant_slice", "pattern": pattern, "axes": axes, "fixed": fixed}
+        recipe.append((f"--lag {lag}", {"statistic": "autocorrelation", "lag": lag, "part": "hermitian"}))
+        recipe.append((f"--lag {lag}", {"statistic": "pseudo_autocorrelation", "lag": lag}))
+    if windows:
+        spans = [_flag_ints(spec, ":", "--window", "START:LEN") for spec in windows]
+        recipe.append(("--window", {"statistic": "windowed_covariance", "windows": spans}))
+    for pattern, axes, fixed in cum4:
+        if len(pattern) != 4:
+            _fail(2, f"bad --cum4 pattern {pattern!r}, expected 4 bits")
+        entry = {
+            "statistic": "cumulant_slice",
+            "pattern": pattern,
+            "axes": _flag_ints(axes, ",", "--cum4 axes", "comma-separated integers"),
+            "fixed": _flag_ints(fixed, ",", "--cum4 fixed", "comma-separated integers"),
+        }
+        recipe.append((f"--cum4 ({pattern} {axes} {fixed})", entry))
+    return recipe
+
+
+def _flag_ints(text: str, sep: str, flag: str, form: str) -> list:
+    """The ``sep``-separated integers of a flag value, or exit 2 naming the flag."""
+    try:
+        return [int(v) for v in text.split(sep)] if text else []
+    except ValueError:
+        _fail(2, f"bad {flag} {text!r}, expected {form}")
 
 
 @main.command("simulate")

@@ -7,9 +7,11 @@ cycle is byte identical.  Pair lists are encoded and decoded per array, not
 per value, and with the cyclic GC paused: documents are trees, so its passes
 over them would find nothing to collect.  Channel and tensor-slot
 indices are 1-based at the file surface and 0-based inside the library;
-time offsets and window starts are plain 0-based sample indices.  A config's
-recipe entries are checked once, by ``ExperimentConfig``; their decoder here
-only makes a slice's 1-based ``axes`` and ``fixed`` 0-based.
+time offsets and window starts are plain 0-based sample indices.  A recipe
+entry, whether from a config file or from ``nujd estimate``'s flags, is
+decoded by ``_statistic_from_dict``, which only makes a slice's 1-based
+``axes`` and ``fixed`` 0-based, and then checked once, by
+``simulation._check_statistic`` (which ``ExperimentConfig`` runs).
 """
 
 from __future__ import annotations
@@ -375,7 +377,7 @@ def _source_from_dict(entry, path: str) -> SourceSpec:
 
 def _statistic_from_dict(entry, path: str, m: int):
     """One recipe entry with a slice's 1-based ``axes`` and ``fixed`` made
-    0-based; ExperimentConfig checks the entry."""
+    0-based; ``simulation._check_statistic`` checks the entry."""
     if not isinstance(entry, dict) or "pattern" not in entry:
         return entry
     pattern = entry["pattern"]
@@ -383,7 +385,7 @@ def _statistic_from_dict(entry, path: str, m: int):
         raise ConfigError(f"{path}.pattern must be a string or a list of 0/1 bits")
     try:
         k = len(_as_pattern(pattern))
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{path}.pattern: {exc}") from None
     stat = dict(entry)
     for key, high in (("axes", k), ("fixed", m)):

@@ -176,15 +176,26 @@ def _complex_into(out: np.ndarray, ax: float, x: np.ndarray, by: complex, y: np.
     out += x
 
 
+def _check_generation(specs: tuple, t: int, cond_cap: float, noise_snr_db: Optional[float] = None) -> None:
+    """ConfigError naming the field for a setting under which no trial can
+    run: fewer than 100 samples, no sources, a condition cap below 1 (no
+    matrix has one) or a NaN or -inf noise SNR."""
+    if t < 100:
+        raise ConfigError(f"T must be at least 100, got {t}")
+    if not specs:
+        raise ConfigError("sources must list at least one source")
+    if not cond_cap >= 1:
+        raise ConfigError(f"cond_cap must be at least 1, got {cond_cap}")
+    if noise_snr_db is not None and not noise_snr_db > -math.inf:
+        raise ConfigError(f"noise_snr_db must be a number above -inf, got {noise_snr_db}")
+
+
 def generate(
     specs: Sequence[SourceSpec], t: int, seed, cond_cap: float = 100.0
 ) -> tuple[SignalBlock, ExperimentTruth]:
     """Draw independent source channels plus a conditioned random mixing matrix."""
-    if t < 100:
-        raise ConfigError("need at least 100 samples")
     specs = tuple(specs)
-    if not specs:
-        raise ConfigError("need at least one source spec")
+    _check_generation(specs, t, cond_cap)
     ss = np.random.SeedSequence(seed)
     children = ss.spawn(len(specs) + 1)
     a = _draw_mixing(np.random.default_rng(children[0]), len(specs), cond_cap)
@@ -531,6 +542,7 @@ class ExperimentConfig:
         require_tol(self.equiv_tol, "equiv_tol", error=ConfigError, zero_ok=False)
         object.__setattr__(self, "sources", tuple(self.sources))
         object.__setattr__(self, "statistics", tuple(self.statistics))
+        _check_generation(self.sources, self.T, self.cond_cap, self.noise_snr_db)
         for i, stat in enumerate(self.statistics):
             _check_statistic(stat, f"statistics[{i}]", len(self.sources), self.T)
 

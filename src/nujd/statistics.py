@@ -87,23 +87,24 @@ def _handover(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConjugationPattern:
-    """Binary vector enabling complex conjugation per tensor slot."""
+    """Binary vector enabling complex conjugation per tensor slot; each bit
+    is an integer (numpy's included, a bool not) equal to 0 or 1."""
 
     bits: tuple
 
     def __post_init__(self):
-        bits = tuple(int(b) for b in self.bits)
+        bits = _integers(self.bits, "pattern bits")
         if not 2 <= len(bits) <= MAX_CUMULANT_ORDER:
             raise ValueError(
                 f"pattern length must be 2..{MAX_CUMULANT_ORDER}, got {len(bits)}"
             )
         if any(b not in (0, 1) for b in bits):
             raise ValueError("pattern bits must be 0 or 1")
-        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "bits", tuple(map(int, bits)))
 
     @classmethod
     def from_string(cls, s: str) -> "ConjugationPattern":
-        return cls(tuple(int(ch) for ch in s))
+        return cls(tuple(int(ch) if ch in "01" else ch for ch in s))
 
     def __len__(self):
         return len(self.bits)
@@ -117,7 +118,7 @@ def _as_pattern(pattern) -> ConjugationPattern:
         return pattern
     if isinstance(pattern, str):
         return ConjugationPattern.from_string(pattern)
-    return ConjugationPattern(tuple(pattern))
+    return ConjugationPattern(pattern)
 
 
 @dataclass(frozen=True)

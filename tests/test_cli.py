@@ -6,8 +6,11 @@ import sys
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import nujd
+import nujd.cli
+import nujd.simulation
 from nujd import io as nio
 from nujd.cli import main
 from nujd.core import CongruenceKind, DiagonalStack, GLElement, TaggedMatrix
@@ -458,15 +461,24 @@ class TestEstimateAndSolve:
         "--lag T",
         "--window 0:0",
         "--window a",
+        "--cov --window 0:1",
     ],
 )
-def test_estimate_flag_errors_exit_2(runner, tmp_path, flags):
+def test_estimate_flag_errors_exit_2(runner, tmp_path, monkeypatch, flags):
+    # every entry is checked before any is estimated, so nothing reaches stdout
+    def no_estimate(stat, w):
+        raise AssertionError(f"estimated {stat} before every flag was checked")
+
+    monkeypatch.setattr(nujd.cli, "estimate_statistic", no_estimate)
     sig = tmp_path / "sig.json"
     write_signal(sig, t=2000)
     res = runner.invoke(main, ["estimate", str(sig), *flags.split()])
     assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)
     assert "error: " in res.output.lower() and "Traceback" not in res.output
+    named = [token for token in flags.split() if token.startswith("--")][-1]
+    assert named in res.stderr
+    assert res.stdout == ""
 
 
 def test_estimate_provenance_recipe(runner, tmp_path):
@@ -486,6 +498,57 @@ def test_estimate_provenance_recipe(runner, tmp_path):
             {"statistic": "cumulant_slice", "pattern": "0011", "axes": [1, 3], "fixed": [1, 2], "kind": "hermitian"},
         ]
     )
+
+
+@pytest.fixture(scope="module")
+def signal_m3(tmp_path_factory):
+    """A three-channel signal of 300 samples."""
+    path = tmp_path_factory.mktemp("signal") / "sig.json"
+    specs = (SourceSpec("bpsk"), SourceSpec("qpsk"), SourceSpec("circular_gaussian"))
+    src, truth = generate(specs, 300, 11)
+    nio.write_json(nio.signal_to_dict(mix(src, truth.a)), path)
+    return path
+
+
+# values on both sides of each bound at m = 3, T = 300, most of them inside
+_LAGS = st.sampled_from([0, 1, 2, 298, 299, -1, 300])
+_STARTS = st.sampled_from([0, 1, 150, 296, 297, -1])
+_LENGTHS = st.sampled_from([3, 4, 150, 299, 300, 2, 301])
+_PATTERNS = st.sampled_from(["0000", "0101", "0011", "1110", "000", "00000", "0a00", "0201"])
+_AXES = st.sampled_from(["1,2", "3,4", "2,4", "4,1", "1,1", "0,2", "4,5", "1,2,3", "1", "x", ""])
+_FIXED = st.sampled_from(["1,1", "1,3", "3,2", "0,1", "1,4", "1", "1,2,3", "1.5,1", ""])
+
+
+@st.composite
+def _estimate_flags(draw):
+    """(flags, recipe entries a successful run records) for a drawn flag list."""
+    flags, entries = [], 0
+    for flag in ("--cov", "--pseudocov"):
+        if draw(st.booleans()):
+            flags.append(flag)
+            entries += 1
+    for lag in draw(st.lists(_LAGS, max_size=2)):
+        flags += ["--lag", str(lag)]
+        entries += 2
+    windows = draw(st.lists(st.tuples(_STARTS, _LENGTHS), max_size=2))
+    for start, length in windows:
+        flags += ["--window", f"{start}:{length}"]
+    entries += bool(windows)
+    for _ in range(draw(st.integers(0, 2))):
+        flags += ["--cum4", draw(_PATTERNS), draw(_AXES), draw(_FIXED)]
+        entries += 1
+    return flags, entries
+
+
+@settings(max_examples=100, deadline=None)
+@given(_estimate_flags())
+def test_estimate_flag_lists_exit_0_or_2(signal_m3, drawn):
+    flags, entries = drawn
+    res = CliRunner().invoke(main, ["estimate", str(signal_m3), *flags])
+    assert res.exception is None or isinstance(res.exception, SystemExit), res.exception
+    assert res.exit_code in (0, 2), res.output
+    if res.exit_code == 0:
+        assert len(json.loads(res.stdout)["provenance"]["recipe"]) == entries
 
 
 class TestSimulate:
@@ -586,6 +649,27 @@ class TestSimulate:
     def test_argument_past_the_signal_exits_1(self, runner, tmp_path, stat, message):
         # the config check knows T, so these fail before any trial runs
         cfg = self._config(tmp_path, T=1000, statistics=[stat], solver="gevd")
+        res = invoke(runner, "simulate", str(cfg))
+        assert res.exit_code == 1
+        assert res.output == f"error: {message}\n"
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"T": 50}, "T must be at least 100, got 50"),
+        ({"sources": []}, "sources must list at least one source"),
+        ({"cond_cap": 0.5}, "cond_cap must be at least 1, got 0.5"),
+        ({"statistics": [{"statistic": "covariance"},
+                         {"statistic": "cumulant_slice", "pattern": [0.5, 1, 0, 0.9],
+                          "axes": [1, 2], "fixed": [1, 1]}]},
+         "statistics[1].pattern: pattern bits must be a list of integers, got [0.5, 1, 0, 0.9]"),
+    ], ids=["short_T", "no_sources", "cond_cap_below_1", "float_pattern_bits"])
+    def test_config_no_trial_can_run_exits_1(self, runner, tmp_path, monkeypatch, fields, message):
+        # these used to exit 0 with every trial failed (or, for the pattern,
+        # to run it as 0100); now they fail before any signal is generated
+        def no_generate(*args, **kw):
+            raise AssertionError("generated a signal for a rejected config")
+
+        monkeypatch.setattr(nujd.simulation, "generate", no_generate)
+        cfg = self._config(tmp_path, **fields)
         res = invoke(runner, "simulate", str(cfg))
         assert res.exit_code == 1
         assert res.output == f"error: {message}\n"

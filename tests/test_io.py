@@ -133,6 +133,19 @@ def _with(**kw):
         (_with(statistics=[dict(_CUM4, pattern=5)]), "statistics[0].pattern must be a string"),
         (_with(statistics=[dict(_CUM4, pattern="0a00")]), "statistics[0].pattern: "),
         (_with(statistics=[dict(_CUM4, pattern="0")]), "statistics[0].pattern: pattern length"),
+        # bits used to go through int(), which ran [0.5, 1, 0, 0.9] as 0100
+        (
+            _with(statistics=[dict(_CUM4, pattern=[0.5, 1, 0, 0.9])]),
+            "statistics[0].pattern: pattern bits must be a list of integers, got [0.5, 1, 0, 0.9]",
+        ),
+        (
+            _with(statistics=[dict(_CUM4, pattern=["0", "1", "0", "0"])]),
+            "statistics[0].pattern: pattern bits must be a list of integers, got ['0', '1', '0', '0']",
+        ),
+        (
+            _with(statistics=[dict(_CUM4, pattern=[True, False, False, True])]),
+            "statistics[0].pattern: pattern bits must be a list of integers, got [True, False, False, True]",
+        ),
         (_with(statistics=[dict(_CUM4, axes=[1, 5])]), "statistics[0].axes[1] must be an integer in 1..4, got 5"),
         (_with(statistics=[dict(_CUM4, axes=[2, 2])]), "statistics[0]: slice axes must be distinct"),
         (_with(statistics=[dict(_CUM4, fixed=[1])]), "statistics[0]: need 2 fixed channel indices, got 1"),

@@ -414,6 +414,24 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             _sut_config(solver="magic")
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("T", 99, "T must be at least 100, got 99"),
+        ("sources", (), "sources must list at least one source"),
+        ("cond_cap", 0.5, "cond_cap must be at least 1, got 0.5"),
+        ("cond_cap", math.nan, "cond_cap must be at least 1, got nan"),
+        ("noise_snr_db", math.nan, "noise_snr_db must be a number above -inf, got nan"),
+        ("noise_snr_db", -math.inf, "noise_snr_db must be a number above -inf, got -inf"),
+    ])
+    def test_setting_that_fails_every_trial_rejected(self, field, value, message):
+        # each of these used to record every trial as failed
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            _sut_config(**{field: value})
+        if field != "noise_snr_db":  # generate runs the same rule
+            kw = dict(specs=(SourceSpec("bpsk"),), t=200, cond_cap=100.0)
+            kw[{"T": "t", "sources": "specs"}.get(field, field)] = value
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                generate(seed=1, **kw)
+
     @pytest.mark.parametrize("stat, message", [
         # a zero-length window used to end the batch in a ZeroDivisionError
         ({"statistic": "windowed_covariance", "windows": [(0, 0), (500, 500)]},
@@ -461,11 +479,17 @@ class TestRunExperiment:
         # the estimator truncated this offset to 1 while the population used a^1.5
         ({"statistic": "lagged_cumulant_slice", "pattern": "01", "offsets": (0, 1.5), "axes": (0, 1)},
          r"^statistics\[0\]: offsets must be a list of integers, got \(0, 1\.5\)$"),
+        # a non-iterable pattern used to escape as a TypeError
+        ({"statistic": "cumulant_slice", "pattern": 5, "axes": (0, 1), "fixed": (0, 0)},
+         r"^statistics\[0\]: pattern bits must be a list of integers, got 5$"),
+        ({"statistic": "cumulant_slice", "pattern": (0.5, 1, 0, 0.9), "axes": (0, 1), "fixed": (0, 0)},
+         r"^statistics\[0\]: pattern bits must be a list of integers, got \(0\.5, 1, 0, 0\.9\)$"),
     ], ids=["zero_length_window", "part_on_transpose_slice", "part_on_covariance",
             "lag_on_pseudo_covariance", "unknown_part", "lag_at_T", "offset_at_T",
             "window_past_T", "window_shorter_than_m", "empty_entry", "unhashable_name",
             "entry_not_an_object", "missing_lag", "float_lag", "bool_lag", "window_not_a_pair",
-            "missing_offsets", "three_axes", "float_axis", "float_offset"])
+            "missing_offsets", "three_axes", "float_axis", "float_offset", "int_pattern",
+            "float_pattern_bits"])
     def test_bad_statistic_rejected_in_a_python_built_config(self, stat, message):
         # ExperimentConfig runs the one statistic check, for file and Python configs alike
         with pytest.raises(ConfigError, match=message):

@@ -63,6 +63,13 @@ class TestPartitions:
         with pytest.raises(ValueError):
             ConjugationPattern((0,) * 7)
         assert list(ConjugationPattern.from_string("0101")) == [0, 1, 0, 1]
+        # bits are the integers 0 and 1, never truncated floats, bools or strings
+        for bad in ((0.5, 1, 0, 0.9), (True, False), ("0", "1"), 5):
+            with pytest.raises(ValueError):
+                ConjugationPattern(bad)
+        with pytest.raises(ValueError):
+            ConjugationPattern.from_string("0a")
+        assert ConjugationPattern(np.array([0, 1])).bits == (0, 1)
 
 
 class TestSignalBlockOwnership:

@@ -16,7 +16,11 @@ and sut on population pairs at m = 8 and m = 32, and ``check`` on a NotUnique
 spectra file at m = 8 whose pair is the last one and on a three-row Hermitian
 family at m = 16.  After them come ``estimate`` of a Hermitian-kind
 fourth-order slice and ``simulate`` on three malformed configs: a lag equal
-to ``T``, a statistic name that is a list and a negative lag.
+to ``T``, a statistic name that is a list and a negative lag.  Last come
+four malformed ``estimate`` flag lists (a fixed channel past m, a window
+shorter than m, a lag equal to ``T``, and ``--cov`` with a pattern holding
+a letter) and ``simulate`` on three configs that no trial can run: pattern
+bits ``[0.5, 1, 0, 0.9]``, ``T`` of 50 and a ``cond_cap`` of 0.5.
 Each command's stdout and stderr go to
 ``OUTDIR/<case>.out`` and ``OUTDIR/<case>.err`` and its exit code to
 ``OUTDIR/exit_codes.json``.
@@ -153,6 +157,20 @@ LATE_CONFIGS = {
 }
 
 
+# configs that the decoder rejects, after every case above
+FAULT_CONFIGS = {
+    "float_pattern_bits": {
+        "sources": [{"kind": "bpsk"}, {"kind": "qpsk"}],
+        "statistics": [{"statistic": "pseudo_covariance"},
+                       {"statistic": "cumulant_slice", "pattern": [0.5, 1, 0, 0.9],
+                        "axes": [1, 2], "fixed": [1, 1]}],
+        "solver": "put"},
+    "short_T": {"sources": _NONCIRCULAR, "statistics": _COV_PAIR, "solver": "sut", "T": 50},
+    "cond_cap_below_1": {"sources": _NONCIRCULAR, "statistics": _COV_PAIR, "solver": "sut",
+                         "cond_cap": 0.5},
+}
+
+
 def _signal(specs, seed):
     sources, truth = generate(specs, T_SIGNAL, seed)
     return nio.signal_to_dict(mix(sources, truth.a))
@@ -232,6 +250,8 @@ def write_inputs(inputs: Path) -> None:
         nio.write_json(build(np.random.default_rng(seed)), inputs / f"spectra_{name}.json")
     for i, (name, doc) in enumerate(LATE_CONFIGS.items()):
         nio.write_json(_config(doc, 300 + i), inputs / f"config_{name}.json")
+    for i, (name, doc) in enumerate(FAULT_CONFIGS.items()):
+        nio.write_json(_config(doc, 400 + i), inputs / f"config_{name}.json")
 
 
 def cases(inputs: Path, out: Path):
@@ -265,6 +285,12 @@ def cases(inputs: Path, out: Path):
         yield f"check_{name}", ["check", str(inputs / f"spectra_{name}.json")]
     yield "estimate_cum4_hermitian", ["estimate", sig("digital"), "--cum4", "0101", "1,2", "1,3"]
     for name in LATE_CONFIGS:
+        yield f"simulate_{name}", ["simulate", str(inputs / f"config_{name}.json")]
+    yield "estimate_fixed_past_m", ["estimate", sig("noncircular"), "--cum4", "0101", "1,2", "1,3"]
+    yield "estimate_window_below_m", ["estimate", sig("noncircular"), "--window", "0:1"]
+    yield "estimate_lag_at_T", ["estimate", sig("ar1"), "--lag", str(T_SIGNAL)]
+    yield "estimate_cov_bad_pattern", ["estimate", sig("digital"), "--cov", "--cum4", "0a00", "1,2", "1,1"]
+    for name in FAULT_CONFIGS:
         yield f"simulate_{name}", ["simulate", str(inputs / f"config_{name}.json")]
 
 
