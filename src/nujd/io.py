@@ -413,11 +413,11 @@ def config_from_dict(doc: dict, seed: Optional[int] = None) -> ExperimentConfig:
 
     return ExperimentConfig(
         sources=sources,
-        T=_count(doc, "T"),
-        seed=_int(_field(doc, "seed") if seed is None else seed, "seed", 0),
+        T=_field(doc, "T"),
+        seed=_field(doc, "seed") if seed is None else seed,
         statistics=statistics,
         solver=doc.get("solver", "put"),
-        trials=_count(doc, "trials") if "trials" in doc else 1,
+        trials=doc.get("trials", 1),
         margin=number("margin", 1e-3),
         cond_cap=number("cond_cap", 100.0),
         noise_snr_db=number("noise_snr_db", None),

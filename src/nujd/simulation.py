@@ -34,6 +34,7 @@ from .statistics import (
     _check_slice,
     _check_windows,
     _handover,
+    _is_int,
 )
 from .uniqueness import identifiability_master
 
@@ -136,7 +137,7 @@ def _generate_channel(spec: SourceSpec, rng, out: np.ndarray) -> None:
         _complex_into(out, ax, x, 1j * bx, y)
         out *= root_p
     elif spec.kind == "ar1_noncircular":
-        import scipy.signal  # imported here: it costs about 1 s of start-up
+        from scipy.linalg.blas import ztbsv  # imported here: generic commands load no scipy
 
         lam, a = spec.circularity, spec.coefficient
         ax = math.sqrt((1.0 + lam) / 2.0)
@@ -146,7 +147,12 @@ def _generate_channel(spec: SourceSpec, rng, out: np.ndarray) -> None:
         out *= root_p * math.sqrt(1.0 - a * a)
         x0, y0 = rng.standard_normal(2)
         s0 = (ax * x0 + 1j * bx * y0) * root_p
-        out[:] = scipy.signal.lfilter([1.0], [1.0, -a], out)
+        # y_n = x_n + a * y_{n-1} as a unit lower-bidiagonal solve, with -a
+        # below the diagonal; BLAS does not read a unit diagonal's entries.
+        # It runs in place on a contiguous row and returns a copy for a
+        # strided one, hence the assignment.
+        band = np.full((2, t), -a, dtype=np.complex128, order="F")
+        out[:] = ztbsv(1, band, out, overwrite_x=1, lower=1, diag=1)
         # superpose the exact stationary initial condition s0 * a^k.  Past
         # k = n, |a|^k < 2^-1080 is below half the smallest subnormal, so
         # a^k is a signed zero and adding s0 * a^k would change no sample.
@@ -176,16 +182,28 @@ def _complex_into(out: np.ndarray, ax: float, x: np.ndarray, by: complex, y: np.
     out += x
 
 
+def _check_count(value, name: str, low: int = 1) -> None:
+    """ConfigError naming ``name`` unless ``value`` is an integer of at least
+    ``low``; a bool or a float with an integral value is not one."""
+    if not _is_int(value) or value < low:
+        want = "a positive integer" if low == 1 else "a non-negative integer"
+        raise ConfigError(f"{name} must be {want}, got {value!r}")
+
+
 def _check_generation(specs: tuple, t: int, cond_cap: float, noise_snr_db: Optional[float] = None) -> None:
     """ConfigError naming the field for a setting under which no trial can
-    run: fewer than 100 samples, no sources, a condition cap below 1 (no
-    matrix has one) or a NaN or -inf noise SNR."""
+    run: a ``T`` that is not an integer of at least 100, no sources, a
+    condition cap below 1 (no matrix has one) or of 1 with two or more
+    sources (no random draw has one), or a NaN or -inf noise SNR."""
+    _check_count(t, "T")
     if t < 100:
         raise ConfigError(f"T must be at least 100, got {t}")
     if not specs:
         raise ConfigError("sources must list at least one source")
     if not cond_cap >= 1:
         raise ConfigError(f"cond_cap must be at least 1, got {cond_cap}")
+    if len(specs) > 1 and not cond_cap > 1:
+        raise ConfigError(f"cond_cap must be above 1 for two or more sources, got {cond_cap}")
     if noise_snr_db is not None and not noise_snr_db > -math.inf:
         raise ConfigError(f"noise_snr_db must be a number above -inf, got {noise_snr_db}")
 
@@ -532,17 +550,19 @@ class ExperimentConfig:
     equiv_tol: float = 1e-2
 
     def __post_init__(self):
+        object.__setattr__(self, "sources", tuple(self.sources))
+        object.__setattr__(self, "statistics", tuple(self.statistics))
+        _check_generation(self.sources, self.T, self.cond_cap, self.noise_snr_db)
+        _check_count(self.seed, "seed", 0)
+        _check_count(self.trials, "trials")
+        for name in ("T", "seed", "trials"):  # a numpy integer becomes the int a report writes
+            object.__setattr__(self, name, int(getattr(self, name)))
         if self.solver not in ("put", "sut", "gevd"):
             raise ConfigError(f"unknown solver {self.solver!r}")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
         if not self.statistics:
             raise ConfigError("statistics recipe must be non-empty")
         require_tol(self.margin, "margin", error=ConfigError)
         require_tol(self.equiv_tol, "equiv_tol", error=ConfigError, zero_ok=False)
-        object.__setattr__(self, "sources", tuple(self.sources))
-        object.__setattr__(self, "statistics", tuple(self.statistics))
-        _check_generation(self.sources, self.T, self.cond_cap, self.noise_snr_db)
         for i, stat in enumerate(self.statistics):
             _check_statistic(stat, f"statistics[{i}]", len(self.sources), self.T)
 

@@ -274,6 +274,17 @@ print(json.dumps({"after_import": after_import, "after_commands": scipy_modules(
 """
 
 
+def _run_startup_probe(commands) -> dict:
+    """Run ``commands`` in one fresh interpreter; its scipy modules and exit codes."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nujd.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP_PROBE, json.dumps(commands)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 class TestStartup:
     def test_import_and_generic_commands_load_no_scipy(self, tmp_path, rng):
         spectra = tmp_path / "s.json"
@@ -285,17 +296,26 @@ class TestStartup:
         ]
         pair = tmp_path / "set.json"
         nio.write_json(nio.matrix_set_to_dict(items), pair)
-        commands = [["check", str(spectra)], ["solve", str(pair), "--method", "sut"]]
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nujd.__file__)))
-        proc = subprocess.run(
-            [sys.executable, "-c", _STARTUP_PROBE, json.dumps(commands)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        out = json.loads(proc.stdout.strip().splitlines()[-1])
+        out = _run_startup_probe([["check", str(spectra)], ["solve", str(pair), "--method", "sut"]])
         assert out["codes"] == [0, 0]
         assert out["after_import"] == []
         assert not {"scipy.linalg", "scipy.signal"} & set(out["after_commands"])
+
+    def test_ar1_simulate_loads_no_scipy_signal(self, tmp_path):
+        # an AR(1) source is a BLAS banded solve: scipy.signal alone would
+        # add about 76 MB to a simulate run's peak RSS
+        cfg = tmp_path / "cfg.json"
+        nio.write_json({
+            "sources": [{"kind": "ar1_noncircular", "circularity": 0.9, "coefficient": 0.9},
+                        {"kind": "ar1_noncircular", "circularity": 0.3, "coefficient": -0.5}],
+            "T": 2000, "seed": 3, "trials": 1, "solver": "sut",
+            "statistics": [{"statistic": "covariance"}, {"statistic": "pseudo_covariance"}],
+        }, cfg)
+        out = _run_startup_probe([["simulate", str(cfg), "--out", str(tmp_path / "report.json")]])
+        assert out["codes"] == [0]
+        assert nio.read_json(tmp_path / "report.json")["aggregate"]["failed"] == 0
+        assert "scipy.linalg" in out["after_commands"]  # the solve ran
+        assert "scipy.signal" not in out["after_commands"]
 
 
 class TestEstimateAndSolve:
@@ -657,11 +677,12 @@ class TestSimulate:
         ({"T": 50}, "T must be at least 100, got 50"),
         ({"sources": []}, "sources must list at least one source"),
         ({"cond_cap": 0.5}, "cond_cap must be at least 1, got 0.5"),
+        ({"cond_cap": 1}, "cond_cap must be above 1 for two or more sources, got 1.0"),
         ({"statistics": [{"statistic": "covariance"},
                          {"statistic": "cumulant_slice", "pattern": [0.5, 1, 0, 0.9],
                           "axes": [1, 2], "fixed": [1, 1]}]},
          "statistics[1].pattern: pattern bits must be a list of integers, got [0.5, 1, 0, 0.9]"),
-    ], ids=["short_T", "no_sources", "cond_cap_below_1", "float_pattern_bits"])
+    ], ids=["short_T", "no_sources", "cond_cap_below_1", "cond_cap_1", "float_pattern_bits"])
     def test_config_no_trial_can_run_exits_1(self, runner, tmp_path, monkeypatch, fields, message):
         # these used to exit 0 with every trial failed (or, for the pattern,
         # to run it as 0100); now they fail before any signal is generated

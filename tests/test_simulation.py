@@ -129,6 +129,39 @@ class TestAR1InitialCondition:
         assert np.all(np.power(a, np.arange(n + 1, t + 1)) == 0)
 
 
+class TestAR1Solve:
+    # the channel's recurrence is a BLAS banded solve; it must keep the bits
+    # of the lfilter reference whether it writes a row of generate's buffer
+    # or a strided view
+    POLES = (1e-200, -1e-200, 0.0, -0.99, 0.999999)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+    def test_generate_rows_match_lfilter(self, lam):
+        t = 100_000
+        specs = tuple(
+            SourceSpec("ar1_noncircular", power=1.7, circularity=lam, coefficient=a)
+            for a in self.POLES
+        )
+        src, _ = generate(specs, t, [8, 1], cond_cap=1e4)
+        children = np.random.SeedSequence([8, 1]).spawn(len(specs) + 1)
+        want = np.array([
+            _ar1_full_length(spec, np.random.default_rng(child), t)
+            for spec, child in zip(specs, children[1:])
+        ])
+        assert src.data.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("a", POLES)
+    def test_strided_out_gets_the_same_bytes(self, a):
+        t = 10_000
+        spec = SourceSpec("ar1_noncircular", circularity=0.5, coefficient=a)
+        row = np.empty(t, dtype=np.complex128)
+        _generate_channel(spec, np.random.default_rng(9), row)
+        buf = np.zeros((t, 2), dtype=np.complex128)
+        _generate_channel(spec, np.random.default_rng(9), buf[:, 1])
+        assert buf[:, 1].tobytes() == row.tobytes()
+        assert not buf[:, 0].any()
+
+
 _QPSK = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]) / np.sqrt(2.0)
 
 
@@ -431,6 +464,45 @@ class TestRunExperiment:
             kw[{"T": "t", "sources": "specs"}.get(field, field)] = value
             with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
                 generate(seed=1, **kw)
+
+    def test_cond_cap_1_needs_a_single_source(self):
+        # no random draw of two or more columns has condition number 1, so
+        # every trial used to fail after 1000 draws
+        message = "cond_cap must be above 1 for two or more sources, got 1.0"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            _sut_config(cond_cap=1.0)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            generate((SourceSpec("bpsk"), SourceSpec("qpsk")), 200, 1, cond_cap=1.0)
+        _, truth = generate((SourceSpec("bpsk"),), 200, 1, cond_cap=1.0)
+        assert truth.a.cond == 1.0
+        one = (SourceSpec("noncircular_gaussian", circularity=0.9),)
+        rep = run_experiment(_sut_config(sources=one, cond_cap=1.0, trials=1))
+        assert rep["aggregate"]["failed"] == 0
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("T", "300", "T must be a positive integer, got '300'"),
+        ("T", 300.5, "T must be a positive integer, got 300.5"),
+        ("T", True, "T must be a positive integer, got True"),
+        ("trials", "2", "trials must be a positive integer, got '2'"),
+        ("trials", 2.0, "trials must be a positive integer, got 2.0"),
+        ("trials", 0, "trials must be a positive integer, got 0"),
+        ("trials", True, "trials must be a positive integer, got True"),
+        ("seed", 1.5, "seed must be a non-negative integer, got 1.5"),
+        ("seed", -3, "seed must be a non-negative integer, got -3"),
+        ("seed", False, "seed must be a non-negative integer, got False"),
+    ])
+    def test_count_field_of_the_wrong_type_rejected(self, field, value, message):
+        # these used to end in a TypeError or a numpy error, at once or in a trial
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            _sut_config(**{field: value})
+        if field == "T":  # generate runs the same rule
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                generate((SourceSpec("bpsk"),), value, 1)
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = _sut_config(T=np.int64(200), seed=np.uint8(3), trials=np.int32(1))
+        assert [type(v) for v in (cfg.T, cfg.seed, cfg.trials)] == [int] * 3
+        assert run_experiment(cfg)["aggregate"]["failed"] == 0
 
     @pytest.mark.parametrize("stat, message", [
         # a zero-length window used to end the batch in a ZeroDivisionError

@@ -20,7 +20,9 @@ to ``T``, a statistic name that is a list and a negative lag.  Last come
 four malformed ``estimate`` flag lists (a fixed channel past m, a window
 shorter than m, a lag equal to ``T``, and ``--cov`` with a pattern holding
 a letter) and ``simulate`` on three configs that no trial can run: pattern
-bits ``[0.5, 1, 0, 0.9]``, ``T`` of 50 and a ``cond_cap`` of 0.5.
+bits ``[0.5, 1, 0, 0.9]``, ``T`` of 50 and a ``cond_cap`` of 0.5.  After
+them, ``simulate`` runs AR(1) sources at circularity 1 with poles 0.999999
+and -0.99, and rejects two sources with a ``cond_cap`` of 1.
 Each command's stdout and stderr go to
 ``OUTDIR/<case>.out`` and ``OUTDIR/<case>.err`` and its exit code to
 ``OUTDIR/exit_codes.json``.
@@ -170,6 +172,16 @@ FAULT_CONFIGS = {
                          "cond_cap": 0.5},
 }
 
+# after every case above
+LAST_CONFIGS = {
+    "sut_ar1_extreme_poles": {
+        "sources": [{"kind": "ar1_noncircular", "circularity": 1.0, "coefficient": 0.999999},
+                    {"kind": "ar1_noncircular", "circularity": 1.0, "coefficient": -0.99}],
+        "statistics": _COV_PAIR, "solver": "sut"},
+    "cond_cap_1": {"sources": _NONCIRCULAR, "statistics": _COV_PAIR, "solver": "sut",
+                   "cond_cap": 1},
+}
+
 
 def _signal(specs, seed):
     sources, truth = generate(specs, T_SIGNAL, seed)
@@ -252,6 +264,8 @@ def write_inputs(inputs: Path) -> None:
         nio.write_json(_config(doc, 300 + i), inputs / f"config_{name}.json")
     for i, (name, doc) in enumerate(FAULT_CONFIGS.items()):
         nio.write_json(_config(doc, 400 + i), inputs / f"config_{name}.json")
+    for i, (name, doc) in enumerate(LAST_CONFIGS.items()):
+        nio.write_json(_config(doc, 500 + i), inputs / f"config_{name}.json")
 
 
 def cases(inputs: Path, out: Path):
@@ -290,7 +304,7 @@ def cases(inputs: Path, out: Path):
     yield "estimate_window_below_m", ["estimate", sig("noncircular"), "--window", "0:1"]
     yield "estimate_lag_at_T", ["estimate", sig("ar1"), "--lag", str(T_SIGNAL)]
     yield "estimate_cov_bad_pattern", ["estimate", sig("digital"), "--cov", "--cum4", "0a00", "1,2", "1,1"]
-    for name in FAULT_CONFIGS:
+    for name in (*FAULT_CONFIGS, *LAST_CONFIGS):
         yield f"simulate_{name}", ["simulate", str(inputs / f"config_{name}.json")]
 
 
