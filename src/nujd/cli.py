@@ -126,11 +126,14 @@ def cmd_estimate(input_path, cov, pseudocov, lags, windows, cum4, out_path):
     """
     if not (cov or pseudocov or lags or windows or cum4):
         _fail(2, "empty recipe: pass at least one of --cov --pseudocov --lag --window --cum4")
-    doc = _load_json(input_path)
-    try:
-        block = nio.signal_from_dict(doc)
-    except NujdError as exc:
-        _fail(1, str(exc))
+    # the document's pair lists die in the GC pause that read them: no collection scans them
+    with nio._no_gc():
+        doc = _load_json(input_path)
+        try:
+            block = nio.signal_from_dict(doc)
+        except NujdError as exc:
+            _fail(1, str(exc))
+        del doc
     recipe = _recipe(cov, pseudocov, lags, windows, cum4)
     stats = []
     for flag, entry in recipe:
@@ -203,8 +206,6 @@ def cmd_simulate(input_path, seed, out_path):
     try:
         config = nio.config_from_dict(doc, seed)
         report = run_experiment(config)
-    except ValueError as exc:
-        _fail(2, str(exc))
     except NujdError as exc:
         _fail(1, str(exc))
     text = nio.write_json(report, out_path)

@@ -11,7 +11,8 @@ time offsets and window starts are plain 0-based sample indices.  A recipe
 entry, whether from a config file or from ``nujd estimate``'s flags, is
 decoded by ``_statistic_from_dict``, which only makes a slice's 1-based
 ``axes`` and ``fixed`` 0-based, and then checked once, by
-``simulation._check_statistic`` (which ``ExperimentConfig`` runs).
+``simulation._check_statistic`` (which ``ExperimentConfig`` runs).  Every
+other config value is checked by ``ExperimentConfig`` or ``SourceSpec`` too.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .core import TAU_SYM, CongruenceKind, DiagonalStack, TaggedMatrix, stacks_from_rows
 from .errors import ConfigError
-from .simulation import ExperimentConfig, SourceSpec
+from .simulation import ExperimentConfig, SourceSpec, _check_count
 from .statistics import _as_pattern
 from .solvers import PutResult
 from .uniqueness import UniquenessReport
@@ -139,34 +140,6 @@ def _field(entry, key: str, path: str = ""):
     return entry[key]
 
 
-def _int(value, name: str, low: int = 1, high: Optional[int] = None) -> int:
-    """An integer in [low, high]; JSON booleans and floats are rejected."""
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, int)
-        or value < low
-        or (high is not None and value > high)
-    ):
-        if high is not None:
-            want = f"an integer in {low}..{high}"
-        else:
-            want = "a positive integer" if low == 1 else "a non-negative integer"
-        raise ConfigError(f"{name} must be {want}, got {value!r}")
-    return value
-
-
-def _number(value, name: str):
-    """A JSON number; booleans and strings are rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    return value
-
-
-def _count(doc, key: str) -> int:
-    """A top-level positive-integer field."""
-    return _int(_field(doc, key), key)
-
-
 def _list(doc, key: str, path: str = "") -> list:
     """A list field."""
     value = _field(doc, key, path)
@@ -206,7 +179,7 @@ def matrix_set_to_dict(items: Sequence[TaggedMatrix], provenance: Optional[dict]
 
 
 def matrix_set_from_dict(doc: dict) -> list:
-    m = _count(doc, "m")
+    m = _check_count(_field(doc, "m"), "m")
     out = []
     for i, entry in enumerate(_list(doc, "matrices")):
         path = f"matrices[{i}]"
@@ -243,7 +216,7 @@ def stacks_from_dict(doc: dict):
         if "matrices" not in doc:
             raise ConfigError("input is neither a spectra file nor a matrix-set file")
         return _stacks_from_matrix_set(doc)
-    m = _count(doc, "m")
+    m = _check_count(_field(doc, "m"), "m")
     rows = []
     for i, entry in enumerate(_list(doc, "spectra")):
         path = f"spectra[{i}]"
@@ -289,8 +262,8 @@ def signal_to_dict(block, truth: Optional[dict] = None) -> dict:
 def signal_from_dict(doc: dict):
     from .statistics import SignalBlock, _handover
 
-    m = _count(doc, "m")
-    t = _count(doc, "T")
+    m = _check_count(_field(doc, "m"), "m")
+    t = _check_count(_field(doc, "T"), "T")
     channels = _list(doc, "channels")
     if len(channels) != m:
         raise ConfigError(f"channels has {len(channels)} entries, m = {m}")
@@ -353,22 +326,17 @@ def file_digest(path) -> str:
 # experiment configs
 
 
-_SOURCE_NUMBERS = ("power", "circularity", "coefficient")
+_SOURCE_FIELDS = ("power", "circularity", "coefficient", "variance_profile")
 
 
 def _source_from_dict(entry, path: str) -> SourceSpec:
     kwargs = {"kind": _field(entry, "kind", path)}
-    extra = set(entry) - {"kind", "variance_profile", *_SOURCE_NUMBERS}
+    extra = set(entry) - {"kind", *_SOURCE_FIELDS}
     if extra:
         raise ConfigError(f"{path} has unknown fields {sorted(extra)}")
-    for key in _SOURCE_NUMBERS:
-        if entry.get(key) is not None:
-            kwargs[key] = _number(entry[key], f"{path}.{key}")
-    if entry.get("variance_profile") is not None:
-        profile = _list(entry, "variance_profile", path)
-        kwargs["variance_profile"] = tuple(
-            _number(v, f"{path}.variance_profile[{i}]") for i, v in enumerate(profile)
-        )
+    for key in _SOURCE_FIELDS:
+        if entry.get(key) is not None:  # null means the default
+            kwargs[key] = _list(entry, key, path) if key == "variance_profile" else entry[key]
     try:
         return SourceSpec(**kwargs)
     except ConfigError as exc:
@@ -391,14 +359,21 @@ def _statistic_from_dict(entry, path: str, m: int):
     for key, high in (("axes", k), ("fixed", m)):
         if key in entry:
             value = _list(entry, key, path)
-            stat[key] = tuple(_int(v, f"{path}.{key}[{i}]", 1, high) - 1 for i, v in enumerate(value))
+            stat[key] = tuple(
+                _check_count(v, f"{path}.{key}[{i}]", 1, high) - 1 for i, v in enumerate(value)
+            )
     return stat
+
+
+_CONFIG_NUMBERS = ("margin", "cond_cap", "noise_snr_db", "equiv_tol")
 
 
 def config_from_dict(doc: dict, seed: Optional[int] = None) -> ExperimentConfig:
     """Decode an experiment config; ``seed``, when given, replaces its seed.
 
-    Every malformed field raises ConfigError naming its JSON path.
+    Only objects, lists and unknown source fields are checked here;
+    ``ExperimentConfig`` and ``SourceSpec`` check the values.  Every
+    malformed field raises ConfigError naming its JSON path.
     """
     sources = tuple(
         _source_from_dict(s, f"sources[{i}]") for i, s in enumerate(_list(doc, "sources"))
@@ -407,10 +382,6 @@ def config_from_dict(doc: dict, seed: Optional[int] = None) -> ExperimentConfig:
         _statistic_from_dict(s, f"statistics[{i}]", len(sources))
         for i, s in enumerate(_list(doc, "statistics"))
     )
-
-    def number(key, default):
-        return default if doc.get(key) is None else float(_number(doc[key], key))
-
     return ExperimentConfig(
         sources=sources,
         T=_field(doc, "T"),
@@ -418,8 +389,6 @@ def config_from_dict(doc: dict, seed: Optional[int] = None) -> ExperimentConfig:
         statistics=statistics,
         solver=doc.get("solver", "put"),
         trials=doc.get("trials", 1),
-        margin=number("margin", 1e-3),
-        cond_cap=number("cond_cap", 100.0),
-        noise_snr_db=number("noise_snr_db", None),
-        equiv_tol=number("equiv_tol", 1e-2),
+        # an absent or null number field takes ExperimentConfig's default
+        **{key: doc[key] for key in _CONFIG_NUMBERS if doc.get(key) is not None},
     )

@@ -32,9 +32,6 @@ class TakagiFactorization:
     u: np.ndarray
     sigma: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return self.u @ (self.sigma[:, None] * self.u.T)
-
 
 def _unitary_sqrt(s: np.ndarray) -> np.ndarray:
     """Principal square root of a (numerically) unitary matrix.
@@ -54,7 +51,7 @@ def takagi(c) -> TakagiFactorization:
     The input is symmetrized as (C + C^T)/2 first and must be symmetric
     within ``TAU_SYM`` relative Frobenius error.  With degenerate singular
     values U is not unique; any unitary U with U diag(sigma) U^T = C is a
-    valid answer and the reconstruction is what callers should test.
+    valid answer, so callers should test U diag(sigma) U^T against C, not U.
     """
     m = as_complex_matrix(c, square=True)
     scale = float(np.linalg.norm(m))

@@ -10,6 +10,7 @@ pair reproduces a trial bit-exactly.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -49,6 +50,24 @@ SOURCE_KINDS = (
 
 _QPSK_SYMBOLS = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]) / np.sqrt(2.0)
 
+# The largest power, and power times variance-profile entry, of a source:
+# fourth-order population diagonals grow as power^2 (to 2^401), so the
+# certifier's Gram products of them and a trial's sample fourth moments stay
+# far below the float maximum 2^1024.
+_POWER_MAX = 2.0 ** 200
+_MAX_SAMPLES = np.iinfo(np.intp).max // 16  # complex128 entries one numpy array holds
+
+
+def _number(value, name: str) -> float:
+    """``value`` as a float: a real number (numpy's included, a bool not)
+    within the float range, or a ConfigError naming ``name``."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ConfigError(f"{name} must be a number, got {value!r}")
+
 
 @dataclass(frozen=True)
 class SourceSpec:
@@ -69,8 +88,19 @@ class SourceSpec:
     def __post_init__(self):
         if self.kind not in SOURCE_KINDS:
             raise ConfigError(f"unknown source kind {self.kind!r}")
+        for name in ("power", "circularity", "coefficient"):
+            if name == "power" or getattr(self, name) is not None:
+                object.__setattr__(self, name, _number(getattr(self, name), name))
+        prof = self.variance_profile
+        if prof is not None:
+            if not isinstance(prof, (list, tuple)):
+                raise ConfigError(f"variance_profile must be a list of numbers, got {prof!r}")
+            prof = tuple(_number(v, f"variance_profile[{i}]") for i, v in enumerate(prof))
+            object.__setattr__(self, "variance_profile", prof)
         if not self.power > 0:
             raise ConfigError("power must be positive")
+        if not self.power <= _POWER_MAX:
+            raise ConfigError(f"power must be at most 2**200, got {self.power}")
         if self.kind in ("noncircular_gaussian", "ar1_noncircular"):
             lam = self.circularity
             if lam is None or not 0.0 <= lam <= 1.0:
@@ -80,10 +110,11 @@ class SourceSpec:
             if a is None or not abs(a) < 1.0:
                 raise ConfigError("AR coefficient magnitude must be < 1")
         if self.kind == "block_nonstationary":
-            prof = self.variance_profile
-            if not prof or any(v <= 0 for v in prof):
+            if not prof or not all(v > 0 for v in prof):
                 raise ConfigError("variance profile must be non-empty and positive")
-            object.__setattr__(self, "variance_profile", tuple(float(v) for v in prof))
+            for i, v in enumerate(prof):
+                if not self.power * v <= _POWER_MAX:
+                    raise ConfigError(f"power * variance_profile[{i}] must be at most 2**200, got {self.power * v}")
 
 
 @dataclass(frozen=True)
@@ -182,24 +213,33 @@ def _complex_into(out: np.ndarray, ax: float, x: np.ndarray, by: complex, y: np.
     out += x
 
 
-def _check_count(value, name: str, low: int = 1) -> None:
-    """ConfigError naming ``name`` unless ``value`` is an integer of at least
-    ``low``; a bool or a float with an integral value is not one."""
-    if not _is_int(value) or value < low:
-        want = "a positive integer" if low == 1 else "a non-negative integer"
+def _check_count(value, name: str, low: int = 1, high: Optional[int] = None) -> int:
+    """``value`` as an int: an integer in [low, high] (no upper bound without
+    ``high``), not a bool or an integral float, or a ConfigError naming ``name``."""
+    if not _is_int(value) or value < low or (high is not None and value > high):
+        if high is not None:
+            want = f"an integer in {low}..{high}"
+        else:
+            want = "a positive integer" if low == 1 else "a non-negative integer"
         raise ConfigError(f"{name} must be {want}, got {value!r}")
+    return int(value)
 
 
 def _check_generation(specs: tuple, t: int, cond_cap: float, noise_snr_db: Optional[float] = None) -> None:
     """ConfigError naming the field for a setting under which no trial can
-    run: a ``T`` that is not an integer of at least 100, no sources, a
-    condition cap below 1 (no matrix has one) or of 1 with two or more
-    sources (no random draw has one), or a NaN or -inf noise SNR."""
+    run: a ``T`` that is not an integer of at least 100, no sources or one that
+    is not a SourceSpec, a cond_cap below 1 (no matrix has one) or of 1 with two
+    or more sources (no random draw has one), or a NaN or -inf noise SNR."""
     _check_count(t, "T")
     if t < 100:
         raise ConfigError(f"T must be at least 100, got {t}")
     if not specs:
         raise ConfigError("sources must list at least one source")
+    for i, spec in enumerate(specs):
+        if not isinstance(spec, SourceSpec):
+            raise ConfigError(f"sources[{i}] must be a SourceSpec, got {spec!r}")
+    if t > _MAX_SAMPLES // len(specs):  # numpy would refuse the (m, T) signal with a ValueError
+        raise ConfigError(f"T must be at most {_MAX_SAMPLES // len(specs)} for {len(specs)} sources, got {t}")
     if not cond_cap >= 1:
         raise ConfigError(f"cond_cap must be at least 1, got {cond_cap}")
     if len(specs) > 1 and not cond_cap > 1:
@@ -213,14 +253,16 @@ def generate(
 ) -> tuple[SignalBlock, ExperimentTruth]:
     """Draw independent source channels plus a conditioned random mixing matrix."""
     specs = tuple(specs)
+    cond_cap = _number(cond_cap, "cond_cap")
     _check_generation(specs, t, cond_cap)
+    seeds = seed if isinstance(seed, (list, tuple)) and seed else [seed]  # one seed or a non-empty list
+    seed_key = tuple(_check_count(v, "seed", 0) for v in seeds)
     ss = np.random.SeedSequence(seed)
     children = ss.spawn(len(specs) + 1)
     a = _draw_mixing(np.random.default_rng(children[0]), len(specs), cond_cap)
     data = np.empty((len(specs), t), dtype=np.complex128)
     for row, spec, child in zip(data, specs, children[1:]):
         _generate_channel(spec, np.random.default_rng(child), row)
-    seed_key = (int(seed),) if np.isscalar(seed) else tuple(int(v) for v in seed)
     truth = ExperimentTruth(a=GLElement(a), specs=specs, seed=seed_key)
     return SignalBlock(_handover(data)), truth
 
@@ -401,12 +443,9 @@ def _slice_kind_rule(stat: dict) -> CongruenceKind:
 
 
 def _pick(stat: dict, carrier, skew) -> list:
-    """The skew companion when the entry's ``part`` is "skew", else the carrier."""
-    if stat.get("part") != "skew":
-        return [carrier]
-    if skew is None:
-        raise ConfigError("transpose-kind slices have no skew part")
-    return [skew]
+    """The skew companion when the entry's ``part`` is "skew", else the carrier;
+    ``_check_statistic`` allows "skew" only on entries that have one."""
+    return [skew if stat.get("part") == "skew" else carrier]
 
 
 def _estimate_autocorrelation(stat: dict, w: SignalBlock) -> list:
@@ -552,11 +591,12 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "sources", tuple(self.sources))
         object.__setattr__(self, "statistics", tuple(self.statistics))
+        for name in ("margin", "cond_cap", "noise_snr_db", "equiv_tol"):
+            if name != "noise_snr_db" or self.noise_snr_db is not None:
+                object.__setattr__(self, name, _number(getattr(self, name), name))
         _check_generation(self.sources, self.T, self.cond_cap, self.noise_snr_db)
-        _check_count(self.seed, "seed", 0)
-        _check_count(self.trials, "trials")
-        for name in ("T", "seed", "trials"):  # a numpy integer becomes the int a report writes
-            object.__setattr__(self, name, int(getattr(self, name)))
+        for name, low in (("T", 1), ("seed", 0), ("trials", 1)):  # a numpy integer becomes an int
+            object.__setattr__(self, name, _check_count(getattr(self, name), name, low))
         if self.solver not in ("put", "sut", "gevd"):
             raise ConfigError(f"unknown solver {self.solver!r}")
         if not self.statistics:
@@ -570,7 +610,12 @@ class ExperimentConfig:
 def _add_noise(w: SignalBlock, snr_db: float, rng) -> SignalBlock:
     """w plus circular white Gaussian noise at ``snr_db`` below its mean power."""
     sig_power = float(np.mean(np.abs(w.data) ** 2))
-    nvar = sig_power / (10.0 ** (snr_db / 10.0))
+    try:
+        nvar = sig_power / (10.0 ** (snr_db / 10.0))
+    except OverflowError:  # a ratio past the float range: no noise, as at +inf
+        nvar = 0.0
+    except ZeroDivisionError:  # a ratio that underflows to 0: unbounded noise
+        nvar = math.inf
     # (re + 1j * im) * scale + w, built in one buffer; the real parts are drawn first
     re = rng.standard_normal(w.data.shape)
     noise = 1j * rng.standard_normal(w.data.shape)

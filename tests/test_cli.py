@@ -1,7 +1,9 @@
+import gc
 import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -319,6 +321,32 @@ class TestStartup:
 
 
 class TestEstimateAndSolve:
+    def test_signal_decode_runs_no_collection(self, runner, tmp_path, monkeypatch):
+        # the signal document is about 2 T fresh pair lists; with the cyclic
+        # GC back on while they lived, the next allocation collected over all
+        # of them (30-40 ms per estimate of a 4 x 1e5 signal)
+        sig = tmp_path / "sig.json"
+        write_signal(sig, t=2000)
+        events = []
+        read, check = nio.read_json, nio._statistic_from_dict
+        monkeypatch.setattr(nio, "read_json", lambda path: events.append("read") or read(path))
+        monkeypatch.setattr(nio, "_statistic_from_dict", lambda *a: events.append("check") or check(*a))
+
+        def on_gc(phase, info):
+            if phase == "start":
+                events.append("collect")
+
+        gc.collect()
+        gc.callbacks.append(on_gc)
+        try:
+            result = invoke(runner, "estimate", str(sig), "--cov")
+        finally:
+            gc.callbacks.remove(on_gc)
+        assert result.exit_code == 0
+        assert gc.isenabled()
+        # from reading the file to checking the first flag
+        assert events[: events.index("check") + 1] == ["read", "check"]
+
     def test_pipe_compatibility(self, runner, tmp_path):
         sig = tmp_path / "sig.json"
         est = tmp_path / "est.json"
@@ -692,6 +720,32 @@ class TestSimulate:
         monkeypatch.setattr(nujd.simulation, "generate", no_generate)
         cfg = self._config(tmp_path, **fields)
         res = invoke(runner, "simulate", str(cfg))
+        assert res.exit_code == 1
+        assert res.output == f"error: {message}\n"
+
+    _CUM4 = [{"statistic": "covariance"},
+             {"statistic": "cumulant_slice", "pattern": "0000", "axes": [1, 2], "fixed": [1, 1]}]
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"margin": 10**400}, f"margin must be a number, got {10**400}"),
+        ({"cond_cap": 10**400}, f"cond_cap must be a number, got {10**400}"),
+        ({"sources": [{"kind": "bpsk", "power": 10**400}, {"kind": "qpsk"}]},
+         f"sources[0]: power must be a number, got {10**400}"),
+        ({"sources": [{"kind": "bpsk", "power": 1e300}, {"kind": "qpsk"}]},
+         "sources[0]: power must be at most 2**200, got 1e+300"),
+        ({"sources": [{"kind": "block_nonstationary", "variance_profile": [1e308, 1]}, {"kind": "qpsk"}],
+          "statistics": [{"statistic": "covariance"}, {"statistic": "pseudo_covariance"}]},
+         "sources[0]: power * variance_profile[0] must be at most 2**200, got 1e+308"),
+    ], ids=["margin_401_digits", "cond_cap_401_digits", "power_401_digits", "power_1e300",
+            "variance_profile_1e308"])
+    def test_value_past_the_float_range_exits_1(self, runner, tmp_path, fields, message):
+        # the first four used to end in an OverflowError traceback; the
+        # profile exited 0 with an overflow warning and every trial failed
+        cfg = self._config(tmp_path, **dict(dict(sources=[{"kind": "bpsk"}, {"kind": "qpsk"}],
+                                                 statistics=self._CUM4, T=200, solver="put"), **fields))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = invoke(runner, "simulate", str(cfg))
         assert res.exit_code == 1
         assert res.output == f"error: {message}\n"
 

@@ -1,6 +1,8 @@
+import dataclasses
 import gc
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from nujd import io as nio
 from nujd.core import CongruenceKind, DiagonalStack, GLElement, TaggedMatrix
 from nujd.errors import ConfigError
-from nujd.simulation import run_experiment
+from nujd.simulation import ExperimentConfig, SourceSpec, generate, run_experiment
 from nujd.statistics import SignalBlock
 from nujd.uniqueness import identifiability_master
 
@@ -113,7 +115,7 @@ def _with(**kw):
         (_with(margin="0.01"), "margin must be a number, got '0.01'"),
         (_with(sources=[5]), "sources[0] must be an object"),
         (_with(sources=[{"power": 1}]), "sources[0].kind is missing"),
-        (_with(sources=[{"kind": "bpsk", "power": "2"}]), "sources[0].power must be a number, got '2'"),
+        (_with(sources=[{"kind": "bpsk", "power": "2"}]), "sources[0]: power must be a number, got '2'"),
         (_with(sources=[{"kind": "bpsk", "power": -1}]), "sources[0]: power must be positive"),
         (_with(sources=[{"kind": "bpsk", "colour": 1}]), "sources[0] has unknown fields ['colour']"),
         (
@@ -250,20 +252,116 @@ def _mutated_entries(draw):
     return entry
 
 
-@settings(max_examples=200, deadline=None)
-@given(_mutated_entries())
-def test_mutated_recipe_entry_is_rejected_or_runs(entry):
+# numbers past the float range, past the power cap, or not finite
+_ODD_NUMBERS = [10**400, 1e300, -1e300, float("inf"), -float("inf"), 2.0**201, 0]
+_MUTANTS = _ODD_VALUES + _ODD_NUMBERS
+# one valid source of each shape of fields; a qpsk source is always the second
+_VALID_SOURCES = [
+    {"kind": "ar1_noncircular", "circularity": 0.9, "coefficient": 0.5},
+    {"kind": "noncircular_gaussian", "circularity": 0.3, "power": 2},
+    {"kind": "block_nonstationary", "variance_profile": [1, 4.0], "power": 0.5},
+    {"kind": "bpsk", "power": 2.0**200},
+]
+# with a first entry of the other kind, the two matrices PUT solves
+_SECOND_ENTRIES = [{"statistic": "covariance"}, {"statistic": "pseudo_covariance"}]
+_TOP_LEVEL = ["T", "trials", "seed", "margin", "cond_cap", "noise_snr_db", "equiv_tol"]
+
+
+@st.composite
+def _mutated(draw, entry: dict, keys: list):
+    """``entry`` with one of ``keys`` dropped or replaced, or one item of a
+    list field replaced, by one of ``_MUTANTS``."""
+    entry = dict(entry)
+    key = draw(st.sampled_from(keys))
+    how = draw(st.sampled_from(["drop", "replace", "replace_item"]))
+    if how == "drop":
+        entry.pop(key, None)
+    elif how == "replace" or not isinstance(entry.get(key), list):
+        entry[key] = draw(st.sampled_from(_MUTANTS))
+    else:
+        items = list(entry[key])
+        items[draw(st.integers(0, len(items) - 1))] = draw(st.sampled_from(_MUTANTS))
+        entry[key] = items
+    return entry
+
+
+@st.composite
+def _mutated_configs(draw):
+    """A valid T = 200 config of two recipe entries with the first entry, the
+    first source or one top-level field mutated."""
+    source = draw(st.sampled_from(_VALID_SOURCES))
+    where = draw(st.sampled_from(["statistic", "source", "top"]))
     doc = {
-        "sources": [{"kind": "ar1_noncircular", "circularity": 0.9, "coefficient": 0.5}, {"kind": "qpsk"}],
+        "sources": [source, {"kind": "qpsk"}],
         "T": 200,
         "seed": 3,
-        "statistics": [entry],
+        "trials": 1,
+        "statistics": [
+            draw(_mutated_entries() if where == "statistic" else st.sampled_from(_VALID_ENTRIES)),
+            draw(st.sampled_from(_SECOND_ENTRIES)),
+        ],
     }
+    if where == "source":
+        keys = ["kind", "power", "circularity", "coefficient", "variance_profile"]
+        doc["sources"][0] = draw(_mutated(source, keys))
+    elif where == "top":
+        doc = draw(_mutated(doc, _TOP_LEVEL))
+    return doc
+
+
+def _run_one_trial(config):
+    """Run one trial of ``config`` (each runs the same code) with a
+    RuntimeWarning outside the estimators raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        run_experiment(dataclasses.replace(config, trials=1))  # per-trial errors are records
+
+
+@settings(max_examples=300, deadline=None)
+@given(_mutated_configs())
+def test_mutated_recipe_entry_is_rejected_or_runs(doc):
     try:
         config = nio.config_from_dict(doc)
     except ConfigError:
         return
-    run_experiment(config)  # per-trial errors are records, not exceptions
+    _run_one_trial(config)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_mutated_python_config_is_rejected_or_runs(data):
+    """The values of the file case, built in Python: SourceSpec,
+    ExperimentConfig and generate raise nothing but ConfigError."""
+    value = data.draw(st.sampled_from(_MUTANTS))
+    source = dict(data.draw(st.sampled_from(_VALID_SOURCES)))
+    config = {"sources": [None, SourceSpec("qpsk")], "T": 200, "seed": 3,
+              "statistics": [data.draw(st.sampled_from(_VALID_ENTRIES)),
+                             data.draw(st.sampled_from(_SECOND_ENTRIES))]}
+    target = data.draw(st.sampled_from(["SourceSpec", "ExperimentConfig", "generate"]))
+    try:
+        if target == "SourceSpec":
+            field = data.draw(st.sampled_from(["kind", "power", "circularity", "coefficient",
+                                               "variance_profile", "variance_profile[0]"]))
+            if field == "variance_profile[0]":
+                source["variance_profile"] = [value, *source.get("variance_profile", [1.0])[1:]]
+            else:
+                source[field] = value
+        config["sources"][0] = SourceSpec(**source)
+        if target == "ExperimentConfig":
+            field = data.draw(st.sampled_from([*_TOP_LEVEL, "sources[0]"]))
+            if field == "sources[0]":
+                config["sources"][0] = value
+            else:
+                config[field] = value
+        elif target == "generate":
+            args = {"specs": config["sources"], "t": 200, "seed": [3, 0], "cond_cap": 100.0}
+            args[data.draw(st.sampled_from(sorted(set(args) - {"specs"})))] = value
+            generate(**args)
+            return
+        statistics = [nio._statistic_from_dict(s, "", 2) for s in config.pop("statistics")]
+        _run_one_trial(ExperimentConfig(statistics=statistics, **config))
+    except ConfigError:
+        pass
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,58 @@ class TestSourceSpec:
         with pytest.raises(ConfigError):
             SourceSpec("bpsk", power=0.0)
 
+    @pytest.mark.parametrize("fields, message", [
+        # a string used to end in a TypeError; a bool, inf and 10**400 were accepted
+        ({"power": "2"}, "power must be a number, got '2'"),
+        ({"power": True}, "power must be a number, got True"),
+        ({"power": None}, "power must be a number, got None"),
+        ({"power": 10**400}, f"power must be a number, got {10**400}"),
+        ({"power": math.inf}, "power must be at most 2**200, got inf"),
+        ({"power": 1e300}, "power must be at most 2**200, got 1e+300"),
+        ({"power": 2.0**201}, f"power must be at most 2**200, got {2.0**201}"),
+        ({"circularity": "0.5"}, "circularity must be a number, got '0.5'"),
+        ({"coefficient": False}, "coefficient must be a number, got False"),
+        ({"variance_profile": 5}, "variance_profile must be a list of numbers, got 5"),
+        ({"variance_profile": [1, "2"]}, "variance_profile[1] must be a number, got '2'"),
+    ])
+    def test_number_fields_of_every_kind(self, fields, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            SourceSpec("bpsk", **fields)
+
+    @pytest.mark.parametrize("profile, message", [
+        ((math.nan, 1.0), "variance profile must be non-empty and positive"),
+        ((1e308, 1.0), "power * variance_profile[0] must be at most 2**200, got 1e+308"),
+        ((1.0, math.inf), "power * variance_profile[1] must be at most 2**200, got inf"),
+    ])
+    def test_block_profile_range(self, profile, message):
+        # [1e308, 1] used to overflow the certifier's Gram product in every trial
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            SourceSpec("block_nonstationary", variance_profile=profile)
+        with pytest.raises(ConfigError, match="at most 2"):
+            SourceSpec("block_nonstationary", power=2.0**100, variance_profile=(2.0**101, 1.0))
+
+    def test_numbers_become_floats(self):
+        spec = SourceSpec("block_nonstationary", power=np.int64(2), variance_profile=[1, np.float32(4)])
+        assert type(spec.power) is float and spec.variance_profile == (1.0, 4.0)
+        assert all(type(v) is float for v in spec.variance_profile)
+        assert SourceSpec("bpsk", power=2.0**200).power == 2.0**200
+
+    def test_sources_at_the_power_cap_run_without_overflow(self):
+        top = 2.0**200
+        cum4 = {"statistic": "cumulant_slice", "pattern": "0000", "axes": (0, 1), "fixed": (0, 0)}
+        for sources in [
+            (SourceSpec("bpsk", power=top), SourceSpec("qpsk", power=top)),
+            (SourceSpec("block_nonstationary", variance_profile=(top, 1.0)),
+             SourceSpec("block_nonstationary", variance_profile=(1.0, top))),
+        ]:
+            stats = ({"statistic": "covariance"}, cum4)
+            config = ExperimentConfig(sources=sources, T=400, seed=7, statistics=stats, cond_cap=1e4)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                rep = run_experiment(config)
+            assert rep["aggregate"]["failed"] == 0
+            assert rep["trials"][0]["identifiability"] in ("Unique", "NotUnique")
+
 
 class TestGenerate:
     def test_bpsk_alphabet(self):
@@ -498,6 +550,52 @@ class TestRunExperiment:
         if field == "T":  # generate runs the same rule
             with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
                 generate((SourceSpec("bpsk"),), value, 1)
+
+    @pytest.mark.parametrize("field, value, message", [
+        # each used to end in a TypeError from a comparison
+        ("margin", "0.1", "margin must be a number, got '0.1'"),
+        ("cond_cap", "5", "cond_cap must be a number, got '5'"),
+        ("noise_snr_db", "20", "noise_snr_db must be a number, got '20'"),
+        ("equiv_tol", None, "equiv_tol must be a number, got None"),
+        ("margin", True, "margin must be a number, got True"),
+        ("cond_cap", 10**400, f"cond_cap must be a number, got {10**400}"),
+        # a dict source used to build, then end in an AttributeError in a trial
+        ("sources", ({"kind": "bpsk"},), "sources[0] must be a SourceSpec, got {'kind': 'bpsk'}"),
+        ("T", 2**62, f"T must be at most {(2**63 - 1) // 32} for 2 sources, got {2**62}"),
+    ])
+    def test_number_field_of_the_wrong_type_rejected(self, field, value, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            _sut_config(**{field: value})
+
+    def test_number_fields_become_floats(self):
+        cfg = _sut_config(margin=0, cond_cap=np.int64(50), noise_snr_db=np.float32(20), equiv_tol=0.5)
+        assert [type(v) for v in (cfg.margin, cfg.cond_cap, cfg.noise_snr_db, cfg.equiv_tol)] == [float] * 4
+
+    @pytest.mark.parametrize("seed, bad", [
+        (1.5, 1.5), (-1, -1), ("3", "3"), (True, True), ([], []), ({}, {}),
+        ([1, -1], -1), ([1, 2.0], 2.0), ((np.uint8(3), True), True),
+    ])
+    def test_generate_seed_rule(self, seed, bad):
+        # 1.5, -1 and "3" used to end in a numpy TypeError or ValueError; True was accepted
+        message = f"seed must be a non-negative integer, got {bad!r}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            generate((SourceSpec("bpsk"),), 200, seed)
+
+    @pytest.mark.parametrize("seed, key", [(3, (3,)), (np.int64(3), (3,)), ([3, 0], (3, 0)), ((10**30,), (10**30,))])
+    def test_generate_seed_key(self, seed, key):
+        _, truth = generate((SourceSpec("bpsk"),), 200, seed)
+        assert truth.seed == key and all(type(v) is int for v in truth.seed)
+
+    @pytest.mark.parametrize("snr_db", [1e300, -1e300, math.inf])
+    def test_noise_snr_past_the_float_range_runs(self, snr_db):
+        # 10 ** (snr / 10) used to raise OverflowError, and its underflow to 0
+        # a ZeroDivisionError, out of run_experiment
+        one = (SourceSpec("noncircular_gaussian", circularity=0.9),)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rep = run_experiment(_sut_config(sources=one, T=200, trials=1, noise_snr_db=snr_db))
+        # above the float range there is no noise; below it the noise is infinite
+        assert rep["trials"][0]["error"] == (None if snr_db > 0 else "NonFiniteEntries")
 
     def test_numpy_integer_counts_accepted(self):
         cfg = _sut_config(T=np.int64(200), seed=np.uint8(3), trials=np.int32(1))

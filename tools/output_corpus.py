@@ -22,7 +22,10 @@ shorter than m, a lag equal to ``T``, and ``--cov`` with a pattern holding
 a letter) and ``simulate`` on three configs that no trial can run: pattern
 bits ``[0.5, 1, 0, 0.9]``, ``T`` of 50 and a ``cond_cap`` of 0.5.  After
 them, ``simulate`` runs AR(1) sources at circularity 1 with poles 0.999999
-and -0.99, and rejects two sources with a ``cond_cap`` of 1.
+and -0.99, and rejects two sources with a ``cond_cap`` of 1.  Last,
+``simulate`` rejects five configs at ``T`` = 200: a ``margin`` and a
+``cond_cap`` of 10**400, a source ``power`` of 10**400 and of 1e300, and a
+variance profile of ``[1e308, 1]``.
 Each command's stdout and stderr go to
 ``OUTDIR/<case>.out`` and ``OUTDIR/<case>.err`` and its exit code to
 ``OUTDIR/exit_codes.json``.
@@ -183,6 +186,26 @@ LAST_CONFIGS = {
 }
 
 
+# after every case above: values past the float range or the power cap,
+# at T = 200; each used to end in a traceback or in failed trials
+_CUM4_RECIPE = [{"statistic": "covariance"},
+                {"statistic": "cumulant_slice", "pattern": "0000", "axes": [1, 2], "fixed": [1, 1]}]
+_DIGITAL = [{"kind": "bpsk"}, {"kind": "qpsk"}]
+RANGE_CONFIGS = {
+    "margin_401_digits": {"sources": _DIGITAL, "statistics": _CUM4_RECIPE, "T": 200,
+                          "margin": 10**400},
+    "cond_cap_401_digits": {"sources": _DIGITAL, "statistics": _CUM4_RECIPE, "T": 200,
+                            "cond_cap": 10**400},
+    "power_401_digits": {"sources": [{"kind": "bpsk", "power": 10**400}, {"kind": "qpsk"}],
+                         "statistics": _CUM4_RECIPE, "T": 200},
+    "power_1e300": {"sources": [{"kind": "bpsk", "power": 1e300}, {"kind": "qpsk"}],
+                    "statistics": _CUM4_RECIPE, "T": 200},
+    "variance_profile_1e308": {
+        "sources": [{"kind": "block_nonstationary", "variance_profile": [1e308, 1]}, {"kind": "qpsk"}],
+        "statistics": _COV_PAIR, "T": 200},
+}
+
+
 def _signal(specs, seed):
     sources, truth = generate(specs, T_SIGNAL, seed)
     return nio.signal_to_dict(mix(sources, truth.a))
@@ -266,6 +289,8 @@ def write_inputs(inputs: Path) -> None:
         nio.write_json(_config(doc, 400 + i), inputs / f"config_{name}.json")
     for i, (name, doc) in enumerate(LAST_CONFIGS.items()):
         nio.write_json(_config(doc, 500 + i), inputs / f"config_{name}.json")
+    for i, (name, doc) in enumerate(RANGE_CONFIGS.items()):
+        nio.write_json(_config(doc, 600 + i), inputs / f"config_{name}.json")
 
 
 def cases(inputs: Path, out: Path):
@@ -304,7 +329,7 @@ def cases(inputs: Path, out: Path):
     yield "estimate_window_below_m", ["estimate", sig("noncircular"), "--window", "0:1"]
     yield "estimate_lag_at_T", ["estimate", sig("ar1"), "--lag", str(T_SIGNAL)]
     yield "estimate_cov_bad_pattern", ["estimate", sig("digital"), "--cov", "--cum4", "0a00", "1,2", "1,1"]
-    for name in (*FAULT_CONFIGS, *LAST_CONFIGS):
+    for name in (*FAULT_CONFIGS, *LAST_CONFIGS, *RANGE_CONFIGS):
         yield f"simulate_{name}", ["simulate", str(inputs / f"config_{name}.json")]
 
 
