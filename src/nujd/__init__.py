@@ -32,9 +32,7 @@ from .statistics import (
     LaggedCorrelation,
     SignalBlock,
     autocorrelation,
-    circularity_coefficient,
     covariance,
-    cumulant,
     cumulant_slice,
     lagged_cumulant_slice,
     pseudo_autocorrelation,

@@ -208,6 +208,8 @@ def cmd_simulate(input_path, seed, out_path):
         report = run_experiment(config)
     except NujdError as exc:
         _fail(1, str(exc))
+    except MemoryError:  # a T that one array holds but the memory does not
+        _fail(1, f"T = {config.T} needs more memory than is available for {len(config.sources)} sources")
     text = nio.write_json(report, out_path)
     if out_path is None:
         click.echo(text, nl=False)

@@ -14,7 +14,7 @@ threads.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -174,16 +174,12 @@ class GLElement:
     """An invertible matrix, certified by its singular values at construction."""
 
     matrix: np.ndarray
-    sigma_max: float = field(init=False)
-    sigma_min: float = field(init=False)
 
     def __post_init__(self):
         m = as_complex_matrix(self.matrix, square=True)
         object.__setattr__(self, "matrix", m)
         svals = np.linalg.svd(m, compute_uv=False)
         smax, smin = float(svals[0]), float(svals[-1])
-        object.__setattr__(self, "sigma_max", smax)
-        object.__setattr__(self, "sigma_min", smin)
         n = m.shape[0]
         floor = max(n * np.finfo(float).eps * smax, smax / KAPPA_MAX)
         if smin <= floor:
@@ -195,10 +191,6 @@ class GLElement:
     @property
     def m(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def cond(self) -> float:
-        return self.sigma_max / self.sigma_min
 
 
 @dataclass(frozen=True)

@@ -68,10 +68,6 @@ class WitnessVerificationError(NujdError):
     """An internally constructed non-uniqueness witness failed its self-check."""
 
 
-class ZeroPowerChannel(NujdError):
-    """A statistic that divides by signal power received an all-zero channel."""
-
-
 class ConfigError(NujdError):
     """An experiment or CLI configuration is invalid."""
 

@@ -348,11 +348,8 @@ def _statistic_from_dict(entry, path: str, m: int):
     0-based; ``simulation._check_statistic`` checks the entry."""
     if not isinstance(entry, dict) or "pattern" not in entry:
         return entry
-    pattern = entry["pattern"]
-    if not isinstance(pattern, (str, list)):
-        raise ConfigError(f"{path}.pattern must be a string or a list of 0/1 bits")
     try:
-        k = len(_as_pattern(pattern))
+        k = len(_as_pattern(entry["pattern"]))
     except ValueError as exc:
         raise ConfigError(f"{path}.pattern: {exc}") from None
     stat = dict(entry)

@@ -225,12 +225,13 @@ def _check_count(value, name: str, low: int = 1, high: Optional[int] = None) -> 
     return int(value)
 
 
-def _check_generation(specs: tuple, t: int, cond_cap: float, noise_snr_db: Optional[float] = None) -> None:
-    """ConfigError naming the field for a setting under which no trial can
-    run: a ``T`` that is not an integer of at least 100, no sources or one that
-    is not a SourceSpec, a cond_cap below 1 (no matrix has one) or of 1 with two
-    or more sources (no random draw has one), or a NaN or -inf noise SNR."""
-    _check_count(t, "T")
+def _check_generation(specs: tuple, t: int, cond_cap: float, noise_snr_db: Optional[float] = None) -> int:
+    """``T`` as an int, or a ConfigError naming the field for a setting under
+    which no trial can run: a ``T`` that is not an integer of at least 100, no
+    sources or one that is not a SourceSpec, a cond_cap below 1 (no matrix has
+    one) or of 1 with two or more sources (no random draw has one), or a NaN or
+    -inf noise SNR."""
+    t = _check_count(t, "T")
     if t < 100:
         raise ConfigError(f"T must be at least 100, got {t}")
     if not specs:
@@ -246,6 +247,7 @@ def _check_generation(specs: tuple, t: int, cond_cap: float, noise_snr_db: Optio
         raise ConfigError(f"cond_cap must be above 1 for two or more sources, got {cond_cap}")
     if noise_snr_db is not None and not noise_snr_db > -math.inf:
         raise ConfigError(f"noise_snr_db must be a number above -inf, got {noise_snr_db}")
+    return t
 
 
 def generate(
@@ -254,7 +256,7 @@ def generate(
     """Draw independent source channels plus a conditioned random mixing matrix."""
     specs = tuple(specs)
     cond_cap = _number(cond_cap, "cond_cap")
-    _check_generation(specs, t, cond_cap)
+    t = _check_generation(specs, t, cond_cap)
     seeds = seed if isinstance(seed, (list, tuple)) and seed else [seed]  # one seed or a non-empty list
     seed_key = tuple(_check_count(v, "seed", 0) for v in seeds)
     ss = np.random.SeedSequence(seed)
@@ -594,8 +596,8 @@ class ExperimentConfig:
         for name in ("margin", "cond_cap", "noise_snr_db", "equiv_tol"):
             if name != "noise_snr_db" or self.noise_snr_db is not None:
                 object.__setattr__(self, name, _number(getattr(self, name), name))
-        _check_generation(self.sources, self.T, self.cond_cap, self.noise_snr_db)
-        for name, low in (("T", 1), ("seed", 0), ("trials", 1)):  # a numpy integer becomes an int
+        object.__setattr__(self, "T", _check_generation(self.sources, self.T, self.cond_cap, self.noise_snr_db))
+        for name, low in (("seed", 0), ("trials", 1)):  # a numpy integer becomes an int
             object.__setattr__(self, name, _check_count(getattr(self, name), name, low))
         if self.solver not in ("put", "sut", "gevd"):
             raise ConfigError(f"unknown solver {self.solver!r}")

@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .core import CongruenceKind, TaggedMatrix, hermitian_skew_split, require_finite
-from .errors import DimensionMismatch, ZeroPowerChannel
+from .errors import DimensionMismatch
 from .errors import RankDeficiencyWarning
 
 MAX_CUMULANT_ORDER = 6
@@ -109,9 +109,6 @@ class ConjugationPattern:
     def __len__(self):
         return len(self.bits)
 
-    def __iter__(self):
-        return iter(self.bits)
-
 
 def _as_pattern(pattern) -> ConjugationPattern:
     if isinstance(pattern, ConjugationPattern):
@@ -133,7 +130,6 @@ class LaggedCorrelation:
     raw: np.ndarray
     hermitian: TaggedMatrix
     skew: TaggedMatrix
-    lag: int
 
 
 @dataclass(frozen=True)
@@ -142,16 +138,10 @@ class CumulantSlice:
 
     ``matrix`` is the certified tagged carrier: the symmetrized raw slice
     for transpose kind, or the Hermitian part of the split for Hermitian
-    kind (whose skew companion is then in ``skew``).  ``axes`` and
-    ``fixed_indices`` are 0-based.
+    kind (whose skew companion is then in ``skew``).
     """
 
     raw: np.ndarray
-    order: int
-    pattern: ConjugationPattern
-    fixed_indices: tuple
-    axes: tuple
-    kind: CongruenceKind
     matrix: TaggedMatrix
     skew: Optional[TaggedMatrix]
 
@@ -232,7 +222,7 @@ def autocorrelation(w: SignalBlock, lag: int) -> LaggedCorrelation:
     """
     raw = _lagged(w, lag, True)
     herm, skew = _carriers(raw, CongruenceKind.HERMITIAN)
-    return LaggedCorrelation(raw=raw, hermitian=herm, skew=skew, lag=lag)
+    return LaggedCorrelation(raw=raw, hermitian=herm, skew=skew)
 
 
 def pseudo_autocorrelation(w: SignalBlock, lag: int) -> TaggedMatrix:
@@ -255,57 +245,6 @@ def windowed_covariances(w: SignalBlock, windows: Sequence[tuple]) -> list:
     return [
         covariance(SignalBlock(w.data[:, start : start + length])) for start, length in windows
     ]
-
-
-def circularity_coefficient(channel) -> float:
-    """|E[s^2]| / E[|s|^2] of one channel, estimated by time averages."""
-    x = np.asarray(channel, dtype=np.complex128).ravel()
-    x = x - x.mean()
-    power = float(np.mean(np.abs(x) ** 2))
-    if power <= 0.0:
-        raise ZeroPowerChannel("channel has zero power after centering")
-    return float(np.abs(np.mean(x * x)) / power)
-
-
-def cumulant(channels: Sequence, pattern) -> complex:
-    """Joint cumulant of k channels with per-slot conjugation.
-
-    Channels are centered, conjugated per the pattern, and combined through
-    the exact partition sum; sample moments use 1/T normalization.
-    """
-    pat = _as_pattern(pattern)
-    k = len(pat)
-    if len(channels) != k:
-        raise DimensionMismatch("need one channel per pattern slot")
-    series = []
-    length = None
-    for x, bit in zip(channels, pat):
-        a = np.asarray(x, dtype=np.complex128).ravel()
-        if length is None:
-            length = a.size
-        elif a.size != length:
-            raise DimensionMismatch("channels must have equal length")
-        a = a - a.mean()
-        series.append(np.conj(a) if bit else a)
-    moments = {}
-
-    def block_moment(block):
-        if block not in moments:
-            prod = series[block[0]].copy()
-            for idx in block[1:]:
-                prod *= series[idx]
-            moments[block] = complex(prod.mean())
-        return moments[block]
-
-    total = 0.0 + 0.0j
-    for partition in set_partitions(k):
-        p = len(partition)
-        coef = (-1) ** (p - 1) * math.factorial(p - 1)
-        term = complex(coef)
-        for block in partition:
-            term *= block_moment(block)
-        total += term
-    return complex(total)
 
 
 def _moment(axis_series, fixed_series, n):
@@ -401,7 +340,7 @@ def slice_kind(pattern, axes) -> CongruenceKind:
 
 
 def _check_slice(pat: ConjugationPattern, offsets, axes, fixed_indices, m: int, t: int) -> tuple:
-    """(k, p, q, offsets) of a slice on m channels of T samples, or ValueError."""
+    """(p, q, offsets) of a slice on m channels of T samples, or ValueError."""
     k = len(pat)
     axes = _integers(axes, "slice axes")
     if len(axes) != 2:
@@ -423,7 +362,7 @@ def _check_slice(pat: ConjugationPattern, offsets, axes, fixed_indices, m: int, 
         raise ValueError("offsets must be nonnegative")
     if max(offs) >= t:
         raise ValueError("offsets leave no overlapping samples")
-    return k, p, q, offs
+    return p, q, offs
 
 
 def cumulant_slice(w: SignalBlock, pattern, fixed_indices, axes) -> CumulantSlice:
@@ -449,7 +388,7 @@ def lagged_cumulant_slice(
     window-mean correction the cumulant subtracts.
     """
     pat = _as_pattern(pattern)
-    k, p, q, offs = _check_slice(pat, offsets, axes, fixed_indices, w.m, w.T)
+    p, q, offs = _check_slice(pat, offsets, axes, fixed_indices, w.m, w.T)
     n = w.T - max(offs)
     it = iter(fixed_indices)
     reads = [
@@ -457,5 +396,4 @@ def lagged_cumulant_slice(
         for r, (bit, off) in enumerate(zip(pat.bits, offs))
     ]
     raw = _slice_from_series(w.centered(), reads, p, q, n)
-    kind = slice_kind(pat, axes)
-    return CumulantSlice(raw, k, pat, tuple(fixed_indices), tuple(axes), kind, *_carriers(raw, kind))
+    return CumulantSlice(raw, *_carriers(raw, slice_kind(pat, axes)))

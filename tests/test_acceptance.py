@@ -37,7 +37,6 @@ from nujd.statistics import (
     SignalBlock,
     autocorrelation,
     covariance,
-    cumulant,
     cumulant_slice,
     lagged_cumulant_slice,
     pseudo_autocorrelation,
@@ -45,8 +44,8 @@ from nujd.statistics import (
     windowed_covariances,
 )
 from nujd.uniqueness import identifiability_master
-from nujd.statistics import circularity_coefficient
 
+from _reference import circularity_coefficient, cumulant
 from conftest import put_pair, random_nonidentifiable_stacks, tagged_put_pair
 from _search import find_counterexample, gm_distance_batch
 

@@ -723,6 +723,20 @@ class TestSimulate:
         assert res.exit_code == 1
         assert res.output == f"error: {message}\n"
 
+    def test_signal_past_the_memory_exits_1_naming_T(self, runner, tmp_path, monkeypatch):
+        # T = 2**40 on two sources fits one numpy array but not the memory, and
+        # used to end in numpy's MemoryError traceback; the stand-in raises at
+        # once, so no test depends on how the host refuses 32 TiB
+        def no_memory(*args, **kw):
+            raise MemoryError("Unable to allocate 32.0 TiB")
+
+        monkeypatch.setattr(nujd.simulation, "generate", no_memory)
+        res = invoke(runner, "simulate", str(self._config(tmp_path, T=2**40)))
+        assert res.exit_code == 1
+        assert res.output == (
+            "error: T = 1099511627776 needs more memory than is available for 2 sources\n"
+        )
+
     _CUM4 = [{"statistic": "covariance"},
              {"statistic": "cumulant_slice", "pattern": "0000", "axes": [1, 2], "fixed": [1, 1]}]
 

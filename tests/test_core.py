@@ -73,7 +73,7 @@ class TestValidation:
         with pytest.raises(SingularMatrix):
             GLElement(np.array([[1.0, 1.0], [1.0, 1.0]]))
         x = GLElement(np.diag([2.0, 1.0]))
-        assert x.cond == pytest.approx(2.0)
+        assert np.linalg.cond(x.matrix) == pytest.approx(2.0)
 
     def test_gm_element_pattern(self):
         GmElement(np.array([[0, 3.0], [1j, 0]]))

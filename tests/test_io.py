@@ -132,7 +132,10 @@ def _with(**kw):
             _with(statistics=[{"statistic": "windowed_covariance", "windows": [[0]]}]),
             "statistics[0]: a (start, length) window must be 2 integers, got [0]",
         ),
-        (_with(statistics=[dict(_CUM4, pattern=5)]), "statistics[0].pattern must be a string"),
+        (
+            _with(statistics=[dict(_CUM4, pattern=5)]),
+            "statistics[0].pattern: pattern bits must be a list of integers, got 5",
+        ),
         (_with(statistics=[dict(_CUM4, pattern="0a00")]), "statistics[0].pattern: "),
         (_with(statistics=[dict(_CUM4, pattern="0")]), "statistics[0].pattern: pattern length"),
         # bits used to go through int(), which ran [0.5, 1, 0, 0.9] as 0100

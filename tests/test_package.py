@@ -1,19 +1,17 @@
-"""The package's public names are the ones its own code uses.
+"""The package's public names and error classes are the ones its own code uses.
 
 Every name ``nujd/__init__.py`` imports must be read somewhere in ``src/``,
-``bench/`` or ``tools/`` outside its own definition, so that no library
-code exists only for the tests.
+``bench/`` or ``tools/`` outside its own definition, and every exception or
+warning class in ``nujd/errors.py`` must be raised, warned or caught in
+``src/`` outside ``errors.py``, so that no library code exists only for the
+tests.
 """
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-
-# names the program keeps for the tests: ``cumulant`` is the scalar reference
-# the slice tests compare against, ``circularity_coefficient`` the paper's
-# estimator that acceptance criterion 6 checks
-TEST_ONLY = {"cumulant", "circularity_coefficient"}
+ERRORS = ROOT / "src" / "nujd" / "errors.py"
 
 
 def _public_names() -> set:
@@ -24,6 +22,10 @@ def _public_names() -> set:
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
+
+
+def _error_classes() -> set:
+    return {node.name for node in ast.parse(ERRORS.read_text()).body if isinstance(node, ast.ClassDef)}
 
 
 def _uses(node, owner, found: set) -> None:
@@ -37,10 +39,12 @@ def _uses(node, owner, found: set) -> None:
         _uses(child, owner, found)
 
 
-def _used_names() -> set:
+def _used_names(folders=("src", "bench", "tools"), skip=None) -> set:
     found = set()
-    for folder in ("src", "bench", "tools"):
+    for folder in folders:
         for path in sorted((ROOT / folder).rglob("*.py")):
+            if path == skip:
+                continue
             for node in ast.parse(path.read_text()).body:
                 defines = isinstance(node, (ast.FunctionDef, ast.ClassDef))
                 _uses(node, node.name if defines else None, found)
@@ -48,5 +52,11 @@ def _used_names() -> set:
 
 
 def test_every_public_name_is_used_by_the_program():
-    unused = _public_names() - _used_names() - TEST_ONLY
+    unused = _public_names() - _used_names()
     assert not unused, f"public names only the tests use: {sorted(unused)}"
+
+
+def test_every_error_class_is_used_by_the_package():
+    # an import is not a use: the class must be raised, warned or caught
+    unused = _error_classes() - _used_names(("src",), skip=ERRORS)
+    assert not unused, f"error classes the package never raises, warns or catches: {sorted(unused)}"
