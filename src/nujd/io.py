@@ -140,6 +140,13 @@ def _field(entry, key: str, path: str = ""):
     return entry[key]
 
 
+def _known(entry: dict, fields: tuple, path: str = "") -> None:
+    """ConfigError naming the JSON path when ``entry`` has a field not in ``fields``."""
+    extra = set(entry) - set(fields)
+    if extra:
+        raise ConfigError(f"{path or 'document'} has unknown fields {sorted(extra)}")
+
+
 def _list(doc, key: str, path: str = "") -> list:
     """A list field."""
     value = _field(doc, key, path)
@@ -331,9 +338,7 @@ _SOURCE_FIELDS = ("power", "circularity", "coefficient", "variance_profile")
 
 def _source_from_dict(entry, path: str) -> SourceSpec:
     kwargs = {"kind": _field(entry, "kind", path)}
-    extra = set(entry) - {"kind", *_SOURCE_FIELDS}
-    if extra:
-        raise ConfigError(f"{path} has unknown fields {sorted(extra)}")
+    _known(entry, ("kind", *_SOURCE_FIELDS), path)
     for key in _SOURCE_FIELDS:
         if entry.get(key) is not None:  # null means the default
             kwargs[key] = _list(entry, key, path) if key == "variance_profile" else entry[key]
@@ -363,18 +368,19 @@ def _statistic_from_dict(entry, path: str, m: int):
 
 
 _CONFIG_NUMBERS = ("margin", "cond_cap", "noise_snr_db", "equiv_tol")
+_CONFIG_FIELDS = ("sources", "T", "seed", "statistics", "solver", "trials", *_CONFIG_NUMBERS)
 
 
 def config_from_dict(doc: dict, seed: Optional[int] = None) -> ExperimentConfig:
     """Decode an experiment config; ``seed``, when given, replaces its seed.
 
-    Only objects, lists and unknown source fields are checked here;
-    ``ExperimentConfig`` and ``SourceSpec`` check the values.  Every
+    Only objects, lists and unknown top-level and source fields are checked
+    here; ``ExperimentConfig`` and ``SourceSpec`` check the values.  Every
     malformed field raises ConfigError naming its JSON path.
     """
-    sources = tuple(
-        _source_from_dict(s, f"sources[{i}]") for i, s in enumerate(_list(doc, "sources"))
-    )
+    entries = _list(doc, "sources")
+    _known(doc, _CONFIG_FIELDS)
+    sources = tuple(_source_from_dict(s, f"sources[{i}]") for i, s in enumerate(entries))
     statistics = tuple(
         _statistic_from_dict(s, f"statistics[{i}]", len(sources))
         for i, s in enumerate(_list(doc, "statistics"))

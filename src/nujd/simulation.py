@@ -119,11 +119,10 @@ class SourceSpec:
 
 @dataclass(frozen=True)
 class ExperimentTruth:
-    """Ground truth of one generated experiment: mixing, specs, seed."""
+    """Ground truth of one generated experiment: the mixing and the specs."""
 
     a: GLElement
     specs: tuple
-    seed: tuple
 
 
 def _draw_mixing(rng, m: int, cond_cap: float) -> np.ndarray:
@@ -258,14 +257,15 @@ def generate(
     cond_cap = _number(cond_cap, "cond_cap")
     t = _check_generation(specs, t, cond_cap)
     seeds = seed if isinstance(seed, (list, tuple)) and seed else [seed]  # one seed or a non-empty list
-    seed_key = tuple(_check_count(v, "seed", 0) for v in seeds)
+    for v in seeds:
+        _check_count(v, "seed", 0)
     ss = np.random.SeedSequence(seed)
     children = ss.spawn(len(specs) + 1)
     a = _draw_mixing(np.random.default_rng(children[0]), len(specs), cond_cap)
     data = np.empty((len(specs), t), dtype=np.complex128)
     for row, spec, child in zip(data, specs, children[1:]):
         _generate_channel(spec, np.random.default_rng(child), row)
-    truth = ExperimentTruth(a=GLElement(a), specs=specs, seed=seed_key)
+    truth = ExperimentTruth(a=GLElement(a), specs=specs)
     return SignalBlock(_handover(data)), truth
 
 
@@ -304,40 +304,16 @@ def amari_index(g) -> float:
 # population (analytic) diagonals
 
 
-def _pop_autocov(spec: SourceSpec, lag: int) -> complex:
-    if lag == 0:
-        if spec.kind == "block_nonstationary":
-            return spec.power * float(np.mean(spec.variance_profile))
-        return spec.power
-    if spec.kind == "ar1_noncircular":
-        return (spec.coefficient ** lag) * spec.power
-    return 0.0
-
-
-def _pop_pseudo_autocov(spec: SourceSpec, lag: int) -> complex:
-    if lag == 0:
-        if spec.kind == "bpsk":
-            return spec.power
-        if spec.kind in ("noncircular_gaussian", "ar1_noncircular"):
-            return spec.circularity * spec.power
-        return 0.0
-    if spec.kind == "ar1_noncircular":
-        return (spec.coefficient ** lag) * spec.circularity * spec.power
-    return 0.0
-
-
 def _pop_window_variance(spec: SourceSpec, start: int, length: int, t: int) -> float:
     if spec.kind != "block_nonstationary":
         return spec.power
-    prof = spec.variance_profile
-    nb = len(prof)
-    edges = _block_edges(t, nb)
+    edges = _block_edges(t, len(spec.variance_profile))
     total = 0.0
-    for b in range(nb):
+    for b, v in enumerate(spec.variance_profile):
         lo = max(start, int(edges[b]))
         hi = min(start + length, int(edges[b + 1]))
         if hi > lo:
-            total += (hi - lo) * spec.power * prof[b]
+            total += (hi - lo) * spec.power * v
     return total / length
 
 
@@ -348,61 +324,66 @@ def _pop_cum4(spec: SourceSpec, bits: tuple) -> complex:
         return -2.0 * p2
     if spec.kind == "qpsk":
         return -p2 if nconj % 2 == 0 else 0.0
-    if spec.kind in ("circular_gaussian", "noncircular_gaussian", "ar1_noncircular"):
-        return 0.0
-    # block nonstationary: a Gaussian variance mixture
-    prof = np.asarray(spec.variance_profile) * spec.power
-    if nconj == 2:
-        return 2.0 * float(np.var(prof))
+    if spec.kind == "block_nonstationary" and nconj == 2:  # a Gaussian variance mixture
+        return 2.0 * float(np.var(np.asarray(spec.variance_profile) * spec.power))
     return 0.0
 
 
-def _pop_order2_entry(spec: SourceSpec, bits: tuple, off: tuple) -> complex:
-    lag = abs(off[1] - off[0])
-    if bits == (0, 1):
-        val = _pop_autocov(spec, lag)
-        return np.conj(val) if off[0] > off[1] else val
-    if bits == (1, 0):
-        val = _pop_autocov(spec, lag)
-        return val if off[0] > off[1] else np.conj(val)
-    if bits == (0, 0):
-        return _pop_pseudo_autocov(spec, lag)
-    return np.conj(_pop_pseudo_autocov(spec, lag))
+def _pop_order2_entry(spec: SourceSpec, pseudo: bool, lag: int) -> float:
+    """E[s(t) s(t+lag)^*], or E[s(t) s(t+lag)] when ``pseudo``, of one source.
+
+    Every source parameter is a real float, so the value is real and the
+    same for both time orders and both conjugations.
+    """
+    if spec.kind == "ar1_noncircular":
+        return (spec.coefficient ** lag) * (spec.circularity if pseudo else 1.0) * spec.power
+    if lag != 0:
+        return 0.0
+    if pseudo:  # the circularity coefficient times the power
+        return {"bpsk": 1.0, "noncircular_gaussian": spec.circularity}.get(spec.kind, 0.0) * spec.power
+    if spec.kind == "block_nonstationary":
+        return spec.power * float(np.mean(spec.variance_profile))
+    return spec.power
 
 
-def _part(values: np.ndarray, part: Optional[str]) -> np.ndarray:
-    """The "hermitian" (real) or "skew" (imaginary) part of a diagonal, or all of it."""
-    if part == "hermitian":
-        return values.real.astype(np.complex128)
-    if part == "skew":
-        return values.imag.astype(np.complex128)
-    return values
+def _as_slice(stat: dict) -> tuple:
+    """(bits, offsets, axes, fixed) of the cumulant slice a recipe entry is:
+    a second-order statistic is the order-2 slice of its table pattern at
+    time offsets (0, lag), lag 0 when the entry has none."""
+    bits = STATISTICS[stat["statistic"]].pattern
+    if bits is not None:
+        return bits, (0, stat.get("lag", 0)), (0, 1), ()
+    bits = _as_pattern(stat["pattern"]).bits
+    offsets = tuple(stat.get("offsets", (0,) * len(bits)))
+    return bits, offsets, tuple(stat["axes"]), tuple(stat.get("fixed", ()))
 
 
-def _pop_windows(truth: ExperimentTruth, stat: dict, t: int) -> list:
-    return [
-        np.array(
-            [_pop_window_variance(s, start, length, t) for s in truth.specs],
-            dtype=np.complex128,
-        )
-        for start, length in stat.get("windows", ())
-    ]
+def _entry_kind(stat: dict) -> CongruenceKind:
+    """The congruence kind of every matrix a recipe entry yields."""
+    bits, _, axes, _ = _as_slice(stat)
+    return slice_kind(bits, axes)
 
 
-def _pop_slice(truth: ExperimentTruth, stat: dict, offs: tuple) -> Optional[list]:
-    """Effective diagonal of a cumulant slice in the model C = A D A^dagger.
+def _population(truth: ExperimentTruth, stat: dict, t: int) -> Optional[list]:
+    """Population diagonals of a recipe entry, one per matrix, in the model
+    C = A D A^H or A D A^T of the entry's kind.
 
-    Every second-order statistic takes its population diagonal from here,
-    as the order-2 slice at time offsets (0, lag).  The diagonal absorbs
-    the mixing-row factors of the fixed slots, so the mixing matrix enters
-    for orders above two.  None when no closed form is implemented: orders
+    A slice's diagonal absorbs the mixing-row factors of its fixed slots,
+    so the mixing matrix enters for orders above two; it is conjugated when
+    the first axis slot is, as the estimate's carrier is.  A Hermitian-kind
+    diagonal is its real part (a window's is real), or its imaginary part
+    for ``part`` "skew".  None when no closed form is implemented: orders
     above four, and lagged order-four slices of block-nonstationary sources.
     """
-    bits = tuple(_as_pattern(stat["pattern"]).bits)
-    p, q = stat["axes"]
     specs = truth.specs
+    if stat["statistic"] == "windowed_covariance":
+        return [
+            np.array([_pop_window_variance(s, start, length, t) for s in specs], dtype=np.complex128)
+            for start, length in stat.get("windows", ())
+        ]
+    bits, offs, (p, q), fixed = _as_slice(stat)
     if len(bits) == 2:
-        base = [_pop_order2_entry(s, bits, (offs[p], offs[q])) for s in specs]
+        base = [_pop_order2_entry(s, bits[0] == bits[1], abs(offs[q] - offs[p])) for s in specs]
     elif len(bits) == 4 and len(set(offs)) == 1:
         base = [_pop_cum4(s, bits) for s in specs]
     elif len(bits) == 4 and all(s.kind != "block_nonstationary" for s in specs):
@@ -410,38 +391,18 @@ def _pop_slice(truth: ExperimentTruth, stat: dict, offs: tuple) -> Optional[list
     else:
         return None
     base = np.array(base, dtype=np.complex128)
-    a = truth.a.matrix
-    slot_fixed = [r for r in range(len(bits)) if r not in (p, q)]
-    for r, c in zip(slot_fixed, stat.get("fixed", ())):
-        col = a[c, :]
+    for r, c in zip([r for r in range(len(bits)) if r not in (p, q)], fixed):  # the fixed slots
+        col = truth.a.matrix[c, :]
         base = base * (np.conj(col) if bits[r] else col)
-    return [_part(base, stat.get("part"))]
-
-
-def _pop_order2(pattern: tuple):
-    """Population rule of a one-matrix second-order statistic: the slice of
-    ``pattern`` at time offsets (0, lag), lag 0 when the entry has none."""
-    return lambda truth, stat, t: _pop_slice(
-        truth, dict(stat, pattern=pattern, axes=(0, 1)), (0, stat.get("lag", 0))
-    )
+    if bits[p]:
+        base = np.conj(base)
+    if slice_kind(bits, (p, q)) is CongruenceKind.TRANSPOSE:
+        return [base]
+    return [(base.imag if stat.get("part") == "skew" else base.real).astype(np.complex128)]
 
 
 # ---------------------------------------------------------------------------
 # the statistic table
-
-
-def _always(kind: CongruenceKind):
-    return lambda stat: kind
-
-
-def _slice_kind_rule(stat: dict) -> CongruenceKind:
-    kind = slice_kind(stat["pattern"], stat["axes"])
-    if kind is CongruenceKind.TRANSPOSE and "part" in stat:
-        raise ConfigError(
-            "part applies only to a Hermitian-kind slice; axes with equal "
-            "conjugation bits make this slice transpose-kind"
-        )
-    return kind
 
 
 def _pick(stat: dict, carrier, skew) -> list:
@@ -466,46 +427,30 @@ def _estimate_slice(stat: dict, w: SignalBlock) -> list:
 
 @dataclass(frozen=True)
 class Statistic:
-    """A recipe statistic: the fields it takes besides "statistic", the kind of
-    the matrices an entry yields, their estimator from a SignalBlock, and one
-    population diagonal per matrix (None when no closed form is implemented).
-    Estimators look the statistics functions up in this module when they run."""
+    """A recipe statistic: the fields it takes besides "statistic", its
+    estimator from a SignalBlock, and the conjugation bits of the order-2
+    slice that a second-order statistic is (None for the slices, which name
+    their own).  Estimators look the statistics functions up in this module
+    when they run."""
 
     fields: tuple
-    kind: Callable
     estimate: Callable
-    population: Callable
+    pattern: Optional[tuple]
 
 
 STATISTICS = {
-    "covariance": Statistic(
-        (), _always(CongruenceKind.HERMITIAN), lambda stat, w: [covariance(w)],
-        _pop_order2((0, 1)),
-    ),
-    "pseudo_covariance": Statistic(
-        (), _always(CongruenceKind.TRANSPOSE), lambda stat, w: [pseudo_covariance(w)],
-        _pop_order2((0, 0)),
-    ),
-    "autocorrelation": Statistic(
-        ("lag", "part"), _always(CongruenceKind.HERMITIAN), _estimate_autocorrelation,
-        _pop_order2((0, 1)),
-    ),
+    "covariance": Statistic((), lambda stat, w: [covariance(w)], (0, 1)),
+    "pseudo_covariance": Statistic((), lambda stat, w: [pseudo_covariance(w)], (0, 0)),
+    "autocorrelation": Statistic(("lag", "part"), _estimate_autocorrelation, (0, 1)),
     "pseudo_autocorrelation": Statistic(
-        ("lag",), _always(CongruenceKind.TRANSPOSE),
-        lambda stat, w: [pseudo_autocorrelation(w, stat["lag"])],
-        _pop_order2((0, 0)),
+        ("lag",), lambda stat, w: [pseudo_autocorrelation(w, stat["lag"])], (0, 0)
     ),
     "windowed_covariance": Statistic(
-        ("windows",), _always(CongruenceKind.HERMITIAN),
-        lambda stat, w: windowed_covariances(w, stat.get("windows", ())), _pop_windows,
+        ("windows",), lambda stat, w: windowed_covariances(w, stat.get("windows", ())), (0, 1)
     ),
-    "cumulant_slice": Statistic(
-        ("pattern", "axes", "fixed", "part"), _slice_kind_rule, _estimate_slice,
-        lambda truth, stat, t: _pop_slice(truth, stat, (0,) * len(stat["pattern"])),
-    ),
+    "cumulant_slice": Statistic(("pattern", "axes", "fixed", "part"), _estimate_slice, None),
     "lagged_cumulant_slice": Statistic(
-        ("pattern", "offsets", "axes", "fixed", "part"), _slice_kind_rule, _estimate_slice,
-        lambda truth, stat, t: _pop_slice(truth, stat, tuple(stat["offsets"])),
+        ("pattern", "offsets", "axes", "fixed", "part"), _estimate_slice, None
     ),
 }
 
@@ -515,7 +460,7 @@ def _check_statistic(stat, path: str, m: int, t: int) -> None:
     cannot be estimated on m channels of T samples: not an object, no known
     statistic name, a field its statistic does not take, a required field
     missing, a ``part`` other than "hermitian" or "skew", an argument its
-    estimator rejects, or a kind rule that rejects the entry."""
+    estimator rejects, or a ``part`` on a transpose-kind entry."""
     if not isinstance(stat, dict):
         raise ConfigError(f"{path} must be an object")
     if "statistic" not in stat:
@@ -533,7 +478,7 @@ def _check_statistic(stat, path: str, m: int, t: int) -> None:
             raise ConfigError(f"{path}.{key} is missing")
     if stat.get("part", "hermitian") not in ("hermitian", "skew"):
         raise ConfigError(f"{path}.part must be 'hermitian' or 'skew', got {stat['part']!r}")
-    try:  # the estimator's own argument rules, then the kind rule
+    try:  # the estimator's own argument rules, then the part rule
         if "lag" in stat:
             _check_lag(stat["lag"], t)
         _check_windows(stat.get("windows", ()), m, t)
@@ -541,7 +486,11 @@ def _check_statistic(stat, path: str, m: int, t: int) -> None:
             pat = _as_pattern(stat["pattern"])
             offsets = stat.get("offsets", (0,) * len(pat))
             _check_slice(pat, offsets, stat["axes"], stat.get("fixed", ()), m, t)
-        entry.kind(stat)
+        if "part" in stat and _entry_kind(stat) is CongruenceKind.TRANSPOSE:
+            raise ConfigError(
+                "part applies only to a Hermitian-kind slice; axes with equal "
+                "conjugation bits make this slice transpose-kind"
+            )
     except (ConfigError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -560,13 +509,10 @@ def population_stacks(truth: ExperimentTruth, statistics, t: int):
     """
     rows = []
     for stat in statistics:
-        entry = STATISTICS[stat["statistic"]]
-        diagonals = entry.population(truth, stat, t)
+        diagonals = _population(truth, stat, t)
         if diagonals is None:
             return None, None, False
-        kind = entry.kind(stat)
-        if kind is CongruenceKind.HERMITIAN:
-            diagonals = [_part(d, "hermitian") for d in diagonals]
+        kind = _entry_kind(stat)
         rows += [(kind, d) for d in diagonals if np.max(np.abs(d)) > 0]
     return (*stacks_from_rows(rows, len(truth.specs)), True)
 

@@ -136,9 +136,11 @@ class LaggedCorrelation:
 class CumulantSlice:
     """An (m x m) matrix cut from a cumulant tensor by varying two slots.
 
-    ``matrix`` is the certified tagged carrier: the symmetrized raw slice
-    for transpose kind, or the Hermitian part of the split for Hermitian
-    kind (whose skew companion is then in ``skew``).
+    ``matrix`` is the certified tagged carrier: the symmetrized slice for
+    transpose kind, or the Hermitian part of the split for Hermitian kind
+    (whose skew companion is then in ``skew``).  Both are cut from
+    ``raw.conj()`` when the first axis slot is conjugated, because ``raw``
+    then maps through conj(A), and from ``raw`` otherwise.
     """
 
     raw: np.ndarray
@@ -396,4 +398,4 @@ def lagged_cumulant_slice(
         for r, (bit, off) in enumerate(zip(pat.bits, offs))
     ]
     raw = _slice_from_series(w.centered(), reads, p, q, n)
-    return CumulantSlice(raw, *_carriers(raw, slice_kind(pat, axes)))
+    return CumulantSlice(raw, *_carriers(raw.conj() if pat.bits[p] else raw, slice_kind(pat, axes)))

@@ -7,7 +7,7 @@ circularity coefficients are equal, that pair is not essentially unique:
 
 - an AR(1) source k with pole a_k, circularity lambda_k and power p_k has
   lag-1 correlation diagonal h_k = a_k p_k and lag-1 pseudo-correlation
-  diagonal t_k = a_k lambda_k p_k (`_pop_autocov`, `_pop_pseudo_autocov`),
+  diagonal t_k = a_k lambda_k p_k (`simulation._pop_order2_entry`),
 - so t_k = lambda_k h_k, and the Thm 2 products are
   |t_k||h_l| = lambda_k |h_k||h_l| and |t_l||h_k| = lambda_l |h_k||h_l|,
 - which coincide whenever lambda_k = lambda_l, whatever the poles; by

@@ -112,6 +112,8 @@ def _with(**kw):
         (_with(trials="2"), "trials must be a positive integer, got '2'"),
         (_with(T=1e5), "T must be a positive integer, got 100000.0"),
         (_with(seed=-1), "seed must be a non-negative integer, got -1"),
+        # misspelt top-level fields used to be dropped, running one trial of put
+        (_with(trails=5, solvr="gevd"), "document has unknown fields ['solvr', 'trails']"),
         (_with(margin="0.01"), "margin must be a number, got '0.01'"),
         (_with(sources=[5]), "sources[0] must be an object"),
         (_with(sources=[{"power": 1}]), "sources[0].kind is missing"),

@@ -566,6 +566,28 @@ class TestMultilinearity:
         mapped = a.conj() @ pre @ a.T  # conj on axis p, plain transpose on q
         assert np.linalg.norm(slw - mapped) <= 1e-10 * max(np.linalg.norm(slw), 1.0)
 
+    @pytest.mark.parametrize("bits", [(1, 0, 0, 0), (1, 1, 0, 0), (0, 1, 1, 0)])
+    def test_carriers_map_through_a(self, rng, bits):
+        # the carriers come from raw.conj() when the first axis slot is
+        # conjugated, so A, not conj(A), diagonalizes them
+        t = 20000
+        s = SignalBlock(np.vstack([bpsk(rng, t), cgauss(rng, t)]))
+        a = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / np.sqrt(2)
+        w = SignalBlock(a @ s.data)
+        fixed = (0, 1)
+        stacked = SignalBlock(np.vstack([s.data, w.data]))
+        pre = cumulant_slice(stacked, bits, (2 + fixed[0], 2 + fixed[1]), (0, 1)).raw[:2, :2]
+        carrier = cumulant_slice(w, bits, fixed, (0, 1)).matrix
+        if bits[0]:
+            pre = pre.conj()
+        if carrier.kind is CongruenceKind.HERMITIAN:
+            mapped = a @ pre @ a.conj().T
+            mapped = (mapped + mapped.conj().T) / 2.0
+        else:
+            mapped = a @ pre @ a.T
+            mapped = (mapped + mapped.T) / 2.0
+        assert np.linalg.norm(carrier.matrix - mapped) <= 1e-10 * max(np.linalg.norm(mapped), 1.0)
+
     def test_independent_source_slices_diagonal_within_bootstrap(self, rng):
         t = 50000
         s = SignalBlock(np.vstack([bpsk(rng, t), cgauss(rng, t)]))

@@ -25,7 +25,10 @@ them, ``simulate`` runs AR(1) sources at circularity 1 with poles 0.999999
 and -0.99, and rejects two sources with a ``cond_cap`` of 1.  Last,
 ``simulate`` rejects five configs at ``T`` = 200: a ``margin`` and a
 ``cond_cap`` of 10**400, a source ``power`` of 10**400 and of 1e300, and a
-variance profile of ``[1e308, 1]``.
+variance profile of ``[1e308, 1]``.  After them, ``simulate`` runs PUT on a
+second-order slice pair whose Hermitian slice conjugates its first axis
+slot (patterns ``10`` and ``00``) at ``T`` = 2000, and rejects a config
+with the misspelt top-level field ``"trails"``.
 Each command's stdout and stderr go to
 ``OUTDIR/<case>.out`` and ``OUTDIR/<case>.err`` and its exit code to
 ``OUTDIR/exit_codes.json``.
@@ -205,6 +208,15 @@ RANGE_CONFIGS = {
         "statistics": _COV_PAIR, "T": 200},
 }
 
+# after every case above
+SLICE_CONFIGS = {
+    "put_conjugated_first_axis": {
+        "sources": _NONCIRCULAR, "T": 2000, "solver": "put",
+        "statistics": [{"statistic": "cumulant_slice", "pattern": "10", "axes": [1, 2]},
+                       {"statistic": "cumulant_slice", "pattern": "00", "axes": [1, 2]}]},
+    "misspelt_trials": {"sources": _NONCIRCULAR, "statistics": _COV_PAIR, "trails": 5},
+}
+
 
 def _signal(specs, seed):
     sources, truth = generate(specs, T_SIGNAL, seed)
@@ -291,6 +303,8 @@ def write_inputs(inputs: Path) -> None:
         nio.write_json(_config(doc, 500 + i), inputs / f"config_{name}.json")
     for i, (name, doc) in enumerate(RANGE_CONFIGS.items()):
         nio.write_json(_config(doc, 600 + i), inputs / f"config_{name}.json")
+    for i, (name, doc) in enumerate(SLICE_CONFIGS.items()):
+        nio.write_json(_config(doc, 700 + i), inputs / f"config_{name}.json")
 
 
 def cases(inputs: Path, out: Path):
@@ -329,7 +343,7 @@ def cases(inputs: Path, out: Path):
     yield "estimate_window_below_m", ["estimate", sig("noncircular"), "--window", "0:1"]
     yield "estimate_lag_at_T", ["estimate", sig("ar1"), "--lag", str(T_SIGNAL)]
     yield "estimate_cov_bad_pattern", ["estimate", sig("digital"), "--cov", "--cum4", "0a00", "1,2", "1,1"]
-    for name in (*FAULT_CONFIGS, *LAST_CONFIGS, *RANGE_CONFIGS):
+    for name in (*FAULT_CONFIGS, *LAST_CONFIGS, *RANGE_CONFIGS, *SLICE_CONFIGS):
         yield f"simulate_{name}", ["simulate", str(inputs / f"config_{name}.json")]
 
 
