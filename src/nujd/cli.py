@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import sys
 import warnings
+from contextlib import contextmanager
 
 import click
 
@@ -41,6 +42,26 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
+def _write_json(obj, out_path) -> str:
+    """The document's text, also written to ``out_path`` when given, or exit 1
+    naming a path that cannot be written."""
+    try:
+        return nio.write_json(obj, out_path)
+    except OSError as exc:
+        _fail(1, str(exc))
+
+
+@contextmanager
+def _warnings_to_stderr():
+    """Print each warning raised in the block as one ``warning:`` line on stderr."""
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            yield
+        finally:
+            for w in caught:
+                click.echo(f"warning: {w.message}", err=True)
+
+
 @click.group()
 def main():
     """Joint-diagonalization toolbox: certify, solve, estimate, simulate."""
@@ -65,7 +86,7 @@ def cmd_check(input_path, tol, margin, out_path):
         report = identifiability_master(sym, herm, use_tol)
     except NujdError as exc:
         _fail(1, str(exc))
-    text = nio.write_json(nio.uniqueness_report_to_dict(report), out_path)
+    text = _write_json(nio.uniqueness_report_to_dict(report), out_path)
     click.echo(text, nl=False)
     sys.exit(0 if report.unique else 3)
 
@@ -90,8 +111,7 @@ def cmd_solve(input_path, method, tol, out_path):
         _fail(1, str(exc))
     digest = nio.file_digest(input_path)
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        with _warnings_to_stderr():
             res = solve_pair(items, method)
     except ConfigError as exc:
         _fail(2, str(exc))
@@ -104,7 +124,7 @@ def cmd_solve(input_path, method, tol, out_path):
     )
     out = nio.solution_to_dict(res, method, digest)
     out["tolerance_met"] = bool(ok)
-    text = nio.write_json(out, out_path)
+    text = _write_json(out, out_path)
     if out_path is None:
         click.echo(text, nl=False)
     sys.exit(0 if ok else 4)
@@ -145,16 +165,17 @@ def cmd_estimate(input_path, cov, pseudocov, lags, windows, cum4, out_path):
         stats.append(stat)
     items = []
     try:
-        for (_, entry), stat in zip(recipe, stats):
-            mats = estimate_statistic(stat, block)
-            items.extend(mats)
-            if "pattern" in entry:
-                entry["kind"] = mats[0].kind.value
+        with _warnings_to_stderr():
+            for (_, entry), stat in zip(recipe, stats):
+                mats = estimate_statistic(stat, block)
+                items.extend(mats)
+                if "pattern" in entry:
+                    entry["kind"] = mats[0].kind.value
         provenance = {"source": "estimate", "recipe": [entry for _, entry in recipe]}
         out = nio.matrix_set_to_dict(items, provenance=provenance)
     except NujdError as exc:
         _fail(1, str(exc))
-    text = nio.write_json(out, out_path)
+    text = _write_json(out, out_path)
     if out_path is None:
         click.echo(text, nl=False)
     sys.exit(0)
@@ -210,7 +231,7 @@ def cmd_simulate(input_path, seed, out_path):
         _fail(1, str(exc))
     except MemoryError:  # a T that one array holds but the memory does not
         _fail(1, f"T = {config.T} needs more memory than is available for {len(config.sources)} sources")
-    text = nio.write_json(report, out_path)
+    text = _write_json(report, out_path)
     if out_path is None:
         click.echo(text, nl=False)
     sys.exit(0)

@@ -770,3 +770,75 @@ class TestSimulate:
         invoke(runner, "simulate", str(cfg), "--out", str(r1))
         invoke(runner, "simulate", str(cfg), "--seed", "99", "--out", str(r2))
         assert r1.read_bytes() != r2.read_bytes()
+
+
+def _command_inputs(tmp_path) -> dict:
+    """One valid input file and its options per command; `check` gets a
+    NotUnique spectra file, which exits 3 when the report is written."""
+    spectra = tmp_path / "spectra.json"
+    write_spectra(spectra, collinear=True)
+    pair = tmp_path / "set.json"
+    items = [
+        TaggedMatrix(np.diag([1.0, 2.0]), CongruenceKind.HERMITIAN),
+        TaggedMatrix(np.diag([1.0 + 1.0j, 3.0]), CongruenceKind.TRANSPOSE),
+    ]
+    nio.write_json(nio.matrix_set_to_dict(items), pair)
+    sig = tmp_path / "sig.json"
+    write_signal(sig, t=500)
+    cfg = tmp_path / "cfg.json"
+    nio.write_json(
+        {
+            "sources": [
+                {"kind": "noncircular_gaussian", "circularity": 0.9},
+                {"kind": "noncircular_gaussian", "circularity": 0.3},
+            ],
+            "T": 500,
+            "seed": 3,
+            "trials": 1,
+            "statistics": [{"statistic": "covariance"}, {"statistic": "pseudo_covariance"}],
+            "solver": "sut",
+        },
+        cfg,
+    )
+    return {
+        "check": [str(spectra)],
+        "solve": [str(pair)],
+        "estimate": [str(sig), "--cov"],
+        "simulate": [str(cfg)],
+    }
+
+
+@pytest.mark.parametrize("command", ["check", "solve", "estimate", "simulate"])
+def test_unwritable_out_exits_1_naming_the_path(runner, tmp_path, command):
+    out = tmp_path / "missing" / "x.json"
+    res = invoke(runner, command, *_command_inputs(tmp_path)[command], "--out", str(out))
+    assert res.exit_code == 1
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+    assert str(out) in res.stderr
+
+
+class TestWarnings:
+    """Library warnings reach stderr as one `warning:` line each, with no
+    source location; stdout and the exit code are those of a quiet run."""
+
+    def test_rank_deficient_covariance(self, runner, tmp_path):
+        sig = tmp_path / "sig.json"
+        nio.write_json({"m": 2, "T": 1, "channels": [[[1.0, 0.0]], [[0.0, 2.0]]]}, sig)
+        res = invoke(runner, "estimate", str(sig), "--cov")
+        assert res.exit_code == 0
+        assert res.stderr == "warning: T = 1 < m = 2: covariance is rank deficient\n"
+        assert json.loads(res.stdout)["m"] == 2
+
+    def test_degenerate_put_spectrum(self, runner, tmp_path):
+        items = [
+            TaggedMatrix(np.zeros((2, 2)), CongruenceKind.HERMITIAN),
+            TaggedMatrix(np.diag([1.0 + 1.0j, 3.0]), CongruenceKind.TRANSPOSE),
+        ]
+        path = tmp_path / "set.json"
+        nio.write_json(nio.matrix_set_to_dict(items), path)
+        res = invoke(runner, "solve", str(path))
+        assert res.exit_code == 0
+        assert res.stderr.startswith("warning: whitened eigenvalue gap 0.000e+00 is degenerate")
+        assert res.stderr.count("\n") == 1
+        assert json.loads(res.stdout)["eig_gap"] == 0.0

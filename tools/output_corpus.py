@@ -28,8 +28,12 @@ and -0.99, and rejects two sources with a ``cond_cap`` of 1.  Last,
 variance profile of ``[1e308, 1]``.  After them, ``simulate`` runs PUT on a
 second-order slice pair whose Hermitian slice conjugates its first axis
 slot (patterns ``10`` and ``00``) at ``T`` = 2000, and rejects a config
-with the misspelt top-level field ``"trails"``.
-Each command's stdout and stderr go to
+with the misspelt top-level field ``"trails"``.  Last come two commands
+that print one ``warning:`` line each, ``estimate --cov`` on a two-channel
+signal of ``T`` = 1 and ``solve`` on a zero Hermitian matrix with a regular
+transpose one, and ``check`` with an ``--out`` in a missing directory.
+Each command runs in ``OUTDIR``, so that a relative ``--out`` names the same
+path under every ``OUTDIR``.  Each command's stdout and stderr go to
 ``OUTDIR/<case>.out`` and ``OUTDIR/<case>.err`` and its exit code to
 ``OUTDIR/exit_codes.json``.
 
@@ -94,7 +98,15 @@ MATRIX_SETS = {
         TaggedMatrix([[1.0, 0.3], [0.3, 2.0]], CongruenceKind.HERMITIAN),
         TaggedMatrix([[1.0, 0.0], [0.0, 1.0]], CongruenceKind.TRANSPOSE),
     ],
+    # PUT's whitened eigenvalues coincide: a DegenerateSpectrumWarning
+    "zero_hermitian_set": [
+        TaggedMatrix([[0.0, 0.0], [0.0, 0.0]], CongruenceKind.HERMITIAN),
+        TaggedMatrix([[1.0 + 1.0j, 0.0], [0.0, 3.0]], CongruenceKind.TRANSPOSE),
+    ],
 }
+
+# a covariance of one sample on two channels: a RankDeficiencyWarning
+SIGNAL_T1 = {"m": 2, "T": 1, "channels": [[[1.0, 0.0]], [[0.0, 2.0]]]}
 
 # seeded cases at m > 3, after every case above so that their outputs keep their bytes
 POPULATION_PAIRS = {"population_m8": (8, 301), "population_m32": (32, 302)}
@@ -305,6 +317,7 @@ def write_inputs(inputs: Path) -> None:
         nio.write_json(_config(doc, 600 + i), inputs / f"config_{name}.json")
     for i, (name, doc) in enumerate(SLICE_CONFIGS.items()):
         nio.write_json(_config(doc, 700 + i), inputs / f"config_{name}.json")
+    nio.write_json(SIGNAL_T1, inputs / "signal_T1.json")
 
 
 def cases(inputs: Path, out: Path):
@@ -345,20 +358,23 @@ def cases(inputs: Path, out: Path):
     yield "estimate_cov_bad_pattern", ["estimate", sig("digital"), "--cov", "--cum4", "0a00", "1,2", "1,1"]
     for name in (*FAULT_CONFIGS, *LAST_CONFIGS, *RANGE_CONFIGS, *SLICE_CONFIGS):
         yield f"simulate_{name}", ["simulate", str(inputs / f"config_{name}.json")]
+    yield "estimate_cov_T1", ["estimate", str(inputs / "signal_T1.json"), "--cov"]
+    yield "solve_put_zero_hermitian", ["solve", str(inputs / "zero_hermitian_set.json")]
+    yield "check_out_missing_dir", ["check", str(inputs / "spectra_unique.json"), "--out", "missing/x.json"]
 
 
 def main(argv) -> int:
     if len(argv) != 2:
         print(__doc__, file=sys.stderr)
         return 2
-    out = Path(argv[1])
+    out = Path(argv[1]).resolve()
     write_inputs(out / "inputs")
     # every command runs the nujd package this script imported
     env = dict(os.environ, PYTHONPATH=str(Path(nujd.__file__).resolve().parents[1]))
     codes = {}
     for name, args in cases(out / "inputs", out):
         proc = subprocess.run(
-            [sys.executable, "-m", "nujd.cli", *args], env=env, capture_output=True
+            [sys.executable, "-m", "nujd.cli", *args], env=env, capture_output=True, cwd=out
         )
         (out / f"{name}.out").write_bytes(proc.stdout)
         (out / f"{name}.err").write_bytes(proc.stderr)
