@@ -1,4 +1,9 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and how it warns."""
+
+import sys
+import warnings
+
+_PACKAGE = __name__.partition(".")[0]
 
 
 class NujdError(Exception):
@@ -78,3 +83,16 @@ class DegenerateSpectrumWarning(UserWarning):
 
 class RankDeficiencyWarning(UserWarning):
     """Non-fatal notice that a sample statistic is rank deficient by construction."""
+
+
+def warn(message: str, category: type) -> None:
+    """``warnings.warn`` located at the first calling frame outside this package.
+
+    A fixed ``stacklevel`` names a ``nujd`` line whenever the warning is
+    raised below another ``nujd`` function (``solve_pair``, an
+    ``estimate_statistic`` recipe entry), so the frames are walked instead.
+    """
+    frame, level = sys._getframe(1), 2
+    while frame is not None and frame.f_globals.get("__name__", "").partition(".")[0] == _PACKAGE:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)

@@ -9,8 +9,13 @@ pair reproduces a trial bit-exactly.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
 import numbers
+import os
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -137,6 +142,32 @@ def _gaussian_pair(rng, t: int):
     return rng.standard_normal(t), rng.standard_normal(t)
 
 
+@functools.cache
+def _ztbsv():
+    """BLAS ``ztbsv`` from scipy's compiled module ``scipy.linalg._fblas`` alone.
+
+    ``scipy.linalg.blas.ztbsv`` is this very function object, but importing
+    it runs the ``scipy.linalg`` package, about 330 modules and 28 MB of
+    RSS; the extension module by itself loads in milliseconds.  A module
+    already loaded under the name is reused, and one loaded here is
+    registered, so a later ``import scipy.linalg`` shares it.
+    """
+    name = "scipy.linalg._fblas"
+    module = sys.modules.get(name)
+    if module is None:
+        scipy = importlib.util.find_spec("scipy")  # does not import scipy
+        if scipy is None:
+            raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+        linalg = [os.path.join(p, "linalg") for p in scipy.submodule_search_locations]
+        spec = importlib.machinery.PathFinder.find_spec(name, linalg)
+        if spec is None:
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return module.ztbsv
+
+
 def _generate_channel(spec: SourceSpec, rng, out: np.ndarray) -> None:
     """Write one source channel into ``out``, a complex row of T samples.
 
@@ -167,8 +198,6 @@ def _generate_channel(spec: SourceSpec, rng, out: np.ndarray) -> None:
         _complex_into(out, ax, x, 1j * bx, y)
         out *= root_p
     elif spec.kind == "ar1_noncircular":
-        from scipy.linalg.blas import ztbsv  # imported here: generic commands load no scipy
-
         lam, a = spec.circularity, spec.coefficient
         ax = math.sqrt((1.0 + lam) / 2.0)
         bx = math.sqrt((1.0 - lam) / 2.0)
@@ -182,7 +211,7 @@ def _generate_channel(spec: SourceSpec, rng, out: np.ndarray) -> None:
         # It runs in place on a contiguous row and returns a copy for a
         # strided one, hence the assignment.
         band = np.full((2, t), -a, dtype=np.complex128, order="F")
-        out[:] = ztbsv(1, band, out, overwrite_x=1, lower=1, diag=1)
+        out[:] = _ztbsv()(1, band, out, overwrite_x=1, lower=1, diag=1)
         # superpose the exact stationary initial condition s0 * a^k.  Past
         # k = n, |a|^k < 2^-1080 is below half the smallest subnormal, so
         # a^k is a signed zero and adding s0 * a^k would change no sample.

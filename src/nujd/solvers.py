@@ -13,7 +13,6 @@ the positive-definite specialization of the same pipeline.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,6 +34,7 @@ from .errors import (
     NotPositiveDefinite,
     SingularPseudoCovariance,
     SingularSecondMatrix,
+    warn,
 )
 from .linalg import (
     TakagiFactorization,
@@ -124,11 +124,10 @@ def put(c1: TaggedMatrix, c2: TaggedMatrix) -> PutResult:
     w, lam2 = general_evd(c1t @ c1t.T)
     gap = _relative_gap(lam2)
     if gap < EIG_GAP_WARN:
-        warnings.warn(
+        warn(
             f"whitened eigenvalue gap {gap:.3e} is degenerate; the demixer "
             "is not essentially unique",
             DegenerateSpectrumWarning,
-            stacklevel=2,
         )
     v = symmetric_orthogonalize(w)
     x = tak.u @ (isq[:, None] * v.conj())

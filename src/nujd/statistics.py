@@ -25,7 +25,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import warnings
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import Optional
@@ -33,8 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .core import CongruenceKind, TaggedMatrix, hermitian_skew_split, require_finite
-from .errors import DimensionMismatch
-from .errors import RankDeficiencyWarning
+from .errors import DimensionMismatch, RankDeficiencyWarning, warn
 
 MAX_CUMULANT_ORDER = 6
 
@@ -203,11 +201,7 @@ def _carriers(raw: np.ndarray, kind: CongruenceKind) -> tuple:
 def covariance(w: SignalBlock) -> TaggedMatrix:
     """Sample covariance (1/T) sum w(t) w(t)^H after mean removal."""
     if w.T < w.m:
-        warnings.warn(
-            f"T = {w.T} < m = {w.m}: covariance is rank deficient",
-            RankDeficiencyWarning,
-            stacklevel=2,
-        )
+        warn(f"T = {w.T} < m = {w.m}: covariance is rank deficient", RankDeficiencyWarning)
     return _carriers(_lagged(w, 0, True), CongruenceKind.HERMITIAN)[0]
 
 

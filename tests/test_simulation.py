@@ -1,5 +1,9 @@
+import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -7,6 +11,7 @@ import numpy as np
 import pytest
 import scipy.signal
 
+import nujd
 from nujd.core import CongruenceKind, GLElement, TaggedMatrix, is_essentially_equivalent
 from nujd.errors import ConfigError
 from nujd.simulation import (
@@ -216,6 +221,58 @@ class TestAR1Solve:
         _generate_channel(spec, np.random.default_rng(9), buf[:, 1])
         assert buf[:, 1].tobytes() == row.tobytes()
         assert not buf[:, 0].any()
+
+
+_AR1_PROBE = """
+import hashlib, json, sys
+from nujd.simulation import SourceSpec, _ztbsv, generate
+
+def ar1_rows():
+    spec = SourceSpec("ar1_noncircular", circularity=0.9, coefficient=0.9)
+    return hashlib.sha256(generate((spec, spec), 1000, 3)[0].data.tobytes()).hexdigest()
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+"""
+
+
+def _run_ar1_probe(code: str) -> dict:
+    """Run ``code`` after ``_AR1_PROBE`` in a fresh interpreter; the JSON it prints last."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nujd.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _AR1_PROBE + code],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+class TestAR1Loader:
+    # an AR(1) channel loads scipy's compiled BLAS module by path; the
+    # scipy.linalg package would add about 330 modules and 28 MB of RSS
+
+    def test_generate_loads_the_blas_module_alone(self):
+        out = _run_ar1_probe("ar1_rows()\nprint(json.dumps({'scipy': scipy_modules()}))")
+        assert out["scipy"] == ["scipy.linalg._fblas"]
+
+    def test_scipy_linalg_imported_later_shares_the_function(self):
+        out = _run_ar1_probe(
+            "f = _ztbsv()\n"
+            "import numpy as np, scipy.linalg, scipy.linalg.blas\n"
+            "scipy.linalg.schur(np.eye(2))\n"
+            "print(json.dumps({'same': scipy.linalg.blas.ztbsv is f}))"
+        )
+        assert out["same"]
+
+    def test_scipy_linalg_imported_first_gives_the_same_function_and_bytes(self):
+        alone = _run_ar1_probe("print(json.dumps({'rows': ar1_rows()}))")
+        out = _run_ar1_probe(
+            "import scipy.linalg.blas\n"
+            "rows = ar1_rows()\n"
+            "print(json.dumps({'rows': rows, 'same': scipy.linalg.blas.ztbsv is _ztbsv()}))"
+        )
+        assert out["same"]
+        assert out["rows"] == alone["rows"]
 
 
 _QPSK = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]) / np.sqrt(2.0)

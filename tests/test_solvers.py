@@ -161,6 +161,23 @@ class TestSut:
         same, _ = is_essentially_equivalent(res.x, GLElement(np.diag([0.5, 1.0])), 1e-8)
         assert same
 
+    def test_degenerate_warning_names_the_callers_line(self):
+        # sut runs put, and solve_pair runs either: the warning skips every nujd frame
+        items = [
+            TaggedMatrix(np.diag([4.0, 1.0]), CongruenceKind.HERMITIAN),
+            TaggedMatrix(np.diag([2.0, 0.5]), CongruenceKind.TRANSPOSE),
+        ]
+        calls = (
+            lambda: put(*items),
+            lambda: sut(*items),
+            lambda: solve_pair(items, "put"),
+            lambda: solve_pair(items, "sut"),
+        )
+        for call in calls:
+            with pytest.warns(DegenerateSpectrumWarning) as record:
+                call()
+            assert [w.filename for w in record] == [__file__]
+
     def test_not_positive_definite(self):
         with pytest.raises(NotPositiveDefinite):
             sut(

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import nujd.statistics as statistics_module
 from nujd.core import CongruenceKind
 from nujd.errors import DimensionMismatch, NonFiniteEntries, RankDeficiencyWarning
+from nujd.simulation import estimate_statistic
 from nujd.statistics import (
     ConjugationPattern,
     SignalBlock,
@@ -147,9 +148,13 @@ class TestSecondOrder:
         assert abs(r.matrix[0, 0]) < 0.05
         assert abs(r.matrix[1, 1] - 1.0) < 0.05
 
-    def test_rank_deficiency_warns(self):
-        with pytest.warns(RankDeficiencyWarning):
-            covariance(SignalBlock(np.zeros((3, 2), dtype=complex)))
+    def test_rank_deficiency_warns_at_the_callers_line(self):
+        # through estimate_statistic the warning is raised two nujd frames down
+        block = SignalBlock(np.zeros((3, 2), dtype=complex))
+        for call in (lambda: covariance(block), lambda: estimate_statistic({"statistic": "covariance"}, block)):
+            with pytest.warns(RankDeficiencyWarning) as record:
+                call()
+            assert [w.filename for w in record] == [__file__]
 
     @pytest.mark.parametrize("m", [1, 2, 4, 8])
     def test_autocorrelation_lag0_is_covariance(self, rng, m):
