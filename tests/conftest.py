@@ -1,8 +1,26 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import nujd
 from nujd.core import KAPPA_MAX, SIGMA_MIN, CongruenceKind, DiagonalStack, TaggedMatrix
 from nujd.errors import OrthogonalizationFailure
+
+
+def run_fresh(code: str, *args) -> dict:
+    """Run ``code`` with ``args`` in a fresh interpreter that imports this
+    checkout's ``nujd``; the JSON object it prints last."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nujd.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 # tolerances outside [0, 1) that every tolerance check must reject

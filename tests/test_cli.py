@@ -1,8 +1,5 @@
 import gc
 import json
-import os
-import subprocess
-import sys
 import warnings
 
 import numpy as np
@@ -18,7 +15,7 @@ from nujd.cli import main
 from nujd.core import CongruenceKind, DiagonalStack, GLElement, TaggedMatrix
 from nujd.simulation import SourceSpec, generate, mix
 
-from conftest import BAD_TOLERANCES
+from conftest import BAD_TOLERANCES, run_fresh
 
 
 @pytest.fixture
@@ -278,13 +275,7 @@ print(json.dumps({"after_import": after_import, "after_commands": scipy_modules(
 
 def _run_startup_probe(commands) -> dict:
     """Run ``commands`` in one fresh interpreter; its scipy modules and exit codes."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nujd.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-c", _STARTUP_PROBE, json.dumps(commands)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return run_fresh(_STARTUP_PROBE, json.dumps(commands))
 
 
 class TestStartup:

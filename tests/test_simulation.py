@@ -1,9 +1,5 @@
-import json
 import math
-import os
 import re
-import subprocess
-import sys
 import tracemalloc
 import warnings
 
@@ -11,7 +7,6 @@ import numpy as np
 import pytest
 import scipy.signal
 
-import nujd
 from nujd.core import CongruenceKind, GLElement, TaggedMatrix, is_essentially_equivalent
 from nujd.errors import ConfigError
 from nujd.simulation import (
@@ -34,6 +29,7 @@ from nujd.solvers import put
 from nujd.uniqueness import identifiability_master
 
 from _reference import circularity_coefficient
+from conftest import run_fresh
 
 
 class TestSourceSpec:
@@ -238,13 +234,7 @@ def scipy_modules():
 
 def _run_ar1_probe(code: str) -> dict:
     """Run ``code`` after ``_AR1_PROBE`` in a fresh interpreter; the JSON it prints last."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nujd.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-c", _AR1_PROBE + code],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    return run_fresh(_AR1_PROBE + code)
 
 
 class TestAR1Loader:
