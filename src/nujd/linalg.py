@@ -1,11 +1,15 @@
 """Dense complex factorizations used by the algebraic solvers.
 
-The Takagi factorization is computed from an SVD of the symmetrized input:
-if C = P S Q^H with C complex symmetric, the unitary mixer Z = P^H conj(Q)
-is block diagonal with respect to clusters of equal singular values, and
-U = P Z^{1/2} (principal square root per block, eigenphases halved) gives
-C = U S U^T.  Clustering generously is safe; splitting a true cluster is not,
-so the cluster tolerance is wider than machine precision.
+The Takagi factorization C = U diag(sigma) U^T of a complex symmetric
+C = A + iB comes from one real symmetric eigendecomposition: u = x + iy
+satisfies C conj(u) = sigma u exactly when [x; y] is an eigenvector of
+H = [[A, B], [B, -A]] for the eigenvalue sigma, and the spectrum of H is
++-sigma.  The m largest eigenpairs of H give U and sigma.  Any orthonormal
+eigenbasis of a repeated sigma is a Takagi basis, so equal singular values
+need no rule of their own (Horn & Johnson, Matrix Analysis, 2nd ed., 4.4;
+Bunse-Gerstner & Gragg, J. Comput. Appl. Math. 21, 1988).  The general
+eigendecomposition and the complex-orthogonal polar factor below are the
+other two steps of the PUT.
 """
 
 from __future__ import annotations
@@ -22,8 +26,6 @@ from .errors import (
     SymmetryViolation,
 )
 
-_CLUSTER_RTOL = 1e-7
-
 
 @dataclass(frozen=True)
 class TakagiFactorization:
@@ -33,53 +35,41 @@ class TakagiFactorization:
     sigma: np.ndarray
 
 
-def _unitary_sqrt(s: np.ndarray) -> np.ndarray:
-    """Principal square root of a (numerically) unitary matrix.
-
-    Schur form of a normal matrix is diagonal, so this is eigenphase halving
-    in an orthonormal basis; the branch maps arg to (-pi/2, pi/2].
-    """
-    import scipy.linalg  # only clusters of size >= 2 need it
-
-    t, z = scipy.linalg.schur(s, output="complex")
-    return z @ (np.sqrt(np.diag(t))[:, None] * z.conj().T)
-
-
 def takagi(c) -> TakagiFactorization:
     """Takagi factorization of a complex symmetric matrix.
 
     The input is symmetrized as (C + C^T)/2 first and must be symmetric
-    within ``TAU_SYM`` relative Frobenius error.  With degenerate singular
-    values U is not unique; any unitary U with U diag(sigma) U^T = C is a
-    valid answer, so callers should test U diag(sigma) U^T against C, not U.
+    within ``TAU_SYM`` relative Frobenius error.  U and sigma are the m
+    largest eigenpairs of H = [[A, B], [B, -A]], C = A + iB, with sigma
+    clipped at 0.  A zero sigma of multiplicity k >= 2 has a 2k-dimensional
+    eigenspace in H, and k vectors taken from it need not be orthonormal as
+    complex columns, so U is replaced by Q diag(r_kk / |r_kk|) from its QR
+    factorization (phase 1 where r_kk = 0); orthonormal columns keep their
+    values to rounding.  Column signs follow ``sign_normalize_columns``.
+    With degenerate singular values U is not unique; any unitary U with
+    U diag(sigma) U^T = C is a valid answer, so callers should test
+    U diag(sigma) U^T against C, not U.
     """
     m = as_complex_matrix(c, square=True)
     scale = float(np.linalg.norm(m))
     if float(np.linalg.norm(m - m.T)) > TAU_SYM * max(scale, np.finfo(float).tiny):
         raise SymmetryViolation("takagi requires a complex symmetric matrix")
     m = (m + m.T) / 2.0
-    p, sigma, qh = np.linalg.svd(m)
-    s = p.conj().T @ qh.T  # unitary, block diagonal over sigma clusters
     n = m.shape[0]
-    u = np.zeros((n, n), dtype=np.complex128)
-    values = sigma.tolist()
-    gap = _CLUSTER_RTOL * max(values[0] if n else 0.0, 1e-300)
-    singles = []
-    start = 0
-    for i in range(1, n + 1):
-        if i == n or values[start] - values[i] > gap:
-            if i - start == 1:
-                singles.append(start)
-            else:
-                idx = slice(start, i)
-                u[:, idx] = p[:, idx] @ _unitary_sqrt(s[idx, idx])
-            start = i
-    # a 1x1 block is its own Schur form (t = s, z = [[1]]), so its root is the
-    # scalar principal root, bit for bit what _unitary_sqrt's Schur path gives;
-    # the batched (n, 1) @ (1, 1) products are the per-cluster ones, bit for bit
-    roots = np.sqrt(s[singles, singles])
-    u[:, singles] = np.matmul(p[:, singles].T[:, :, None], roots[:, None, None])[:, :, 0].T
-    return TakagiFactorization(u=u, sigma=sigma)
+    # -H, so that eigh's ascending order puts the n largest sigma first
+    h = np.empty((2 * n, 2 * n))
+    np.negative(m.real, out=h[:n, :n])
+    np.negative(m.imag, out=h[:n, n:])
+    np.negative(m.imag, out=h[n:, :n])
+    h[n:, n:] = m.real
+    values, vectors = np.linalg.eigh(h)
+    top = vectors[:, :n]
+    q, r = np.linalg.qr(top[:n] + 1j * top[n:])
+    d = r.diagonal()
+    mags = np.abs(d)
+    u = q * np.divide(d, mags, out=np.ones(n, dtype=np.complex128), where=mags > 0)
+    sigma = np.maximum(-values[:n], 0.0)
+    return TakagiFactorization(u=sign_normalize_columns(u), sigma=sigma)
 
 
 def unit_phase_columns(w: np.ndarray) -> np.ndarray:
@@ -89,6 +79,21 @@ def unit_phase_columns(w: np.ndarray) -> np.ndarray:
     anchors = np.argmax(np.abs(w), axis=0)
     phases = w[anchors, np.arange(w.shape[1])]
     return w * (np.abs(phases) / phases)
+
+
+def sign_normalize_columns(x: np.ndarray) -> np.ndarray:
+    """``x`` with column signs flipped so that the conjugate z of each
+    column's largest-magnitude entry (the first on ties), which leads its
+    row of X^H, has Re z > 0, or Re z = 0 and Im z >= 0.
+
+    Only +-1 flips are allowed: they keep a Takagi factor's U diag(s) U^T
+    and a demixer's X^H C2 conj(X) = I, which a complex phase would break.
+    """
+    z = x[np.argmax(np.abs(x), axis=0), np.arange(x.shape[1])].conj()  # rows of X^H
+    flip = (z.real < 0) | ((z.real == 0) & (z.imag < 0))
+    out = x.copy()
+    np.negative(out, out=out, where=flip)
+    return out
 
 
 def general_evd(c) -> tuple[GLElement, np.ndarray]:

@@ -39,6 +39,7 @@ from .errors import (
 from .linalg import (
     TakagiFactorization,
     general_evd,
+    sign_normalize_columns,
     symmetric_orthogonalize,
     takagi,
     unit_phase_columns,
@@ -82,19 +83,6 @@ def _relative_gap(values: np.ndarray) -> float:
     return float(np.min(np.diff(s)) / scale)
 
 
-def _sign_normalize_columns(x: np.ndarray) -> np.ndarray:
-    """Flip column signs so each demixer row's largest entry has Re > 0.
-
-    Only +-1 flips are allowed here: a complex phase would break the
-    X^H C2 conj(X) = I certificate of the transform.
-    """
-    z = x[np.argmax(np.abs(x), axis=0), np.arange(x.shape[1])].conj()  # rows of X^H
-    flip = (z.real < 0) | ((z.real == 0) & (z.imag < 0))
-    out = x.copy()
-    np.negative(out, out=out, where=flip)
-    return out
-
-
 def put(c1: TaggedMatrix, c2: TaggedMatrix) -> PutResult:
     """Pseudo-uncorrelating transform of a (Hermitian, transpose) pair.
 
@@ -131,7 +119,7 @@ def put(c1: TaggedMatrix, c2: TaggedMatrix) -> PutResult:
         )
     v = symmetric_orthogonalize(w)
     x = tak.u @ (isq[:, None] * v.conj())
-    x = _sign_normalize_columns(x)
+    x = sign_normalize_columns(x)
     xh = x.conj().T
     d1 = xh @ c1.matrix @ x
     lam = np.diag(d1).copy()

@@ -289,8 +289,17 @@ class TestStartup:
         ]
         pair = tmp_path / "set.json"
         nio.write_json(nio.matrix_set_to_dict(items), pair)
-        out = _run_startup_probe([["check", str(spectra)], ["solve", str(pair), "--method", "sut"]])
-        assert out["codes"] == [0, 0]
+        # a PUT whose C2 has a repeated Takagi value, as in a clustered spectrum
+        b = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))) / np.sqrt(2)
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        repeated = tmp_path / "repeated.json"
+        nio.write_json(nio.matrix_set_to_dict([
+            TaggedMatrix(b @ b.conj().T, CongruenceKind.HERMITIAN),
+            TaggedMatrix(q @ np.diag([1.0, 1.0, 0.5]) @ q.T, CongruenceKind.TRANSPOSE),
+        ]), repeated)
+        out = _run_startup_probe([["check", str(spectra)], ["solve", str(pair), "--method", "sut"],
+                                  ["solve", str(repeated), "--method", "put"]])
+        assert out["codes"] == [0, 0, 0]
         assert out["after_import"] == []
         assert not {"scipy.linalg", "scipy.signal"} & set(out["after_commands"])
 

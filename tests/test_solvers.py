@@ -24,8 +24,8 @@ from nujd.errors import (
     SingularPseudoCovariance,
     SingularSecondMatrix,
 )
-from nujd.linalg import takagi
-from nujd.solvers import _sign_normalize_columns, put, solve_pair, sut, two_matrix_same_kind
+from nujd.linalg import sign_normalize_columns, takagi
+from nujd.solvers import put, solve_pair, sut, two_matrix_same_kind
 from nujd.uniqueness import identifiability_master
 from nujd.core import DiagonalStack
 
@@ -107,6 +107,20 @@ class TestPut:
             res = put(c1, c2)
         assert res.eig_gap < 1e-6
         assert res.residual_identity <= 1e-8 * 2  # identity certificate survives
+
+    @pytest.mark.parametrize("gap, warns", [(5e-7, True), (2e-6, False)])
+    def test_gap_warning_boundary(self, gap, warns):
+        # EIG_GAP_WARN = 1e-6 on the relative gap of the whitened eigenvalues (w1 / |w2|)^2
+        rng = np.random.default_rng(47)
+        a = random_mixing(rng, 3, cond_cap=10)
+        w2 = np.array([2.0, 0.5, 1.3]) * np.exp(2j * np.pi * rng.uniform(size=3))
+        w1 = np.sqrt([1.0, 1.0 - gap, 0.3]) * np.abs(w2)
+        c1, c2 = tagged_put_pair(a, w1, w2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = put(c1, c2)
+        assert res.eig_gap == pytest.approx(gap, rel=1e-3)
+        assert [w.category for w in caught] == ([DegenerateSpectrumWarning] if warns else [])
 
     def test_equivariance_under_unitary_congruence(self, rng):
         for _ in range(10):
@@ -251,6 +265,22 @@ class TestTwoMatrixSameKind:
         c = TaggedMatrix(a @ a.conj().T, CongruenceKind.HERMITIAN)
         with pytest.raises(DegenerateSpectrum):
             two_matrix_same_kind(c, c)
+
+    @pytest.mark.parametrize("gap, degenerate", [(5e-9, True), (2e-8, False)])
+    def test_degenerate_gap_boundary(self, gap, degenerate):
+        # DegenerateSpectrum at a relative eigenvalue gap of C1 C2^{-1} of at most 1e-8
+        rng = np.random.default_rng(48)
+        a = random_mixing(rng, 3, cond_cap=10)
+        d2 = np.array([2.0, 0.5, 1.3])
+        c1 = TaggedMatrix(a @ np.diag(np.array([1.0, 1.0 - gap, 0.4]) * d2) @ a.conj().T,
+                          CongruenceKind.HERMITIAN)
+        c2 = TaggedMatrix(a @ np.diag(d2) @ a.conj().T, CongruenceKind.HERMITIAN)
+        if degenerate:
+            with pytest.raises(DegenerateSpectrum):
+                two_matrix_same_kind(c1, c2)
+        else:
+            # the near pair's eigenvectors are accurate to about eps / gap
+            assert offdiag_residual([c1, c2], two_matrix_same_kind(c1, c2)) <= 1e-6
 
     def test_singular_second_matrix(self):
         c1 = TaggedMatrix(np.diag([1.0, 2.0]), CongruenceKind.HERMITIAN)
@@ -430,7 +460,7 @@ class TestSignNormalize:
             # zero out parts so that Re z == 0 (and signed zeros) occur
             x.real[rng.uniform(size=(m, m)) < 0.2] = 0.0
             x.real[rng.uniform(size=(m, m)) < 0.1] = -0.0
-            assert _sign_normalize_columns(x).tobytes() == _loop_sign_normalize(x).tobytes()
+            assert sign_normalize_columns(x).tobytes() == _loop_sign_normalize(x).tobytes()
 
     def test_ties_and_imaginary_anchors(self):
         cases = [
@@ -443,5 +473,5 @@ class TestSignNormalize:
             np.array([[0.0, 0.0], [0.0, 0.0]], dtype=complex),
         ]
         for x in cases:
-            assert _sign_normalize_columns(x).tobytes() == _loop_sign_normalize(x).tobytes()
-        assert np.array_equal(_sign_normalize_columns(cases[2])[:, 0], -cases[2][:, 0])
+            assert sign_normalize_columns(x).tobytes() == _loop_sign_normalize(x).tobytes()
+        assert np.array_equal(sign_normalize_columns(cases[2])[:, 0], -cases[2][:, 0])

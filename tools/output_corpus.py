@@ -32,6 +32,9 @@ with the misspelt top-level field ``"trails"``.  Last come two commands
 that print one ``warning:`` line each, ``estimate --cov`` on a two-channel
 signal of ``T`` = 1 and ``solve`` on a zero Hermitian matrix with a regular
 transpose one, and ``check`` with an ``--out`` in a missing directory.
+After them, ``solve --method put`` runs on two seeded pairs at m = 3 whose
+transpose matrix has Takagi values (1, 1, 0.5), one value repeated, and
+(1, 1 - 2e-7, 0.5), two values at a relative gap of 2e-7.
 Each command runs in ``OUTDIR``, so that a relative ``--out`` names the same
 path under every ``OUTDIR``.  Each command's stdout and stderr go to
 ``OUTDIR/<case>.out`` and ``OUTDIR/<case>.err`` and its exit code to
@@ -269,6 +272,25 @@ def _population_pair(m, seed):
     ]
 
 
+# after every case above: C2 = Q diag(sigma) Q^T with near-equal or equal Takagi values
+TAKAGI_PAIRS = {"repeated_takagi": ([1.0, 1.0, 0.5], 305),
+                "takagi_gap_2e-7": ([1.0, 1.0 - 2e-7, 0.5], 306)}
+
+
+def _takagi_pair(sigma, seed):
+    """C1 = B B^H and C2 = Q diag(sigma) Q^T with Q unitary, at m = len(sigma)."""
+    rng = np.random.default_rng(seed)
+    m = len(sigma)
+    b = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    q = _unitary(rng, m)
+    c1 = b @ b.conj().T
+    c2 = q @ np.diag(sigma) @ q.T
+    return [
+        TaggedMatrix((c1 + c1.conj().T) / 2.0, CongruenceKind.HERMITIAN),
+        TaggedMatrix((c2 + c2.T) / 2.0, CongruenceKind.TRANSPOSE),
+    ]
+
+
 def _not_unique_m8_last_pair(rng):
     """NotUnique at m = 8: the ratios match only at the last pair, (7, 8) 1-based."""
     t, h = _ratio_rows(rng, 8, pair=(6, 7))
@@ -318,6 +340,8 @@ def write_inputs(inputs: Path) -> None:
     for i, (name, doc) in enumerate(SLICE_CONFIGS.items()):
         nio.write_json(_config(doc, 700 + i), inputs / f"config_{name}.json")
     nio.write_json(SIGNAL_T1, inputs / "signal_T1.json")
+    for name, (sigma, seed) in TAKAGI_PAIRS.items():
+        nio.write_json(nio.matrix_set_to_dict(_takagi_pair(sigma, seed)), inputs / f"{name}.json")
 
 
 def cases(inputs: Path, out: Path):
@@ -361,6 +385,8 @@ def cases(inputs: Path, out: Path):
     yield "estimate_cov_T1", ["estimate", str(inputs / "signal_T1.json"), "--cov"]
     yield "solve_put_zero_hermitian", ["solve", str(inputs / "zero_hermitian_set.json")]
     yield "check_out_missing_dir", ["check", str(inputs / "spectra_unique.json"), "--out", "missing/x.json"]
+    for name in TAKAGI_PAIRS:
+        yield f"solve_put_{name}", ["solve", str(inputs / f"{name}.json"), "--method", "put"]
 
 
 def main(argv) -> int:
