@@ -42,13 +42,22 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
-def _write_json(obj, out_path) -> str:
-    """The document's text, also written to ``out_path`` when given, or exit 1
-    naming a path that cannot be written."""
+def _write_json(obj, out_path, echo: bool = False) -> None:
+    """Write the document to ``out_path`` when given, streamed in bounded
+    pieces, and print it when no path is given or ``echo`` is set; exit 1
+    naming a path that cannot be written.  An echoed document is encoded
+    once, as one string, for both."""
     try:
-        return nio.write_json(obj, out_path)
+        if out_path is not None and not echo:
+            nio.write_json(obj, out_path)
+            return
+        text = nio.write_json(obj)
+        if out_path is not None:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except OSError as exc:
         _fail(1, str(exc))
+    click.echo(text, nl=False)
 
 
 @contextmanager
@@ -86,8 +95,7 @@ def cmd_check(input_path, tol, margin, out_path):
         report = identifiability_master(sym, herm, use_tol)
     except NujdError as exc:
         _fail(1, str(exc))
-    text = _write_json(nio.uniqueness_report_to_dict(report), out_path)
-    click.echo(text, nl=False)
+    _write_json(nio.uniqueness_report_to_dict(report), out_path, echo=True)
     sys.exit(0 if report.unique else 3)
 
 
@@ -124,9 +132,7 @@ def cmd_solve(input_path, method, tol, out_path):
     )
     out = nio.solution_to_dict(res, method, digest)
     out["tolerance_met"] = bool(ok)
-    text = _write_json(out, out_path)
-    if out_path is None:
-        click.echo(text, nl=False)
+    _write_json(out, out_path)
     sys.exit(0 if ok else 4)
 
 
@@ -175,9 +181,7 @@ def cmd_estimate(input_path, cov, pseudocov, lags, windows, cum4, out_path):
         out = nio.matrix_set_to_dict(items, provenance=provenance)
     except NujdError as exc:
         _fail(1, str(exc))
-    text = _write_json(out, out_path)
-    if out_path is None:
-        click.echo(text, nl=False)
+    _write_json(out, out_path)
     sys.exit(0)
 
 
@@ -231,9 +235,7 @@ def cmd_simulate(input_path, seed, out_path):
         _fail(1, str(exc))
     except MemoryError:  # a T that one array holds but the memory does not
         _fail(1, f"T = {config.T} needs more memory than is available for {len(config.sources)} sources")
-    text = _write_json(report, out_path)
-    if out_path is None:
-        click.echo(text, nl=False)
+    _write_json(report, out_path)
     sys.exit(0)
 
 

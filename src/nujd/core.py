@@ -53,12 +53,13 @@ def require_finite(a: np.ndarray, message: str) -> None:
 
 
 def as_complex_matrix(a, *, square: bool = False) -> np.ndarray:
-    """Validate and return a dense complex128 matrix (finite entries only)."""
+    """Validate and return a dense complex128 matrix (finite entries only);
+    a ``square`` one must also be at least 1×1."""
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise DimensionMismatch(f"expected a 2-d matrix, got ndim={m.ndim}")
-    if square and m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
+    if square and (m.shape[0] != m.shape[1] or m.shape[0] == 0):
+        raise DimensionMismatch(f"expected a non-empty square matrix, got shape {m.shape}")
     require_finite(m, "matrix contains NaN or infinite entries")
     m = m.copy()
     m.flags.writeable = False

@@ -5,7 +5,8 @@ Writers emit exactly the text of ``json.dumps(doc, indent=2)`` with Python
 repr floats (shortest exact round-trip form), so a write -> read -> write
 cycle is byte identical.  Pair lists are encoded and decoded per array, not
 per value, and with the cyclic GC paused: documents are trees, so its passes
-over them would find nothing to collect.  Channel and tensor-slot
+over them would find nothing to collect.  Their text is written per slice of
+pairs, and a write to a file streams it slice by slice.  Channel and tensor-slot
 indices are 1-based at the file surface and 0-based inside the library;
 time offsets and window starts are plain 0-based sample indices.  A recipe
 entry, whether from a config file or from ``nujd estimate``'s flags, is
@@ -58,36 +59,58 @@ def _is_pair_list(value) -> bool:
     )
 
 
-def _encode(value, indent: str) -> str:
-    """``json.dumps(value, indent=2)`` for a value placed at ``indent``."""
+# Pairs per C-encoder call: a write holds one slice's text at a time.
+_PAIR_SLICE = 2048
+
+
+def _encode(value, indent: str):
+    """The text of ``json.dumps(value, indent=2)``, for a value placed at
+    ``indent``, as a sequence of pieces."""
     inner = indent + "  "
-    if type(value) is list and value:
-        if _is_pair_list(value):
-            # One C-encoder call; its "[[a, b], [c, d]]" text holds only
-            # numbers, brackets, commas and spaces, so two replaces indent it.
-            leaf = inner + "  "
-            body = (
-                json.dumps(value)[2:-2]
-                .replace("], [", f"\n{inner}],\n{inner}[\n{leaf}")
+    if type(value) is list and value and _is_pair_list(value):
+        # One C-encoder call per slice; its "[[a, b], [c, d]]" text holds
+        # only numbers, brackets, commas and spaces, so two replaces indent it.
+        leaf = inner + "  "
+        between = f"\n{inner}],\n{inner}[\n{leaf}"
+        yield f"[\n{inner}[\n{leaf}"
+        for start in range(0, len(value), _PAIR_SLICE):
+            if start:
+                yield between
+            yield (
+                json.dumps(value[start:start + _PAIR_SLICE])[2:-2]
+                .replace("], [", between)
                 .replace(", ", f",\n{leaf}")
             )
-            return f"[\n{inner}[\n{leaf}{body}\n{inner}]\n{indent}]"
-        items = (_encode(v, inner) for v in value)
-        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
-    if type(value) is dict and value and all(type(k) is str for k in value):
-        items = (f"{json.dumps(k)}: {_encode(v, inner)}" for k, v in value.items())
-        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
-    # JSON text never holds a raw newline inside a string.
-    return json.dumps(value, indent=2).replace("\n", "\n" + indent)
+        yield f"\n{inner}]\n{indent}]"
+    elif type(value) is list and value:
+        opening = "["
+        for v in value:
+            yield f"{opening}\n{inner}"
+            opening = ","
+            yield from _encode(v, inner)
+        yield f"\n{indent}]"
+    elif type(value) is dict and value and all(type(k) is str for k in value):
+        opening = "{"
+        for k, v in value.items():
+            yield f"{opening}\n{inner}{json.dumps(k)}: "
+            opening = ","
+            yield from _encode(v, inner)
+        yield f"\n{indent}}}"
+    else:
+        # JSON text never holds a raw newline inside a string.
+        yield json.dumps(value, indent=2).replace("\n", "\n" + indent)
 
 
-def write_json(obj, path=None) -> str:
-    """Write ``json.dumps(obj, indent=2) + "\\n"``, encoding pair lists in C."""
-    text = _encode(obj, "") + "\n"
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
+def write_json(obj, path=None) -> Optional[str]:
+    """``json.dumps(obj, indent=2) + "\\n"``, returned as one string, or written
+    to ``path`` piece by piece (returning None), so that a file's text is
+    never held whole.  A value that json cannot encode raises its TypeError
+    after ``path`` is opened, which then holds the text that precedes it."""
+    pieces = chain(_encode(obj, ""), ("\n",))
+    if path is None:
+        return "".join(pieces)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(pieces)
 
 
 def read_json(path):

@@ -493,8 +493,10 @@ class TestEstimateAndSolve:
         spectra = tmp_path / "sp.json"
         rep = tmp_path / "rep.json"
         write_spectra(spectra, collinear=True)
-        runner.invoke(main, ["check", str(spectra), "--out", str(rep)])
+        res = runner.invoke(main, ["check", str(spectra), "--out", str(rep)])
         assert nio.write_json(nio.read_json(rep)).encode() == rep.read_bytes()
+        # check prints the report it writes
+        assert res.stdout.encode() == rep.read_bytes()
 
 
 @pytest.mark.parametrize(

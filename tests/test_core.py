@@ -29,7 +29,7 @@ from nujd.errors import (
     SymmetryViolation,
 )
 
-from nujd.linalg import symmetric_orthogonalize
+from nujd.linalg import general_evd, symmetric_orthogonalize, takagi
 
 from conftest import complex_symmetric, hermitian, random_mixing
 from _search import gm_distance_batch
@@ -51,6 +51,22 @@ class TestValidation:
     def test_square_enforced(self):
         with pytest.raises(DimensionMismatch):
             as_complex_matrix(np.zeros((2, 3)), square=True)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            takagi,
+            general_evd,
+            GLElement,
+            lambda a: TaggedMatrix(a, CongruenceKind.HERMITIAN),
+            lambda a: TaggedMatrix(a, CongruenceKind.TRANSPOSE),
+        ],
+        ids=["takagi", "general_evd", "GLElement", "TaggedMatrix-hermitian", "TaggedMatrix-transpose"],
+    )
+    def test_empty_square_matrix_rejected(self, build):
+        # a 0x0 input stops at the one square-matrix rule, not in a later argmax or index
+        with pytest.raises(DimensionMismatch, match=r"non-empty square matrix, got shape \(0, 0\)"):
+            build(np.zeros((0, 0)))
 
     def test_tagged_matrix_symmetry_classes(self):
         TaggedMatrix(np.array([[1, 2j], [2j, 0]]), CongruenceKind.TRANSPOSE)

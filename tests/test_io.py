@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import json
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -406,8 +407,45 @@ _documents = st.recursive(
 
 @settings(max_examples=400, deadline=None)
 @given(_documents)
-def test_write_json_is_json_dumps_indent_2(doc):
-    assert nio.write_json(doc) == json.dumps(doc, indent=2) + "\n"
+def test_write_json_is_json_dumps_indent_2(tmp_path_factory, doc):
+    text = json.dumps(doc, indent=2) + "\n"
+    assert nio.write_json(doc) == text
+    path = tmp_path_factory.getbasetemp() / "write_json_doc.json"
+    assert nio.write_json(doc, path) is None
+    assert path.read_bytes() == text.encode()
+
+
+_SLICE = nio._PAIR_SLICE
+
+
+def _long_pair_list(n: int) -> list:
+    """``n`` pairs that cycle through -0.0, NaN, +-inf, ints and plain floats."""
+    values = [-0.0, float("nan"), float("inf"), -float("inf"), 7, -(2**70), 0.1, 1e16, 5e-324]
+    return [[values[i % len(values)], values[(i * 5 + 1) % len(values)]] for i in range(n)]
+
+
+@pytest.mark.parametrize("n", [1, _SLICE - 1, _SLICE, _SLICE + 1, 2 * _SLICE + 1])
+@pytest.mark.parametrize("nest", ["alone", "in_dict"])
+def test_write_json_pair_lists_across_slices(tmp_path, n, nest):
+    pairs = _long_pair_list(n)
+    doc = pairs if nest == "alone" else {"m": 2, "channels": [pairs, [[1, 2]]], "tail": pairs}
+    text = json.dumps(doc, indent=2) + "\n"
+    assert nio.write_json(doc) == text
+    nio.write_json(doc, tmp_path / "d.json")
+    assert (tmp_path / "d.json").read_bytes() == text.encode()
+
+
+def test_write_json_to_a_file_holds_no_document_sized_text(tmp_path, rng):
+    data = rng.standard_normal((4, 20_000)) + 1j * rng.standard_normal((4, 20_000))
+    doc = nio.signal_to_dict(SignalBlock(data))
+    path = tmp_path / "signal.json"
+    tracemalloc.start()
+    try:
+        nio.write_json(doc, path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 8
 
 
 def _pair_reference(z) -> list:

@@ -34,7 +34,9 @@ signal of ``T`` = 1 and ``solve`` on a zero Hermitian matrix with a regular
 transpose one, and ``check`` with an ``--out`` in a missing directory.
 After them, ``solve --method put`` runs on two seeded pairs at m = 3 whose
 transpose matrix has Takagi values (1, 1, 0.5), one value repeated, and
-(1, 1 - 2e-7, 0.5), two values at a relative gap of 2e-7.
+(1, 1 - 2e-7, 0.5), two values at a relative gap of 2e-7.  Last,
+``estimate --cov --pseudocov`` reads a signal of ``T`` = 10,000, whose pair
+lists the writer encodes in more than two slices.
 Each command runs in ``OUTDIR``, so that a relative ``--out`` names the same
 path under every ``OUTDIR``.  Each command's stdout and stderr go to
 ``OUTDIR/<case>.out`` and ``OUTDIR/<case>.err`` and its exit code to
@@ -66,6 +68,8 @@ from nujd.core import CongruenceKind, DiagonalStack, TaggedMatrix
 from nujd.simulation import SourceSpec, generate, mix
 
 T_SIGNAL = 4000
+# more than two of the writer's pair-list slices
+T_LONG_SIGNAL = 10_000
 
 SIGNALS = {
     "noncircular": [SourceSpec("noncircular_gaussian", circularity=0.9),
@@ -233,8 +237,8 @@ SLICE_CONFIGS = {
 }
 
 
-def _signal(specs, seed):
-    sources, truth = generate(specs, T_SIGNAL, seed)
+def _signal(specs, seed, t=T_SIGNAL):
+    sources, truth = generate(specs, t, seed)
     return nio.signal_to_dict(mix(sources, truth.a))
 
 
@@ -342,6 +346,7 @@ def write_inputs(inputs: Path) -> None:
     nio.write_json(SIGNAL_T1, inputs / "signal_T1.json")
     for name, (sigma, seed) in TAKAGI_PAIRS.items():
         nio.write_json(nio.matrix_set_to_dict(_takagi_pair(sigma, seed)), inputs / f"{name}.json")
+    nio.write_json(_signal(SIGNALS["noncircular"], 800, T_LONG_SIGNAL), inputs / "signal_long.json")
 
 
 def cases(inputs: Path, out: Path):
@@ -387,6 +392,7 @@ def cases(inputs: Path, out: Path):
     yield "check_out_missing_dir", ["check", str(inputs / "spectra_unique.json"), "--out", "missing/x.json"]
     for name in TAKAGI_PAIRS:
         yield f"solve_put_{name}", ["solve", str(inputs / f"{name}.json"), "--method", "put"]
+    yield "estimate_cov_pseudocov_long", ["estimate", sig("long"), "--cov", "--pseudocov"]
 
 
 def main(argv) -> int:
