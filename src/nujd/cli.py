@@ -16,7 +16,7 @@ from contextlib import contextmanager
 
 import click
 
-from .core import TAU_RHO, require_tol
+from .core import SOLVE_TOL, TAU_RHO, require_tol
 from .errors import ConfigError, NujdError, NumericFailure
 from . import io as nio
 from .simulation import _check_statistic, estimate_statistic, run_experiment
@@ -102,7 +102,7 @@ def cmd_check(input_path, tol, margin, out_path):
 @main.command("solve")
 @click.argument("input_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--method", type=click.Choice(["put", "sut", "gevd"]), default="put", show_default=True)
-@click.option("--tol", type=float, default=1e-8, show_default=True, help="residual bound for exit code 0")
+@click.option("--tol", type=float, default=SOLVE_TOL, show_default=True, help="residual bound for exit code 0")
 @click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
 def cmd_solve(input_path, method, tol, out_path):
     """Solve a two-matrix set, writing the demixer, spectrum, and residuals.

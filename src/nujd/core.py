@@ -14,6 +14,7 @@ threads.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -28,19 +29,30 @@ from .errors import (
     SymmetryViolation,
 )
 
-# Numerical policy (double precision with two factorizations of headroom).
+# Numerical policy (double precision with two factorizations of headroom):
+# every threshold and outcome-deciding default, one line each; README
+# "Numerical policy" lists the same names and values.
+TINY = np.finfo(float).tiny  # floor of a relative test's scale, the smallest normal float
 TAU_SYM = 1e-8        # relative symmetry-class tolerance
 TAU_REAL = 1e-8       # relative tolerance for "real" spectra
 TAU_PATTERN = 1e-6    # relative off-pattern tolerance for G(m) membership
 TAU_RHO = 1e-10       # relative tolerance for exact collinearity certification
 KAPPA_MAX = 1e8       # condition-number ceiling for certified invertibility
 SIGMA_MIN = 1e-12     # relative singular-value floor
+WITNESS_RTOL = 1e-10  # floor of a witness's residual bound, max(WITNESS_RTOL, tol)
+WITNESS_DET = 1e-6    # witness-block |det| below which row 2 is rescaled, relative to max(1, max |entry|^2)
+POLAR_TOL = 1e-8      # bound on ||V^T V - I||_F / m for the PUT's polar factor V
+EIG_GAP_WARN = 1e-6   # PUT's relative whitened eigenvalue gap below which it warns
+GEVD_GAP = 1e-8       # GEVD's relative eigenvalue gap at or below which it fails
+SOLVE_TOL = 1e-8      # default residual bound of `nujd solve --tol`
+MARGIN = 1e-3         # default certification margin of a simulate config
+EQUIV_TOL = 1e-2      # default essential-equivalence tolerance of a simulate config
 
 
 def below_floor(small, large) -> bool:
     """Whether ``small`` is at or below SIGMA_MIN times ``large``, or times
-    the smallest normal float when ``large`` is below it (zero, negative)."""
-    return small <= SIGMA_MIN * max(large, np.finfo(float).tiny)
+    TINY when ``large`` is below it (zero, negative)."""
+    return small <= SIGMA_MIN * max(large, TINY)
 
 
 def require_finite(a: np.ndarray, message: str) -> None:
@@ -79,6 +91,28 @@ def _fro(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
+def _exponent(a: np.ndarray) -> int:
+    """k with max |a_ij| * 2**-k in [1/2, 1) (0 for a zero ``a``; at least -1021,
+    so 2**-k is finite).  ``a`` times 2**-k is exact while its entries stay
+    normal, its largest square neither overflows nor underflows, and its
+    Frobenius norm is 2**-k times the unscaled one bit for bit wherever the
+    unscaled squares stay in range (Blue, ACM TOMS 4(1), 1978)."""
+    return max(math.frexp(float(np.abs(a).max(initial=0.0)))[1], -1021)
+
+
+def fro_exceeds(d: np.ndarray, m: np.ndarray, tol: float) -> bool:
+    """||d||_F > tol * max(||m||_F, TINY), both norms scaled by ``m``'s 2**-k."""
+    s = math.ldexp(1.0, -_exponent(m))
+    return _fro(d * s) > tol * max(_fro(m * s), TINY)
+
+
+def fro_ratio(d: np.ndarray, m: np.ndarray) -> float:
+    """||d||_F / max(||m||_F, TINY), each norm scaled by its own 2**-k."""
+    kd, km = _exponent(d), _exponent(m)
+    r = _fro(d * math.ldexp(1.0, -kd)) / max(_fro(m * math.ldexp(1.0, -km)), TINY)
+    return float(np.ldexp(r, kd - km))
+
+
 class CongruenceKind(enum.Enum):
     """Which congruence transform a matrix is diagonalized by."""
 
@@ -100,15 +134,11 @@ class TaggedMatrix:
     def __post_init__(self):
         m = as_complex_matrix(self.matrix, square=True)
         object.__setattr__(self, "matrix", m)
-        scale = _fro(m)
-        if self.kind is CongruenceKind.TRANSPOSE:
-            err = _fro(m - m.T)
-        else:
-            err = _fro(m - m.conj().T)
-        if err > TAU_SYM * max(scale, np.finfo(float).tiny):
+        d = m - (m.T if self.kind is CongruenceKind.TRANSPOSE else m.conj().T)
+        if fro_exceeds(d, m, TAU_SYM):
             raise SymmetryViolation(
                 f"matrix is not {self.kind.value}-symmetric: relative error "
-                f"{err / max(scale, np.finfo(float).tiny):.3e} > {TAU_SYM:.0e}"
+                f"{fro_ratio(d, m):.3e} > {TAU_SYM:.0e}"
             )
 
     @property
@@ -225,14 +255,8 @@ def _pattern_test(e: np.ndarray, tol: float):
         return False, None
     pattern = np.zeros_like(a, dtype=bool)
     pattern[np.arange(n), cols] = True
-    scale = _fro(e)
-    off = _fro(np.where(pattern, 0.0, e))
-    if off > tol * max(scale, np.finfo(float).tiny):
-        return False, None
-    # per-row dominance: every off-pattern entry small next to the row max
-    row_max = a[np.arange(n), cols]
-    off_rows = np.where(pattern, 0.0, a)
-    if np.any(off_rows.max(axis=1) > np.maximum(tol * row_max, tol * scale)):
+    # every off-pattern entry is at most ||off||_F, so no per-row test is needed
+    if fro_exceeds(np.where(pattern, 0.0, e), e, tol):
         return False, None
     cleaned = np.where(pattern, e, 0.0)
     return True, cleaned
@@ -292,15 +316,16 @@ def offdiag_residual(s: Sequence[TaggedMatrix], x: GLElement) -> float:
     """Normalized joint-diagonality residual of the set under ``x``.
 
     sqrt( sum_i ||offdiag(X^H C_i X^dag_i)||_F^2 / sum_i ||C_i||_F^2 );
-    zero exactly when every transformed matrix is diagonal.
+    zero exactly when every transformed matrix is diagonal.  The sums are
+    taken of every C_i times one 2**-k and every off-diagonal part times
+    another, as ``fro_ratio`` takes its norms.
     """
-    num = 0.0
-    den = 0.0
-    for c in s:
-        t = apply_congruence(x, c).matrix
-        off = t - np.diag(np.diag(t))
-        num += float(np.sum(np.abs(off) ** 2))
-        den += float(np.sum(np.abs(c.matrix) ** 2))
+    offs = [t - np.diag(np.diag(t)) for t in (apply_congruence(x, c).matrix for c in s)]
+    ko, kc = (max(map(_exponent, a), default=0) for a in (offs, [c.matrix for c in s]))
+    num = den = 0.0
+    for off, c in zip(offs, s):
+        num += float(np.sum(np.abs(off * math.ldexp(1.0, -ko)) ** 2))
+        den += float(np.sum(np.abs(c.matrix * math.ldexp(1.0, -kc)) ** 2))
     if den == 0.0:
         return 0.0
-    return float(np.sqrt(num / den))
+    return float(np.ldexp(np.sqrt(num / den), ko - kc))

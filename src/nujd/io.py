@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import TAU_SYM, CongruenceKind, DiagonalStack, TaggedMatrix, stacks_from_rows
+from .core import TAU_SYM, CongruenceKind, DiagonalStack, TaggedMatrix, fro_exceeds, stacks_from_rows
 from .errors import ConfigError
 from .simulation import ExperimentConfig, SourceSpec, _check_count
 from .statistics import _as_pattern
@@ -263,8 +263,7 @@ def _stacks_from_matrix_set(doc: dict):
     rows = []
     for t in items:
         diag = np.diag(t.matrix)
-        scale = max(float(np.linalg.norm(t.matrix)), np.finfo(float).tiny)
-        if float(np.linalg.norm(t.matrix - np.diag(diag))) > TAU_SYM * scale:
+        if fro_exceeds(t.matrix - np.diag(diag), t.matrix, TAU_SYM):
             raise ConfigError(
                 "matrix-set input to check must hold diagonal matrices "
                 "(ground-truth spectra); run solve first for estimated sets"

@@ -18,12 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GLElement, KAPPA_MAX, TAU_RHO, TAU_SYM, as_complex_matrix, below_floor
+from .core import KAPPA_MAX, POLAR_TOL, TAU_RHO, CongruenceKind, GLElement, TaggedMatrix, as_complex_matrix, below_floor
 from .errors import (
     DefectiveMatrix,
     OrthogonalizationFailure,
     SingularMatrix,
-    SymmetryViolation,
 )
 
 
@@ -38,8 +37,8 @@ class TakagiFactorization:
 def takagi(c) -> TakagiFactorization:
     """Takagi factorization of a complex symmetric matrix.
 
-    The input is symmetrized as (C + C^T)/2 first and must be symmetric
-    within ``TAU_SYM`` relative Frobenius error.  U and sigma are the m
+    The input is validated as a transpose-kind ``TaggedMatrix`` (symmetric
+    within ``TAU_SYM``) and symmetrized as (C + C^T)/2.  U and sigma are the m
     largest eigenpairs of H = [[A, B], [B, -A]], C = A + iB, with sigma
     clipped at 0.  A zero sigma of multiplicity k >= 2 has a 2k-dimensional
     eigenspace in H, and k vectors taken from it need not be orthonormal as
@@ -50,10 +49,7 @@ def takagi(c) -> TakagiFactorization:
     U diag(sigma) U^T = C is a valid answer, so callers should test
     U diag(sigma) U^T against C, not U.
     """
-    m = as_complex_matrix(c, square=True)
-    scale = float(np.linalg.norm(m))
-    if float(np.linalg.norm(m - m.T)) > TAU_SYM * max(scale, np.finfo(float).tiny):
-        raise SymmetryViolation("takagi requires a complex symmetric matrix")
+    m = TaggedMatrix(c, CongruenceKind.TRANSPOSE).matrix
     m = (m + m.T) / 2.0
     n = m.shape[0]
     # -H, so that eigh's ascending order puts the n largest sigma first
@@ -166,7 +162,7 @@ def symmetric_orthogonalize(w: GLElement) -> np.ndarray:
         v = mat @ inv_root
     n = mat.shape[0]
     err = float(np.linalg.norm(v.T @ v - np.eye(n)))
-    if err > 1e-8 * n:
+    if err > POLAR_TOL * n:
         raise OrthogonalizationFailure(
             f"polar factor failed V^T V = I check: error {err:.3e}"
         )

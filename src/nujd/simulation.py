@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import CongruenceKind, GLElement, is_essentially_equivalent, require_tol, stacks_from_rows
+from .core import EQUIV_TOL, MARGIN, CongruenceKind, GLElement, is_essentially_equivalent, require_tol, stacks_from_rows
 from .errors import ConfigError, NujdError
 from .solvers import solve_pair
 from .statistics import (
@@ -60,6 +60,7 @@ _QPSK_SYMBOLS = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]) / np.sqrt(2.0)
 # certifier's Gram products of them and a trial's sample fourth moments stay
 # far below the float maximum 2^1024.
 _POWER_MAX = 2.0 ** 200
+COND_CAP = 100.0  # default condition-number cap of a drawn mixing matrix
 _MAX_SAMPLES = np.iinfo(np.intp).max // 16  # complex128 entries one numpy array holds
 
 
@@ -279,7 +280,7 @@ def _check_generation(specs: tuple, t: int, cond_cap: float, noise_snr_db: Optio
 
 
 def generate(
-    specs: Sequence[SourceSpec], t: int, seed, cond_cap: float = 100.0
+    specs: Sequence[SourceSpec], t: int, seed, cond_cap: float = COND_CAP
 ) -> tuple[SignalBlock, ExperimentTruth]:
     """Draw independent source channels plus a conditioned random mixing matrix."""
     specs = tuple(specs)
@@ -560,10 +561,10 @@ class ExperimentConfig:
     statistics: tuple
     solver: str = "put"
     trials: int = 1
-    margin: float = 1e-3
-    cond_cap: float = 100.0
+    margin: float = MARGIN
+    cond_cap: float = COND_CAP
     noise_snr_db: Optional[float] = None
-    equiv_tol: float = 1e-2
+    equiv_tol: float = EQUIV_TOL
 
     def __post_init__(self):
         object.__setattr__(self, "sources", tuple(self.sources))

@@ -19,10 +19,12 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    EIG_GAP_WARN, GEVD_GAP, TINY,
     CongruenceKind,
     GLElement,
     TaggedMatrix,
     below_floor,
+    fro_ratio,
     offdiag_residual,
 )
 from .errors import (
@@ -44,8 +46,6 @@ from .linalg import (
     takagi,
     unit_phase_columns,
 )
-
-EIG_GAP_WARN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ def put(c1: TaggedMatrix, c2: TaggedMatrix) -> PutResult:
     Requires ``c1`` Hermitian kind and ``c2`` transpose kind with all Takagi
     singular values above the invertibility floor.  Emits a
     DegenerateSpectrumWarning when the whitened eigenvalue gap falls below
-    1e-6, in which case the returned demixer is not trustworthy.
+    ``EIG_GAP_WARN``, in which case the returned demixer is not trustworthy.
     """
     if c1.kind is not CongruenceKind.HERMITIAN:
         raise InvalidPrecondition("c1 must be Hermitian kind")
@@ -124,9 +124,7 @@ def put(c1: TaggedMatrix, c2: TaggedMatrix) -> PutResult:
     d1 = xh @ c1.matrix @ x
     lam = np.diag(d1).copy()
     resid_id = float(np.linalg.norm(xh @ c2.matrix @ x.conj() - np.eye(m)))
-    off = d1 - np.diag(lam)
-    scale1 = float(np.linalg.norm(c1.matrix))
-    resid_off = float(np.linalg.norm(off)) / max(scale1, np.finfo(float).tiny)
+    resid_off = fro_ratio(d1 - np.diag(lam), c1.matrix)
     return PutResult(
         x=GLElement(x),
         lam=lam,
@@ -173,8 +171,8 @@ def two_matrix_same_kind(c1: TaggedMatrix, c2: TaggedMatrix) -> GLElement:
     w, lam = general_evd(m)
     gaps = np.abs(lam[:, None] - lam[None, :])
     np.fill_diagonal(gaps, np.inf)
-    scale = max(float(np.max(np.abs(lam))), np.finfo(float).tiny)
-    if float(gaps.min()) / scale <= 1e-8:
+    scale = max(float(np.max(np.abs(lam))), TINY)
+    if float(gaps.min()) / scale <= GEVD_GAP:
         raise DegenerateSpectrum(
             "spectrum of C1 C2^{-1} has coinciding eigenvalues; the joint "
             "diagonalizer is not essentially unique"

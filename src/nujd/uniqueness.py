@@ -28,7 +28,7 @@ upper triangle.  A decision costs O(n m^2) for the Gram matrices and O(m^2)
 for the pair tests.  The pair scan fires at the first matching pair in
 row-major order.  One witness is built at that pair and verified once: it is
 certified invertible (``GLElement``), its joint-diagonality residual on the
-reconstructed set is at most max(1e-10, tol), and it is not essentially
+reconstructed set is at most max(WITNESS_RTOL, tol), and it is not essentially
 equivalent to the identity.  The witness is the identity outside the pair, so
 the residual is computed on its 2x2 block at the pair with the congruences
 and the re-symmetrization of ``apply_congruence``.  The entry point raises
@@ -44,11 +44,10 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    TAU_PATTERN, TAU_RHO, TINY, WITNESS_DET, WITNESS_RTOL,
     CongruenceKind,
     DiagonalStack,
     GLElement,
-    TAU_RHO,
-    TAU_PATTERN,
     _pattern_test,
     require_tol,
 )
@@ -144,7 +143,7 @@ def _ratios_match(x: np.ndarray, y: np.ndarray, tol: float) -> np.ndarray:
     """Pairs with x_k y_l = x_l y_k up to a relative margin ``tol``."""
     a = np.outer(x, y)
     b = a.T
-    return ~(np.abs(a - b) > tol * np.maximum(np.maximum(a, b), np.finfo(float).tiny))
+    return ~(np.abs(a - b) > tol * np.maximum(np.maximum(a, b), TINY))
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +156,7 @@ def _pair_kernel(spectra: np.ndarray, pair: tuple, tol: float):
         return None
     rows = spectra[:, list(pair)]
     scale = float(np.max(np.abs(spectra)))
-    if float(np.max(np.abs(rows))) <= tol * max(scale, np.finfo(float).tiny):
+    if float(np.max(np.abs(rows))) <= tol * max(scale, TINY):
         return None
     _, _, vh = np.linalg.svd(rows)
     vec = vh[-1].conj()
@@ -204,7 +203,7 @@ def _pair_witness_block(t_kernel, h_kernel) -> np.ndarray:
         row2 = _row_from_products(q, q)
     block = np.array([row1, row2], dtype=np.complex128)
     det = block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0]
-    if abs(det) < 1e-6 * max(1.0, float(np.abs(block).max()) ** 2):
+    if abs(det) < WITNESS_DET * max(1.0, float(np.abs(block).max()) ** 2):
         # rescale row 2 keeping both of its products fixed
         block[1, 0] *= 2.0
         block[1, 1] /= 2.0
@@ -261,7 +260,7 @@ def _witness(
     except SingularMatrix as exc:
         raise WitnessVerificationError(f"witness block is singular: {exc}") from exc
     residual = _spectra_residual(block, pair, t_spectra, h_spectra)
-    rtol = max(1e-10, tol)
+    rtol = max(WITNESS_RTOL, tol)
     if not residual <= rtol:
         raise WitnessVerificationError(
             f"witness fails joint diagonality: residual {residual:.3e} > {rtol:.0e}"

@@ -155,6 +155,38 @@ class TestCheck:
         assert "solve" in res.output
 
 
+class TestScaledProbes:
+    """Inputs past the range of an unscaled Frobenius norm exit as they do at unit scale."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200])
+    def test_check_rejects_a_non_diagonal_set(self, runner, tmp_path, scale):
+        path = tmp_path / "nd.json"
+        nio.write_json(nio.matrix_set_to_dict(
+            [TaggedMatrix(t.matrix * scale, t.kind) for t in TestCheck._MIXED]), path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = invoke(runner, "check", str(path))
+        assert res.exit_code == 1
+        assert res.stderr == (
+            "error: matrix-set input to check must hold diagonal matrices "
+            "(ground-truth spectra); run solve first for estimated sets\n"
+        )
+
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e200, 1e-200])
+    def test_solve_rejects_a_non_symmetric_transpose_matrix(self, runner, tmp_path, scale):
+        # written entry by entry: TaggedMatrix would reject the second matrix
+        path = tmp_path / "ns.json"
+        nio.write_json({"m": 2, "matrices": [
+            {"kind": "hermitian", "entries": nio._pairs(np.diag([2.0, 1.0]) * scale)},
+            {"kind": "transpose", "entries": nio._pairs(np.array([[1.0, 1.0], [1.001, 1.0]]) * scale)},
+        ]}, path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = invoke(runner, "solve", str(path), "--method", "put")
+        assert res.exit_code == 1
+        assert res.stderr == "error: matrix is not transpose-symmetric: relative error 7.069e-04 > 1e-08\n"
+
+
 _SIMULATE_DOC = {
     "sources": [{"kind": "bpsk"}, {"kind": "qpsk"}],
     "T": 1000,

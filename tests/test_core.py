@@ -1,9 +1,14 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import nujd.core
+from nujd import io as nio
 from nujd.core import (
     SIGMA_MIN,
     TAU_PATTERN,
@@ -16,11 +21,14 @@ from nujd.core import (
     apply_congruence,
     as_complex_matrix,
     below_floor,
+    fro_exceeds,
+    fro_ratio,
     hermitian_skew_split,
     is_essentially_equivalent,
     offdiag_residual,
 )
 from nujd.errors import (
+    ConfigError,
     DimensionMismatch,
     NonFiniteEntries,
     OrthogonalizationFailure,
@@ -30,8 +38,9 @@ from nujd.errors import (
 )
 
 from nujd.linalg import general_evd, symmetric_orthogonalize, takagi
+from nujd.solvers import put
 
-from conftest import complex_symmetric, hermitian, random_mixing
+from conftest import complex_symmetric, hermitian, put_pair, random_mixing, tagged_put_pair
 from _search import gm_distance_batch
 
 
@@ -330,3 +339,185 @@ class TestPatternTest:
                     assert cleaned is None and ref_cleaned is None
                 seen[ok] += 1
         assert seen[True] > 20 and seen[False] > 20
+
+
+class TestPolicyBoundaries:
+    """One input on each side of each named threshold, written as literals."""
+
+    def test_symmetry_tolerance(self):
+        # ||C - C^T||_F / ||C||_F is about 0.71 d for C = [[1, 1], [1 + d, 1]]
+        TaggedMatrix([[1, 1], [1 + 1e-9, 1]], CongruenceKind.TRANSPOSE)
+        with pytest.raises(SymmetryViolation):
+            TaggedMatrix([[1, 1], [1 + 1e-7, 1]], CongruenceKind.TRANSPOSE)
+
+    def test_real_spectrum_tolerance(self):
+        DiagonalStack(CongruenceKind.HERMITIAN, [[1, 1 + 1e-9j]])
+        with pytest.raises(SymmetryViolation):
+            DiagonalStack(CongruenceKind.HERMITIAN, [[1, 1 + 1e-7j]])
+
+    def test_pattern_tolerance(self):
+        # the off-pattern mass of [[1, d], [0, 1]] is about 0.71 d relative
+        GmElement([[1, 1e-7], [0, 1]])
+        with pytest.raises(PatternViolation):
+            GmElement([[1, 1e-5], [0, 1]])
+
+    def test_condition_ceiling(self):
+        GLElement(np.diag([1, 1e-7]))
+        with pytest.raises(SingularMatrix):
+            GLElement(np.diag([1, 1e-9]))
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _policy_block() -> dict:
+    """Name -> value of every constant in core's numerical-policy block."""
+    block = (ROOT / "src" / "nujd" / "core.py").read_text().split("\n# Numerical policy")[1]
+    names = re.findall(r"^([A-Z][A-Z0-9_]*) = ", block.split("\n\n")[0], re.M)
+    return {name: getattr(nujd.core, name) for name in names}
+
+
+def test_readme_numerical_policy_matches_core():
+    section = (ROOT / "README.md").read_text().split("\n## Numerical policy\n")[1].split("\n## ")[0]
+    table = dict(re.findall(r"^\| `([A-Z][A-Z0-9_]*)` \| `([^`]+)` \|", section, re.M))
+    block = _policy_block()
+    assert "TINY" in block and "EQUIV_TOL" in block  # the parse reached both ends of the block
+    assert table.keys() == block.keys()
+    assert {name: float(value) for name, value in table.items()} == block
+    # no other constant name: a threshold the section names is one core has
+    assert set(re.findall(r"`([A-Z][A-Z0-9_]{2,})`", section)) <= block.keys()
+
+
+# ---------------------------------------------------------------------------
+# the power-of-two Frobenius rule
+
+
+def _parent_exceeds(d, m, tol):
+    """The unscaled relative test that ``fro_exceeds`` replaces."""
+    return float(np.linalg.norm(d)) > tol * max(float(np.linalg.norm(m)), np.finfo(float).tiny)
+
+
+def _parent_ratio(d, m):
+    """The unscaled ratio that ``fro_ratio`` replaces."""
+    return float(np.linalg.norm(d)) / max(float(np.linalg.norm(m)), np.finfo(float).tiny)
+
+
+def _parent_offdiag_residual(s, x):
+    """``offdiag_residual`` with unscaled sums."""
+    num = den = 0.0
+    for c in s:
+        t = apply_congruence(x, c).matrix
+        num += float(np.sum(np.abs(t - np.diag(np.diag(t))) ** 2))
+        den += float(np.sum(np.abs(c.matrix) ** 2))
+    return 0.0 if den == 0.0 else float(np.sqrt(num / den))
+
+
+def _stays_normal(a, k) -> bool:
+    """Whether every nonzero real and imaginary part of ``a`` times 2**k is a normal float."""
+    a = np.asarray(a, dtype=np.complex128)
+    parts = np.abs(np.concatenate([a.real.ravel(), a.imag.ravel()]))
+    parts = parts[parts > 0] * 2.0**k
+    return bool(np.all((parts >= np.finfo(float).tiny) & (parts <= np.finfo(float).max)))
+
+
+def _entries(n):
+    """(n, n) complex matrices whose nonzero parts are at least 1/64 in modulus."""
+    part = st.integers(-320, 320).map(lambda i: i / 64)
+    return arrays(np.float64, (2, n, n), elements=part).map(lambda a: a[0] + 1j * a[1])
+
+
+_SCALES = st.integers(-900, 900)
+# perturbation sizes on both sides of every relative tolerance
+_DELTAS = st.sampled_from([0.0, 1e-12, 1e-9, 5e-9, 1e-8, 2e-8, 1e-7, 5e-7, 1e-6, 3e-6, 1e-3])
+
+
+def _decision(build, *args):
+    try:
+        build(*args)
+    except (SymmetryViolation, ConfigError) as exc:
+        return type(exc)
+    return None
+
+
+def _check_input(d):
+    """``check``'s decoding of a one-matrix Hermitian set holding ``d``."""
+    return nio.stacks_from_dict(nio.matrix_set_to_dict([TaggedMatrix(d, CongruenceKind.HERMITIAN)]))
+
+
+class TestScaleFree:
+    """Decisions on 2**k A equal those on A, and residuals equal the unscaled
+    formula on A bit for bit, for k in [-900, 900] with every entry normal."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_entries(3), _entries(3), _DELTAS, st.sampled_from(list(CongruenceKind)), _SCALES)
+    def test_symmetry_decision(self, a, p, delta, kind, k):
+        flip = a.T if kind is CongruenceKind.TRANSPOSE else a.conj().T
+        c = (a + flip) / 2.0 + delta * p
+        assume(_stays_normal(c, k))
+        assert _decision(TaggedMatrix, c * 2.0**k, kind) is _decision(TaggedMatrix, c, kind)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.permutations(range(3)), _entries(3), _DELTAS, _SCALES)
+    def test_pattern_decision(self, perm, p, delta, k):
+        e = np.diag([1.0, -2.0 + 1j, 0.5j])[:, perm] + delta * p
+        assume(_stays_normal(e, k))
+        ok, cleaned = _pattern_test(e, TAU_PATTERN)
+        ok_k, cleaned_k = _pattern_test(e * 2.0**k, TAU_PATTERN)
+        assert ok_k == ok
+        if ok:
+            assert np.array_equal(cleaned_k, cleaned * 2.0**k)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_entries(3), _DELTAS, _SCALES)
+    def test_check_diagonality_decision(self, p, delta, k):
+        d = np.diag([1.0, -3.0, 0.25]) + delta * (p + p.conj().T)
+        assume(_stays_normal(d, k))
+        assert _decision(_check_input, d * 2.0**k) is _decision(_check_input, d)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_entries(3), _entries(3), _entries(3), _SCALES)
+    def test_offdiag_residual(self, h, t, x, k):
+        s = [TaggedMatrix((h + h.conj().T) / 2.0, CongruenceKind.HERMITIAN),
+             TaggedMatrix((t + t.T) / 2.0, CongruenceKind.TRANSPOSE)]
+        assume(all(_stays_normal(c.matrix, k) for c in s))
+        try:
+            x = GLElement(x)
+        except SingularMatrix:
+            assume(False)
+        scaled = [TaggedMatrix(c.matrix * 2.0**k, c.kind) for c in s]
+        assert offdiag_residual(scaled, x) == _parent_offdiag_residual(s, x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), _SCALES)
+    def test_put_residual(self, seed, k):
+        c1, c2 = tagged_put_pair(*put_pair(np.random.default_rng(seed), 3))
+        res = put(c1, c2)
+        x = res.x.matrix
+        d1 = x.conj().T @ c1.matrix @ x
+        off = d1 - np.diag(np.diag(d1))
+        assert res.residual_offdiag == _parent_ratio(off, c1.matrix)
+        assume(_stays_normal(off, k) and _stays_normal(c1.matrix, k))
+        assert fro_ratio(off * 2.0**k, c1.matrix * 2.0**k) == res.residual_offdiag
+
+    @settings(max_examples=100, deadline=None)
+    @given(_entries(4), _entries(4), _DELTAS)
+    def test_helpers_are_the_unscaled_formulas_in_range(self, m, p, delta):
+        d = delta * p
+        assert fro_exceeds(d, m, 1e-8) == _parent_exceeds(d, m, 1e-8)
+        assert fro_ratio(d, m) == _parent_ratio(d, m)
+
+
+_NON_SYMMETRIC = np.array([[1.0, 1.0], [1.001, 1.0]])
+_NON_DIAGONAL = np.array([[1.0, 0.3], [0.3, 2.0]])
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e200, 1e-200])
+def test_scaled_probes_keep_their_outcome(scale):
+    """The outcomes at unit scale hold past the range of an unscaled Frobenius norm."""
+    message = r"^matrix is not transpose-symmetric: relative error 7\.069e-04 > 1e-08$"
+    for build in (lambda c: TaggedMatrix(c, CongruenceKind.TRANSPOSE), takagi):
+        with pytest.raises(SymmetryViolation, match=message):
+            build(_NON_SYMMETRIC * scale)
+    with pytest.raises(ConfigError, match="must hold diagonal matrices"):
+        _check_input(_NON_DIAGONAL * scale)
+    assert _check_input(np.diag([1.0, 2.0]) * scale)[2] == 2

@@ -179,6 +179,22 @@ class TestSymmetricOrthogonalize:
                 continue
             assert np.linalg.norm(v.T @ v - np.eye(2)) <= 1e-8 * 2
 
+    @pytest.mark.parametrize("s, eta, fails", [(10.0, 1e-8, False), (100.0, 1e-15, True)])
+    def test_polar_check_boundary(self, s, eta, fails):
+        # W = [[1 + s, i s (1 + eta)], [i s (1 + eta), 1 - s]] is complex symmetric
+        # and defective at eta = 0, so W^T W = W^2 takes the eigendecomposition
+        # branch with a near-defective eigenbasis (condition below 1e8); rounding
+        # leaves ||V^T V - I||_F near 1e-11 at (10, 1e-8) and near 5e-7 at
+        # (100, 1e-15), on either side of the bound 1e-8 * m = 2e-8
+        b = 1j * s * (1 + eta)
+        w = GLElement(np.array([[1 + s, b], [b, 1 - s]]))
+        if fails:
+            with pytest.raises(OrthogonalizationFailure, match="V\\^T V = I check"):
+                symmetric_orthogonalize(w)
+        else:
+            v = symmetric_orthogonalize(w)
+            assert np.linalg.norm(v.T @ v - np.eye(2)) <= 2e-8
+
     def test_scaled_rotation_of_complex_orthogonal(self, rng):
         theta = 0.3 + 0.2j
         base = np.array(

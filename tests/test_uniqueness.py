@@ -18,7 +18,7 @@ from nujd.errors import (
     NonFiniteEntries,
     WitnessVerificationError,
 )
-from nujd.uniqueness import identifiability_master
+from nujd.uniqueness import _pair_witness_block, _witness, identifiability_master
 
 from conftest import BAD_TOLERANCES, hermitian_stack, transpose_stack
 from _search import gm_distance_batch
@@ -635,3 +635,25 @@ class TestPairHelpers:
             )
             checked += 1
         assert checked >= 250
+
+
+@pytest.mark.parametrize("eps, verifies", [(1e-11, True), (1e-8, False)])
+def test_witness_residual_floor(eps, verifies):
+    # transpose rows (eps, 0) and (1, 1): the position vectors (eps, 1) and
+    # (0, 1) have |cos| 1 in floating point, and the pair witness leaves a
+    # residual of eps, judged against max(1e-10, tol) at tol = 0
+    t = np.array([[eps, 0], [1, 1]], dtype=complex)
+    if verifies:
+        assert _witness((0, 1), t, np.zeros((0, 2)), 0.0)[1] <= 1e-10
+    else:
+        with pytest.raises(WitnessVerificationError, match=r"residual 1\.000e-08 > 1e-10"):
+            _witness((0, 1), t, np.zeros((0, 2)), 0.0)
+
+
+@pytest.mark.parametrize("v, rescaled", [(1 - 2e-6, False), (1 - 5e-7, True)])
+def test_witness_block_rescale_boundary(v, rescaled):
+    # transpose kernel (1, v) gives rows (1, 1) and (1, v), |det| = 1 - v,
+    # judged against 1e-6 * max(1, max |entry|^2) = 1e-6
+    block = _pair_witness_block((1.0, v), None)
+    assert block[0].tolist() == [1, 1]
+    assert block[1].tolist() == ([2, v / 2] if rescaled else [1, v])

@@ -36,7 +36,10 @@ After them, ``solve --method put`` runs on two seeded pairs at m = 3 whose
 transpose matrix has Takagi values (1, 1, 0.5), one value repeated, and
 (1, 1 - 2e-7, 0.5), two values at a relative gap of 2e-7.  Last,
 ``estimate --cov --pseudocov`` reads a signal of ``T`` = 10,000, whose pair
-lists the writer encodes in more than two slices.
+lists the writer encodes in more than two slices.  After it, two matrix sets
+scaled by 1e200, past the range of an unscaled Frobenius norm: ``check`` on
+a non-diagonal set and ``solve --method put`` on a set whose transpose matrix
+[[1, 1], [1.001, 1]] is not symmetric.
 Each command runs in ``OUTDIR``, so that a relative ``--out`` names the same
 path under every ``OUTDIR``.  Each command's stdout and stderr go to
 ``OUTDIR/<case>.out`` and ``OUTDIR/<case>.err`` and its exit code to
@@ -315,6 +318,22 @@ LARGE_SPECTRA = {
 }
 
 
+# after every case above: (kind, matrix) lists, times 1e200 in the file
+SCALED_SETS = {
+    "non_diagonal_set_1e200": [("hermitian", [[1.0, 0.3], [0.3, 2.0]]),
+                               ("transpose", [[1.0, 0.0], [0.0, 1.0]])],
+    "non_symmetric_transpose_1e200": [("hermitian", [[2.0, 0.0], [0.0, 1.0]]),
+                                      ("transpose", [[1.0, 1.0], [1.001, 1.0]])],
+}
+
+
+def _scaled_set(items):
+    """A matrix-set document written entry by entry: TaggedMatrix rejects a
+    non-symmetric matrix before it could be written."""
+    return {"m": 2, "matrices": [{"kind": kind, "entries": nio._pairs(np.array(mat) * 1e200)}
+                                 for kind, mat in items]}
+
+
 def _config(doc, seed):
     return dict({"T": 5000, "seed": seed, "trials": 3}, **doc)
 
@@ -347,6 +366,8 @@ def write_inputs(inputs: Path) -> None:
     for name, (sigma, seed) in TAKAGI_PAIRS.items():
         nio.write_json(nio.matrix_set_to_dict(_takagi_pair(sigma, seed)), inputs / f"{name}.json")
     nio.write_json(_signal(SIGNALS["noncircular"], 800, T_LONG_SIGNAL), inputs / "signal_long.json")
+    for name, items in SCALED_SETS.items():
+        nio.write_json(_scaled_set(items), inputs / f"{name}.json")
 
 
 def cases(inputs: Path, out: Path):
@@ -393,6 +414,9 @@ def cases(inputs: Path, out: Path):
     for name in TAKAGI_PAIRS:
         yield f"solve_put_{name}", ["solve", str(inputs / f"{name}.json"), "--method", "put"]
     yield "estimate_cov_pseudocov_long", ["estimate", sig("long"), "--cov", "--pseudocov"]
+    yield "check_non_diagonal_set_1e200", ["check", str(inputs / "non_diagonal_set_1e200.json")]
+    yield "solve_put_non_symmetric_transpose_1e200", [
+        "solve", str(inputs / "non_symmetric_transpose_1e200.json"), "--method", "put"]
 
 
 def main(argv) -> int:
