@@ -152,14 +152,12 @@ def cmd_estimate(input_path, cov, pseudocov, lags, windows, cum4, out_path):
     """
     if not (cov or pseudocov or lags or windows or cum4):
         _fail(2, "empty recipe: pass at least one of --cov --pseudocov --lag --window --cum4")
-    # the document's pair lists die in the GC pause that read them: no collection scans them
-    with nio._no_gc():
-        doc = _load_json(input_path)
-        try:
-            block = nio.signal_from_dict(doc)
-        except NujdError as exc:
-            _fail(1, str(exc))
-        del doc
+    doc = _load_json(input_path)
+    try:
+        block = nio.signal_from_dict(doc)
+    except NujdError as exc:
+        _fail(1, str(exc))
+    del doc  # its channel arrays are a second copy of the signal
     recipe = _recipe(cov, pseudocov, lags, windows, cum4)
     stats = []
     for flag, entry in recipe:

@@ -1,14 +1,20 @@
 """JSON file formats for matrix sets, spectra, signals, reports, and configs.
 
 Complex scalars are encoded as [re, im] pairs; matrix entries are row-major.
-Writers emit exactly the text of ``json.dumps(doc, indent=2)`` with Python
+In memory, a document holds each list of pairs as an (n, 2) float64 array:
+the ``*_to_dict`` functions build them, and ``read_json`` turns each float
+pair list into one as soon as the C scanner has read it (one outside a list
+of objects; a pair list holding an int stays a list, and the ``*_from_dict``
+functions take either form).  Writers emit exactly the text of
+``json.dumps(doc, indent=2)`` with each array as its ``.tolist()`` and Python
 repr floats (shortest exact round-trip form), so a write -> read -> write
-cycle is byte identical.  Pair lists are encoded and decoded per array, not
-per value, and with the cyclic GC paused: documents are trees, so its passes
-over them would find nothing to collect.  Their text is written per slice of
-pairs, and a write to a file streams it slice by slice.  Channel and tensor-slot
-indices are 1-based at the file surface and 0-based inside the library;
-time offsets and window starts are plain 0-based sample indices.  A recipe
+cycle is byte identical.  A pair array's text is encoded in C one slice of
+pairs at a time, and a write to a file streams it slice by slice, so neither
+side holds a document-sized tree of Python lists.  Decoding runs with the
+cyclic GC paused: documents are trees, so its passes would find nothing to
+collect.  Channel and tensor-slot indices are 1-based at the file surface
+and 0-based inside the library; time offsets and window starts are plain
+0-based sample indices.  A recipe
 entry, whether from a config file or from ``nujd estimate``'s flags, is
 decoded by ``_statistic_from_dict``, which only makes a slice's 1-based
 ``axes`` and ``fixed`` 0-based, and then checked once, by
@@ -21,8 +27,10 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import re
 from contextlib import contextmanager
 from itertools import chain
+from json.decoder import JSONArray, JSONObject
 from typing import Optional, Sequence
 
 import numpy as np
@@ -48,26 +56,49 @@ def _no_gc():
 
 
 _NUMBER_TYPES = {int, float}
+_FLOAT_TYPE = {float}
 
 
-def _is_pair_list(value) -> bool:
-    """A non-empty list of 2-lists of JSON numbers (int or float, never bool)."""
+def _is_pair_list(value, numbers=_NUMBER_TYPES) -> bool:
+    """A non-empty list of 2-lists of JSON numbers (int or float, never bool)
+    whose types are all in ``numbers``."""
     return (
         set(map(type, value)) == {list}
         and set(map(len, value)) == {2}
-        and set(map(type, chain.from_iterable(value))) <= _NUMBER_TYPES
+        and set(map(type, chain.from_iterable(value))) <= numbers
     )
 
 
-# Pairs per C-encoder call: a write holds one slice's text at a time.
-_PAIR_SLICE = 2048
+def _is_pair_array(value) -> bool:
+    """An (n, 2) float64 array: the in-memory form of a list of [re, im] pairs."""
+    return type(value) is np.ndarray and value.dtype == np.float64 and value.ndim == 2 and value.shape[1] == 2
 
 
-def _encode(value, indent: str):
-    """The text of ``json.dumps(value, indent=2)``, for a value placed at
-    ``indent``, as a sequence of pieces."""
+def _stack(pairs: list) -> np.ndarray:
+    """The (n, 2) float array of a list of [re, im] pairs of JSON numbers."""
+    return np.fromiter(chain.from_iterable(pairs), float, 2 * len(pairs)).reshape(-1, 2)
+
+
+# Pairs per C-encoder call: a write holds one slice's floats and text at a time.
+_PAIR_SLICE = 1024
+
+
+def _tolist(value):
+    """json's ``default`` hook: a numpy array is encoded as its ``.tolist()``."""
+    if type(value) is np.ndarray:
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _encode(value, indent: str, arrays: bool = True):
+    """The text of ``json.dumps(value, indent=2)``, each numpy array taken as
+    its ``.tolist()``, for a value placed at ``indent``, as a sequence of
+    pieces.  With ``arrays`` false, (n, 2) float arrays give no text: a dry
+    run that raises wherever the full encode would."""
     inner = indent + "  "
-    if type(value) is list and value and _is_pair_list(value):
+    if _is_pair_array(value) and len(value):
+        if not arrays:
+            return
         # One C-encoder call per slice; its "[[a, b], [c, d]]" text holds
         # only numbers, brackets, commas and spaces, so two replaces indent it.
         leaf = inner + "  "
@@ -77,59 +108,103 @@ def _encode(value, indent: str):
             if start:
                 yield between
             yield (
-                json.dumps(value[start:start + _PAIR_SLICE])[2:-2]
+                json.dumps(value[start:start + _PAIR_SLICE].tolist())[2:-2]
                 .replace("], [", between)
                 .replace(", ", f",\n{leaf}")
             )
         yield f"\n{inner}]\n{indent}]"
+    elif type(value) is np.ndarray:
+        yield from _encode(value.tolist(), indent, arrays)
     elif type(value) is list and value:
         opening = "["
         for v in value:
             yield f"{opening}\n{inner}"
             opening = ","
-            yield from _encode(v, inner)
+            yield from _encode(v, inner, arrays)
         yield f"\n{indent}]"
     elif type(value) is dict and value and all(type(k) is str for k in value):
         opening = "{"
         for k, v in value.items():
             yield f"{opening}\n{inner}{json.dumps(k)}: "
             opening = ","
-            yield from _encode(v, inner)
+            yield from _encode(v, inner, arrays)
         yield f"\n{indent}}}"
     else:
         # JSON text never holds a raw newline inside a string.
-        yield json.dumps(value, indent=2).replace("\n", "\n" + indent)
+        yield json.dumps(value, indent=2, default=_tolist).replace("\n", "\n" + indent)
 
 
 def write_json(obj, path=None) -> Optional[str]:
-    """``json.dumps(obj, indent=2) + "\\n"``, returned as one string, or written
-    to ``path`` piece by piece (returning None), so that a file's text is
-    never held whole.  A value that json cannot encode raises its TypeError
-    after ``path`` is opened, which then holds the text that precedes it."""
-    pieces = chain(_encode(obj, ""), ("\n",))
+    """``json.dumps(obj, indent=2) + "\\n"`` with each numpy array taken as its
+    ``.tolist()``, returned as one string, or written to ``path`` piece by
+    piece (returning None), so that a file's text is never held whole.  A
+    dry run encodes all but the (n, 2) float arrays, which always encode,
+    before ``path`` is opened: a value that json cannot encode raises its
+    TypeError with the file untouched."""
     if path is None:
-        return "".join(pieces)
+        return "".join(chain(_encode(obj, ""), ("\n",)))
+    for _ in _encode(obj, "", arrays=False):
+        pass
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(pieces)
+        fh.writelines(chain(_encode(obj, ""), ("\n",)))
+
+
+# A list whose first entry opens a list whose first entry opens a list: a
+# list of pair lists, such as a signal's channels.
+_OPENS_PAIR_LISTS = re.compile(r"\[[ \t\n\r]*\[[ \t\n\r]*\[").match
+
+
+class _PairDecoder(json.JSONDecoder):
+    """The stdlib decoder, with every list of [re, im] float pairs that it
+    scans in C turned into an (n, 2) float array as soon as it is scanned.
+
+    Objects and lists of pair lists are walked by the stdlib's Python
+    ``JSONObject`` and ``JSONArray``; every other value goes to the C scanner
+    whole.  So a signal exists as Python objects one channel at a time.  A
+    pair list that holds an int stays a list, and so does one inside a
+    C-scanned value, such as a matrix set's ``matrices[i].entries``.
+    """
+
+    def __init__(self):
+        super().__init__()
+        scan_c, strict, memo = self.scan_once, self.strict, {}
+
+        def scan_once(s, idx):
+            if s.startswith("{", idx):
+                return JSONObject((s, idx + 1), strict, scan_once, None, None, memo)
+            if _OPENS_PAIR_LISTS(s, idx):
+                return JSONArray((s, idx + 1), scan_once)
+            value, end = scan_c(s, idx)
+            if type(value) is list and value and _is_pair_list(value, _FLOAT_TYPE):
+                value = _stack(value)
+            return value, end
+
+        self.scan_once = scan_once
 
 
 def read_json(path):
+    """The document in the JSON file at ``path``, decoded with the cyclic GC
+    paused, each list of [re, im] float pairs outside a list of objects as
+    an (n, 2) float array."""
     with open(path, "r", encoding="utf-8") as fh, _no_gc():
-        return json.load(fh)
+        return json.load(fh, cls=_PairDecoder)
 
 
-def _pairs(values) -> list:
-    """[[re, im], ...] for the entries of a complex array, in row-major order."""
+def _pairs(values) -> np.ndarray:
+    """The (n, 2) float array of [re, im] pairs of a complex array's entries,
+    in row-major order."""
     a = np.asarray(values, dtype=np.complex128)
-    with _no_gc():
-        return np.stack((a.real, a.imag), -1).reshape(-1, 2).tolist()
+    return np.stack((a.real, a.imag), -1).reshape(-1, 2)
 
 
 def _floats(pairs, path: str) -> np.ndarray:
-    """An (n, 2) float array from a list of [re, im] pairs of JSON numbers."""
+    """An (n, 2) float array from [re, im] pairs of JSON numbers: a list of
+    them, or the (n, 2) float array that ``read_json`` and ``_pairs`` give."""
+    if _is_pair_array(pairs):
+        return pairs
     if type(pairs) is list and (not pairs or _is_pair_list(pairs)):
         try:
-            return np.fromiter(chain.from_iterable(pairs), float, 2 * len(pairs)).reshape(-1, 2)
+            return _stack(pairs)
         except OverflowError:  # an integer beyond the float range
             pass
     raise ConfigError(f"{path} must hold numeric [re, im] pairs")
@@ -170,9 +245,29 @@ def _known(entry: dict, fields: tuple, path: str = "") -> None:
         raise ConfigError(f"{path or 'document'} has unknown fields {sorted(extra)}")
 
 
+def _as_loaded(value):
+    """``value`` with each pair array back in the list form that ``json.load``
+    gives, so that a field that holds no pairs is checked, and named in its
+    errors, as it would be without them."""
+    if type(value) is np.ndarray:
+        return value.tolist()
+    if type(value) is list:
+        return [_as_loaded(v) for v in value]
+    if type(value) is dict:
+        return {k: _as_loaded(v) for k, v in value.items()}
+    return value
+
+
+def _count(doc, key: str) -> int:
+    """A positive-integer field of a document."""
+    return _check_count(_as_loaded(_field(doc, key)), key)
+
+
 def _list(doc, key: str, path: str = "") -> list:
-    """A list field."""
+    """A list field; a pair array there is taken as its list of pairs."""
     value = _field(doc, key, path)
+    if type(value) is np.ndarray:
+        value = value.tolist()
     if not isinstance(value, list):
         raise ConfigError(f"{_at(path, key)} must be a list")
     return value
@@ -209,7 +304,7 @@ def matrix_set_to_dict(items: Sequence[TaggedMatrix], provenance: Optional[dict]
 
 
 def matrix_set_from_dict(doc: dict) -> list:
-    m = _check_count(_field(doc, "m"), "m")
+    m = _count(doc, "m")
     out = []
     for i, entry in enumerate(_list(doc, "matrices")):
         path = f"matrices[{i}]"
@@ -246,7 +341,7 @@ def stacks_from_dict(doc: dict):
         if "matrices" not in doc:
             raise ConfigError("input is neither a spectra file nor a matrix-set file")
         return _stacks_from_matrix_set(doc)
-    m = _check_count(_field(doc, "m"), "m")
+    m = _count(doc, "m")
     rows = []
     for i, entry in enumerate(_list(doc, "spectra")):
         path = f"spectra[{i}]"
@@ -291,8 +386,8 @@ def signal_to_dict(block, truth: Optional[dict] = None) -> dict:
 def signal_from_dict(doc: dict):
     from .statistics import SignalBlock, _handover
 
-    m = _check_count(_field(doc, "m"), "m")
-    t = _check_count(_field(doc, "T"), "T")
+    m = _count(doc, "m")
+    t = _count(doc, "T")
     channels = _list(doc, "channels")
     if len(channels) != m:
         raise ConfigError(f"channels has {len(channels)} entries, m = {m}")
@@ -400,6 +495,7 @@ def config_from_dict(doc: dict, seed: Optional[int] = None) -> ExperimentConfig:
     here; ``ExperimentConfig`` and ``SourceSpec`` check the values.  Every
     malformed field raises ConfigError naming its JSON path.
     """
+    doc = _as_loaded(doc)  # a config holds no pairs
     entries = _list(doc, "sources")
     _known(doc, _CONFIG_FIELDS)
     sources = tuple(_source_from_dict(s, f"sources[{i}]") for i, s in enumerate(entries))

@@ -9,10 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import put_pair, tagged_put_pair
+
 from nujd import io as nio
 from nujd.core import CongruenceKind, DiagonalStack, GLElement, TaggedMatrix
-from nujd.errors import ConfigError
+from nujd.errors import ConfigError, NujdError
 from nujd.simulation import ExperimentConfig, SourceSpec, generate, run_experiment
+from nujd.solvers import solve_pair
 from nujd.statistics import SignalBlock
 from nujd.uniqueness import identifiability_master
 
@@ -58,7 +61,7 @@ def test_uniqueness_report_serialization():
     m = doc["witness"]["m"]
     w = GLElement((pairs[:, 0] + 1j * pairs[:, 1]).reshape(m, m))
     assert w.m == 2
-    text = json.dumps(doc)
+    text = nio.write_json(doc)
     assert "NaN" not in text
 
 
@@ -424,12 +427,21 @@ def _long_pair_list(n: int) -> list:
     return [[values[i % len(values)], values[(i * 5 + 1) % len(values)]] for i in range(n)]
 
 
+def _as_lists(value):
+    """json's ``default`` hook of the writer's contract: an array is its ``.tolist()``."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 @pytest.mark.parametrize("n", [1, _SLICE - 1, _SLICE, _SLICE + 1, 2 * _SLICE + 1])
-@pytest.mark.parametrize("nest", ["alone", "in_dict"])
+@pytest.mark.parametrize("nest", ["alone", "in_dict", "array", "array_in_dict"])
 def test_write_json_pair_lists_across_slices(tmp_path, n, nest):
     pairs = _long_pair_list(n)
-    doc = pairs if nest == "alone" else {"m": 2, "channels": [pairs, [[1, 2]]], "tail": pairs}
-    text = json.dumps(doc, indent=2) + "\n"
+    if nest.startswith("array"):
+        pairs = np.array(pairs, dtype=float)
+    doc = pairs if nest in ("alone", "array") else {"m": 2, "channels": [pairs, [[1, 2]]], "tail": pairs}
+    text = json.dumps(doc, indent=2, default=_as_lists) + "\n"
     assert nio.write_json(doc) == text
     nio.write_json(doc, tmp_path / "d.json")
     assert (tmp_path / "d.json").read_bytes() == text.encode()
@@ -461,18 +473,21 @@ def test_signal_to_dict_matches_per_sample_pairs(rng):
     block = SignalBlock(data)
     doc = nio.signal_to_dict(block)
     reference = [[_pair_reference(z) for z in row] for row in block.data]
-    assert doc["channels"] == reference
-    assert {type(v) for ch in doc["channels"] for p in ch for v in p} == {float}
+    channels = [ch.tolist() for ch in doc["channels"]]
+    assert channels == reference
+    assert {type(v) for ch in channels for p in ch for v in p} == {float}
     # equal lists can still differ in the sign of a zero; the text cannot
-    assert json.dumps(doc["channels"]) == json.dumps(reference)
+    assert json.dumps(channels) == json.dumps(reference)
+    assert nio.write_json(doc) == json.dumps(dict(doc, channels=reference), indent=2) + "\n"
 
 
 def test_matrix_and_vector_pairs_match_per_entry_pairs(rng):
     mat = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     mat[0, 0] = complex(-0.0, -0.0)
-    assert json.dumps(nio._pairs(mat)) == json.dumps([_pair_reference(z) for z in mat.ravel()])
+    assert json.dumps(nio._pairs(mat).tolist()) == json.dumps([_pair_reference(z) for z in mat.ravel()])
     real = np.array([1.5, -0.0, 2.0])
-    assert json.dumps(nio._pairs(real)) == json.dumps([_pair_reference(z) for z in real])
+    assert json.dumps(nio._pairs(real).tolist()) == json.dumps([_pair_reference(z) for z in real])
+    assert nio.write_json(nio._pairs(real)) == json.dumps([_pair_reference(z) for z in real], indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -480,13 +495,19 @@ def test_matrix_and_vector_pairs_match_per_entry_pairs(rng):
 
 
 @pytest.mark.parametrize("enabled", [True, False])
-@pytest.mark.parametrize("text", ['{"m": [[1, 2]]}', '{"m": [[1, 2]'])
-def test_read_json_restores_gc_state(tmp_path, monkeypatch, enabled, text):
+@pytest.mark.parametrize(
+    "text, stacked",
+    [('{"m": [[1, 2]]}', 0), ('{"m": [[1, 2]', 0), ('{"m": [[1.0, 2.0]], "n": [[3.0, 4.0]]}', 2),
+     ('{"m": [[1.0, 2.0]], "n": [[3.0, 4.0]', 1)],
+)
+def test_read_json_restores_gc_state(tmp_path, monkeypatch, enabled, text, stacked):
     path = tmp_path / "d.json"
     path.write_text(text)
     seen = []
-    load = json.load
-    monkeypatch.setattr(json, "load", lambda fh: seen.append(gc.isenabled()) or load(fh))
+    load, stack = json.load, nio._stack
+    monkeypatch.setattr(json, "load", lambda fh, **kw: seen.append(gc.isenabled()) or load(fh, **kw))
+    # the decoder stacks each float pair list as it scans it
+    monkeypatch.setattr(nio, "_stack", lambda pairs: seen.append(gc.isenabled()) or stack(pairs))
     was = gc.isenabled()
     try:
         (gc.enable if enabled else gc.disable)()
@@ -497,7 +518,7 @@ def test_read_json_restores_gc_state(tmp_path, monkeypatch, enabled, text):
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
-    assert seen == [False]
+    assert seen == [False] * (1 + stacked)
 
 
 @pytest.mark.parametrize(
@@ -520,3 +541,259 @@ def test_read_json_restores_gc_state(tmp_path, monkeypatch, enabled, text):
 def test_pairs_must_hold_json_numbers(pairs):
     with pytest.raises(ConfigError, match=re.escape("diag must hold numeric [re, im] pairs")):
         nio.stacks_from_dict({"m": 1, "spectra": [{"kind": "transpose", "diag": pairs}]})
+
+
+# ---------------------------------------------------------------------------
+# pair lists are (n, 2) float arrays in memory
+
+
+_PAIR_ARRAYS = st.lists(st.tuples(st.floats(), st.floats()), max_size=6).map(
+    lambda pairs: np.array(pairs, dtype=float).reshape(-1, 2)
+)
+_OTHER_ARRAYS = st.one_of(
+    st.lists(st.floats(), max_size=5).map(np.array),
+    st.lists(st.integers(-(2**63), 2**63 - 1), max_size=5).map(lambda v: np.array(v, dtype=np.int64)),
+    st.lists(st.booleans(), max_size=5).map(np.array),
+    st.floats().map(np.array),
+    _PAIR_ARRAYS.map(lambda a: a.reshape(-1, 1, 2)),
+)
+_documents_with_arrays = st.recursive(
+    st.one_of(_leaves, _PAIR_ARRAYS, _OTHER_ARRAYS),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.tuples(children, children),
+        st.dictionaries(_strings, children, max_size=4),
+        st.dictionaries(st.one_of(st.integers(), st.booleans(), st.none()), children, max_size=3),
+    ),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_documents_with_arrays)
+def test_write_json_takes_each_array_as_its_tolist(tmp_path_factory, doc):
+    text = json.dumps(doc, indent=2, default=_as_lists) + "\n"
+    assert nio.write_json(doc) == text
+    path = tmp_path_factory.getbasetemp() / "write_json_arrays.json"
+    nio.write_json(doc, path)
+    assert path.read_bytes() == text.encode()
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"a": [[1.0, 2.0]], "b": np.int64(3)},
+        {"a": nio._pairs(np.arange(3 * _SLICE)), "b": object()},
+        [nio._pairs(np.ones(4)), np.array([1j])],
+        {"a": (nio._pairs(np.ones(4)), {1 + 2j})},
+        {1: [object()]},
+    ],
+)
+def test_write_json_raises_before_the_file_is_opened(tmp_path, doc):
+    path = tmp_path / "kept.json"
+    path.write_text('{"kept": true}\n')
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        nio.write_json(doc, path)
+    assert path.read_text() == '{"kept": true}\n'
+    with pytest.raises(TypeError):
+        nio.write_json(doc, tmp_path / "new.json")
+    assert not (tmp_path / "new.json").exists()
+
+
+def test_read_json_holds_one_pair_list_of_python_objects(tmp_path, rng):
+    """A signal's channels are stacked one at a time: the decode never holds
+    a tree of Python lists for the whole signal next to its text."""
+    data = rng.standard_normal((4, 20_000)) + 1j * rng.standard_normal((4, 20_000))
+    path = tmp_path / "signal.json"
+    nio.write_json(nio.signal_to_dict(SignalBlock(data)), path)
+    tracemalloc.start()
+    try:
+        block = nio.signal_from_dict(nio.read_json(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(block.data, data)
+    assert peak < 2.5 * path.stat().st_size
+
+
+def _documents_of_every_format(rng) -> dict:
+    items = list(tagged_put_pair(*put_pair(rng, 3)))
+    sym = DiagonalStack(CongruenceKind.TRANSPOSE, rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)))
+    herm = DiagonalStack(CongruenceKind.HERMITIAN, rng.standard_normal((1, 3)))
+    report = identifiability_master(DiagonalStack(CongruenceKind.TRANSPOSE, np.array([[1 + 1j, 2 + 2j]])), None)
+    data = rng.standard_normal((2, 40)) + 1j * rng.standard_normal((2, 40))
+    return {
+        "matrix_set": nio.matrix_set_to_dict(items),
+        "spectra": nio.stacks_to_dict(sym, herm),
+        "signal": nio.signal_to_dict(SignalBlock(data)),
+        "solution": nio.solution_to_dict(solve_pair(items, "put"), "put", None),
+        "report": nio.uniqueness_report_to_dict(report),
+    }
+
+
+# where each format's float pair lists are arrays after read_json; those in a
+# list of objects (matrices[i].entries, spectra[i].diag) stay lists
+_PAIR_ARRAY_FIELDS = {
+    "matrix_set": [],
+    "spectra": [],
+    "signal": [("channels", 0), ("channels", 1)],
+    "solution": [("x",), ("lambda",)],
+    "report": [("witness", "entries")],
+}
+
+
+def _at_path(doc, keys):
+    for key in keys:
+        doc = doc[key]
+    return doc
+
+
+def _arrays_in(value) -> list:
+    if isinstance(value, np.ndarray):
+        return [value]
+    items = value.values() if isinstance(value, dict) else value if isinstance(value, list) else []
+    return [a for v in items for a in _arrays_in(v)]
+
+
+@pytest.mark.parametrize("fmt", sorted(_PAIR_ARRAY_FIELDS))
+def test_every_format_reads_float_pairs_as_arrays(tmp_path, rng, fmt):
+    doc = _documents_of_every_format(rng)[fmt]
+    path = tmp_path / "d.json"
+    nio.write_json(doc, path)
+    back = nio.read_json(path)
+    arrays = [_at_path(back, keys) for keys in _PAIR_ARRAY_FIELDS[fmt]]
+    assert all(nio._is_pair_array(a) for a in arrays)
+    assert {id(a) for a in _arrays_in(back)} == {id(a) for a in arrays}
+    for keys in _PAIR_ARRAY_FIELDS[fmt]:
+        assert _at_path(back, keys).tobytes() == _at_path(doc, keys).tobytes()
+    assert nio.write_json(back).encode() == path.read_bytes()
+
+
+_DECODERS = {
+    "signal": lambda doc: [nio.signal_from_dict(doc).data],
+    "matrix_set": lambda doc: [(t.kind, t.matrix) for t in nio.matrix_set_from_dict(doc)],
+    "spectra": lambda doc: [(s.kind, s.spectra) for s in nio.stacks_from_dict(doc)[:2] if s is not None],
+    "config": lambda doc: [nio.config_from_dict(doc)],
+}
+
+
+def _bits(value):
+    """``value`` with every array replaced by its dtype, shape and bytes."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    return value
+
+
+def _outcome(fmt: str, doc):
+    """The bits that ``fmt``'s decoder gives for ``doc``, or its error."""
+    try:
+        return _bits(_DECODERS[fmt](doc))
+    except NujdError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+_BIG_INT = "1" + "0" * 400
+_DECODE_CASES = [
+    ("signal", '{"m": 1, "T": 2, "channels": [[[1.0, 0.5], [-0.0, 2.0]]]}'),
+    ("signal", '{"m": 1, "T": 2, "channels": [[[1, 0.5], [0.0, 2]]]}'),
+    ("signal", '{"m": 2, "T": 1, "channels": [[[1, 0]], [[0.0, 2.0]]]}'),
+    ("signal", '{"m": 1, "T": 2, "channels": [[[1.0, 0.5], [2.0]]]}'),
+    ("signal", '{"m": 1, "T": 2, "channels": [[[1.0, 0.5], [true, 2.0]]]}'),
+    ("signal", '{"m": 1, "T": 2, "channels": [[[1.0, 0.5], ["2", 2.0]]]}'),
+    ("signal", '{"m": 1, "T": 1, "channels": [[[%s, 0.0]]]}' % _BIG_INT),
+    ("signal", '{"m": 1, "T": 1, "channels": [[[1e400, 0.0]]]}'),
+    ("signal", '{"m": 1, "T": 3, "channels": [[[1.0, 0.5], [2.0, 1.0]]]}'),
+    ("signal", '{"m": 1, "T": 1, "channels": [[[[1.0, 0.5]]]]}'),
+    ("signal", '{"m": 2, "T": 1, "channels": [[[1.0, 0.5]]]}'),
+    ("signal", '{"m": 1, "T": 1, "channels": [[]]}'),
+    ("matrix_set", '{"m": 1, "matrices": [{"kind": "transpose", "entries": [[2.0, 0.0]]}]}'),
+    ("matrix_set", '{"m": 1, "matrices": [{"kind": "hermitian", "entries": [[2, 0]]}]}'),
+    ("matrix_set", '{"m": 2, "matrices": [{"kind": "hermitian", "entries": [[1.0, 0.0]]}]}'),
+    ("spectra", '{"m": 2, "spectra": [{"kind": "transpose", "diag": [[1.0, 0.5], [2.0, 0.0]]}]}'),
+    ("spectra", '{"m": 2, "spectra": [{"kind": "hermitian", "diag": [[1, 0], [2.5, 0]]}]}'),
+    ("spectra", '{"m": 1, "spectra": [{"kind": "transpose", "diag": [[true, 0]]}]}'),
+]
+
+
+@pytest.mark.parametrize("fmt, text", _DECODE_CASES)
+def test_int_or_mixed_pairs_stay_lists_and_decode_as_before(tmp_path, fmt, text):
+    """read_json and json.loads give documents that decode to the same bits
+    or fail with the same error; only all-float pair lists are arrays."""
+    path = tmp_path / "d.json"
+    path.write_text(text)
+    back = nio.read_json(path)
+    assert _outcome(fmt, back) == _outcome(fmt, json.loads(text))
+    if fmt == "signal":
+        for raw, ch in zip(json.loads(text)["channels"], back["channels"]):
+            floats = bool(raw) and nio._is_pair_list(raw, {float})
+            assert nio._is_pair_array(ch) if floats else type(ch) is list
+            assert nio.write_json(ch) == json.dumps(raw, indent=2) + "\n"
+
+
+_VALID_DOCUMENTS = {
+    "signal": {"m": 1, "T": 2, "channels": [[[1.0, 0.5], [-0.5, 2.0]]]},
+    "matrix_set": {"m": 1, "matrices": [{"kind": "transpose", "entries": [[2.0, 0.0]]}]},
+    "spectra": {"m": 1, "spectra": [{"kind": "transpose", "diag": [[1.0, 0.5]]}]},
+    "config": dict(_CONFIG, solver="put", margin=0.01),
+}
+# values that read_json holds as pair arrays, or as lists or objects of them
+_PAIR_JUNK = ['[[1.0, 2.0]]', '[[[1.0, 2.0]]]', '{"a": [[1.0, 2.0]]}', '[[[1.0, 2.0]], {"b": [[1.0, 2.0]]}]']
+
+
+@pytest.mark.parametrize("junk", _PAIR_JUNK)
+@pytest.mark.parametrize(
+    "fmt, key",
+    [(fmt, key) for fmt, doc in _VALID_DOCUMENTS.items() for key in doc],
+)
+def test_pair_arrays_in_other_fields_fail_as_lists_do(tmp_path, fmt, key, junk):
+    """A field that holds no pairs is checked, and named in its error, as it
+    is in the document json.load gives."""
+    text = json.dumps(dict(_VALID_DOCUMENTS[fmt], **{key: "JUNK"})).replace('"JUNK"', junk)
+    path = tmp_path / "d.json"
+    path.write_text(text)
+    assert _outcome(fmt, nio.read_json(path)) == _outcome(fmt, json.loads(text))
+
+
+_EDGE_VALUES = [-0.0, 5e-324, 1e16, 1e300, -1e300]
+
+
+@pytest.mark.parametrize("value", _EDGE_VALUES)
+def test_edge_floats_round_trip_byte_for_byte(tmp_path, value):
+    z = np.array([complex(value, -value), complex(-value, value), complex(value, 0.0), complex(0.0, value)])
+    block = SignalBlock(z[None, :])
+    doc = nio.signal_to_dict(block)
+    path = tmp_path / "signal.json"
+    nio.write_json(doc, path)
+    text = path.read_text()
+    assert text == json.dumps(dict(doc, channels=[[_pair_reference(v) for v in z]]), indent=2) + "\n"
+    back = nio.read_json(path)
+    assert back["channels"][0].tobytes() == doc["channels"][0].tobytes()
+    assert nio.signal_from_dict(back).data.tobytes() == nio.signal_from_dict(json.loads(text)).data.tobytes()
+    assert nio.write_json(back) == text
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"m": [[1, 2]', '{"a" 1}', '{"a": 1,}', '{"a": 1 "b": 2}', '{"a": [[[1.0, 2.0]]', '[[[1.0, 2.0], ]]',
+     '[[[1.0, 2.0]] [[3.0, 4.0]]]', '[[[1.0, 2.0]],]', '[[[', '{"a": [[[1.0, 2.0]]]} x', '', ' \n ',
+     '\ufeff{}', '{"a": [[[1.0, nan]]]}', '{"a": "\x01"}', '{1: 2}', '[[[1.0, 2.0]], {"a": ]]'],
+)
+def test_read_json_fails_as_json_load_does(tmp_path, text):
+    path = tmp_path / "d.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(json.JSONDecodeError) as expected:
+        json.loads(text)
+    with pytest.raises(json.JSONDecodeError) as got:
+        nio.read_json(path)
+    assert (got.value.msg, got.value.pos) == (expected.value.msg, expected.value.pos)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_documents, st.sampled_from([None, 2]))
+def test_read_json_decodes_what_json_load_does(tmp_path_factory, doc, indent):
+    text = json.dumps(doc, indent=indent)
+    path = tmp_path_factory.getbasetemp() / "read_json_doc.json"
+    path.write_text(text, encoding="utf-8")
+    assert nio.write_json(nio.read_json(path)) == json.dumps(json.loads(text), indent=2) + "\n"

@@ -39,7 +39,10 @@ transpose matrix has Takagi values (1, 1, 0.5), one value repeated, and
 lists the writer encodes in more than two slices.  After it, two matrix sets
 scaled by 1e200, past the range of an unscaled Frobenius norm: ``check`` on
 a non-diagonal set and ``solve --method put`` on a set whose transpose matrix
-[[1, 1], [1.001, 1]] is not symmetric.
+[[1, 1], [1.001, 1]] is not symmetric.  Last, two inputs whose pair lists
+hold ints, which the reader keeps as lists: ``estimate --cov --pseudocov``
+on a seeded signal with the real part of every third sample an int, and
+``check`` on a spectra file of integer pairs.
 Each command runs in ``OUTDIR``, so that a relative ``--out`` names the same
 path under every ``OUTDIR``.  Each command's stdout and stderr go to
 ``OUTDIR/<case>.out`` and ``OUTDIR/<case>.err`` and its exit code to
@@ -334,6 +337,21 @@ def _scaled_set(items):
                                  for kind, mat in items]}
 
 
+def _mixed_signal(seed, t=400):
+    """A seeded signal whose pair lists mix ints and floats: the real part of
+    every third sample is rounded to an int."""
+    doc = _signal(SIGNALS["noncircular"], seed, t)
+    doc["channels"] = [
+        [[int(round(re)), im] if k % 3 == 0 else [re, im] for k, (re, im) in enumerate(np.asarray(ch).tolist())]
+        for ch in doc["channels"]
+    ]
+    return doc
+
+
+INT_SPECTRA = {"m": 3, "spectra": [{"kind": "transpose", "diag": [[1, 0], [2, 1], [-3, 2]]},
+                                   {"kind": "hermitian", "diag": [[1, 0], [4, 0], [9, 0]]}]}
+
+
 def _config(doc, seed):
     return dict({"T": 5000, "seed": seed, "trials": 3}, **doc)
 
@@ -368,6 +386,8 @@ def write_inputs(inputs: Path) -> None:
     nio.write_json(_signal(SIGNALS["noncircular"], 800, T_LONG_SIGNAL), inputs / "signal_long.json")
     for name, items in SCALED_SETS.items():
         nio.write_json(_scaled_set(items), inputs / f"{name}.json")
+    nio.write_json(_mixed_signal(900), inputs / "signal_mixed.json")
+    nio.write_json(INT_SPECTRA, inputs / "spectra_int.json")
 
 
 def cases(inputs: Path, out: Path):
@@ -417,6 +437,8 @@ def cases(inputs: Path, out: Path):
     yield "check_non_diagonal_set_1e200", ["check", str(inputs / "non_diagonal_set_1e200.json")]
     yield "solve_put_non_symmetric_transpose_1e200", [
         "solve", str(inputs / "non_symmetric_transpose_1e200.json"), "--method", "put"]
+    yield "estimate_cov_pseudocov_mixed", ["estimate", sig("mixed"), "--cov", "--pseudocov"]
+    yield "check_int_spectra", ["check", str(inputs / "spectra_int.json")]
 
 
 def main(argv) -> int:
