@@ -42,22 +42,17 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
-def _write_json(obj, out_path, echo: bool = False) -> None:
-    """Write the document to ``out_path`` when given, streamed in bounded
-    pieces, and print it when no path is given or ``echo`` is set; exit 1
-    naming a path that cannot be written.  An echoed document is encoded
-    once, as one string, for both."""
+def _write_json(obj, out_path) -> None:
+    """Write the document to ``out_path``, streamed in bounded pieces, or
+    print it when no path is given; exit 1 naming a path that cannot be
+    written."""
+    if out_path is None:
+        click.echo(nio.write_json(obj), nl=False)
+        return
     try:
-        if out_path is not None and not echo:
-            nio.write_json(obj, out_path)
-            return
-        text = nio.write_json(obj)
-        if out_path is not None:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+        nio.write_json(obj, out_path)
     except OSError as exc:
         _fail(1, str(exc))
-    click.echo(text, nl=False)
 
 
 @contextmanager
@@ -95,7 +90,10 @@ def cmd_check(input_path, tol, margin, out_path):
         report = identifiability_master(sym, herm, use_tol)
     except NujdError as exc:
         _fail(1, str(exc))
-    _write_json(nio.uniqueness_report_to_dict(report), out_path, echo=True)
+    doc = nio.uniqueness_report_to_dict(report)
+    if out_path is not None:
+        _write_json(doc, out_path)
+    _write_json(doc, None)
     sys.exit(0 if report.unique else 3)
 
 

@@ -42,8 +42,8 @@ SIGMA_MIN = 1e-12     # relative singular-value floor
 WITNESS_RTOL = 1e-10  # floor of a witness's residual bound, max(WITNESS_RTOL, tol)
 WITNESS_DET = 1e-6    # witness-block |det| below which row 2 is rescaled, relative to max(1, max |entry|^2)
 POLAR_TOL = 1e-8      # bound on ||V^T V - I||_F / m for the PUT's polar factor V
-EIG_GAP_WARN = 1e-6   # PUT's relative whitened eigenvalue gap below which it warns
-GEVD_GAP = 1e-8       # GEVD's relative eigenvalue gap at or below which it fails
+EIG_GAP_WARN = 1e-6   # PUT's relative gap of whitened eigenvalue magnitudes below which it warns
+GEVD_GAP = 1e-8       # GEVD's relative complex eigenvalue distance at or below which it fails
 SOLVE_TOL = 1e-8      # default residual bound of `nujd solve --tol`
 MARGIN = 1e-3         # default certification margin of a simulate config
 EQUIV_TOL = 1e-2      # default essential-equivalence tolerance of a simulate config
@@ -64,13 +64,13 @@ def require_finite(a: np.ndarray, message: str) -> None:
         raise NonFiniteEntries(message)
 
 
-def as_complex_matrix(a, *, square: bool = False) -> np.ndarray:
-    """Validate and return a dense complex128 matrix (finite entries only);
-    a ``square`` one must also be at least 1×1."""
+def as_complex_matrix(a) -> np.ndarray:
+    """Validate and return a dense, non-empty, square complex128 matrix
+    (finite entries only)."""
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise DimensionMismatch(f"expected a 2-d matrix, got ndim={m.ndim}")
-    if square and (m.shape[0] != m.shape[1] or m.shape[0] == 0):
+    if m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise DimensionMismatch(f"expected a non-empty square matrix, got shape {m.shape}")
     require_finite(m, "matrix contains NaN or infinite entries")
     m = m.copy()
@@ -132,7 +132,7 @@ class TaggedMatrix:
     kind: CongruenceKind
 
     def __post_init__(self):
-        m = as_complex_matrix(self.matrix, square=True)
+        m = as_complex_matrix(self.matrix)
         object.__setattr__(self, "matrix", m)
         d = m - (m.T if self.kind is CongruenceKind.TRANSPOSE else m.conj().T)
         if fro_exceeds(d, m, TAU_SYM):
@@ -207,7 +207,7 @@ class GLElement:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = as_complex_matrix(self.matrix, square=True)
+        m = as_complex_matrix(self.matrix)
         object.__setattr__(self, "matrix", m)
         svals = np.linalg.svd(m, compute_uv=False)
         smax, smin = float(svals[0]), float(svals[-1])
@@ -231,7 +231,7 @@ class GmElement:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = as_complex_matrix(self.matrix, square=True)
+        m = as_complex_matrix(self.matrix)
         object.__setattr__(self, "matrix", m)
         ok, _ = _pattern_test(m, TAU_PATTERN)
         if not ok:
@@ -268,7 +268,7 @@ def hermitian_skew_split(c) -> tuple[np.ndarray, np.ndarray]:
     H = (C + C^H)/2 and S = (C - C^H)/(2i) are both exactly Hermitian in
     floating point (the symmetrized arithmetic is entrywise conjugate-paired).
     """
-    m = as_complex_matrix(c, square=True)
+    m = as_complex_matrix(c)
     herm = (m + m.conj().T) / 2.0
     skew = (m - m.conj().T) * (-0.5j)
     return herm, skew

@@ -35,14 +35,7 @@ class NumericFailure(NujdError):
 
 
 class SingularPseudoCovariance(NumericFailure):
-    """A Takagi singular value fell below the invertibility floor.
-
-    Carries the offending index in ``.index`` when known.
-    """
-
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
+    """A Takagi singular value fell below the invertibility floor."""
 
 
 class OrthogonalizationFailure(NumericFailure):

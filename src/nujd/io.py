@@ -1,25 +1,22 @@
 """JSON file formats for matrix sets, spectra, signals, reports, and configs.
 
 Complex scalars are encoded as [re, im] pairs; matrix entries are row-major.
-In memory, a document holds each list of pairs as an (n, 2) float64 array:
-the ``*_to_dict`` functions build them, and ``read_json`` turns each float
-pair list into one as soon as the C scanner has read it (one outside a list
-of objects; a pair list holding an int stays a list, and the ``*_from_dict``
-functions take either form).  Writers emit exactly the text of
-``json.dumps(doc, indent=2)`` with each array as its ``.tolist()`` and Python
-repr floats (shortest exact round-trip form), so a write -> read -> write
-cycle is byte identical.  A pair array's text is encoded in C one slice of
-pairs at a time, and a write to a file streams it slice by slice, so neither
-side holds a document-sized tree of Python lists.  Decoding runs with the
-cyclic GC paused: documents are trees, so its passes would find nothing to
-collect.  Channel and tensor-slot indices are 1-based at the file surface
-and 0-based inside the library; time offsets and window starts are plain
-0-based sample indices.  A recipe
-entry, whether from a config file or from ``nujd estimate``'s flags, is
-decoded by ``_statistic_from_dict``, which only makes a slice's 1-based
-``axes`` and ``fixed`` 0-based, and then checked once, by
-``simulation._check_statistic`` (which ``ExperimentConfig`` runs).  Every
-other config value is checked by ``ExperimentConfig`` or ``SourceSpec`` too.
+The ``*_to_dict`` functions hold each list of pairs as an (n, 2) float64
+array.  ``read_json`` returns what ``json.load`` returns, except that each
+list of float pairs in a top-level object's ``"channels"`` is such an array
+(the ``*_from_dict`` functions take either form).  Writers emit exactly the
+text of ``json.dumps(doc, indent=2)`` with each array as its ``.tolist()``,
+so a write -> read -> write cycle is byte identical; a write to a file
+streams a pair array's text one slice of pairs at a time.  Decoding runs
+with the cyclic GC paused: documents are trees, so its passes would find
+nothing to collect.  Channel and tensor-slot indices are 1-based at the
+file surface and 0-based inside the library; time offsets and window starts
+are plain 0-based sample indices.  A recipe entry, whether from a config
+file or from ``nujd estimate``'s flags, is decoded by
+``_statistic_from_dict``, which only makes a slice's 1-based ``axes`` and
+``fixed`` 0-based, and then checked once, by ``simulation._check_statistic``
+(which ``ExperimentConfig`` runs).  Every other config value is checked by
+``ExperimentConfig`` or ``SourceSpec`` too.
 """
 
 from __future__ import annotations
@@ -27,7 +24,6 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
-import re
 from contextlib import contextmanager
 from itertools import chain
 from json.decoder import JSONArray, JSONObject
@@ -149,45 +145,57 @@ def write_json(obj, path=None) -> Optional[str]:
         fh.writelines(chain(_encode(obj, ""), ("\n",)))
 
 
-# A list whose first entry opens a list whose first entry opens a list: a
-# list of pair lists, such as a signal's channels.
-_OPENS_PAIR_LISTS = re.compile(r"\[[ \t\n\r]*\[[ \t\n\r]*\[").match
+class _KeyMemo(dict):
+    """``JSONObject``'s key memo, which also keeps the last key it was given:
+    ``JSONObject`` calls ``memo.setdefault(key, key)`` right before it scans
+    that key's value."""
+
+    key = None
+
+    def setdefault(self, key, default=None):
+        self.key = key
+        return super().setdefault(key, default)
 
 
-class _PairDecoder(json.JSONDecoder):
-    """The stdlib decoder, with every list of [re, im] float pairs that it
-    scans in C turned into an (n, 2) float array as soon as it is scanned.
+class _ChannelDecoder(json.JSONDecoder):
+    """The stdlib decoder, except that a top-level object's ``"channels"``
+    value is walked by ``JSONArray``, and each list of [re, im] float pairs
+    in it becomes an (n, 2) float array as soon as the C scanner has read it.
 
-    Objects and lists of pair lists are walked by the stdlib's Python
-    ``JSONObject`` and ``JSONArray``; every other value goes to the C scanner
-    whole.  So a signal exists as Python objects one channel at a time.  A
-    pair list that holds an int stays a list, and so does one inside a
-    C-scanned value, such as a matrix set's ``matrices[i].entries``.
+    Only the top-level object goes through the Python ``JSONObject``; every
+    other value goes to the C scanner whole.  So a signal exists as Python
+    objects one channel at a time, and the nesting limit is ``json.load``'s.
     """
 
     def __init__(self):
         super().__init__()
-        scan_c, strict, memo = self.scan_once, self.strict, {}
+        scan_c, strict, memo = self.scan_once, self.strict, _KeyMemo()
 
-        def scan_once(s, idx):
-            if s.startswith("{", idx):
-                return JSONObject((s, idx + 1), strict, scan_once, None, None, memo)
-            if _OPENS_PAIR_LISTS(s, idx):
-                return JSONArray((s, idx + 1), scan_once)
+        def scan_channel(s, idx):
             value, end = scan_c(s, idx)
             if type(value) is list and value and _is_pair_list(value, _FLOAT_TYPE):
                 value = _stack(value)
             return value, end
 
+        def scan_value(s, idx):
+            if memo.key == "channels" and s.startswith("[", idx):
+                return JSONArray((s, idx + 1), scan_channel)
+            return scan_c(s, idx)
+
+        def scan_once(s, idx):
+            if s.startswith("{", idx):
+                return JSONObject((s, idx + 1), strict, scan_value, None, None, memo)
+            return scan_c(s, idx)
+
         self.scan_once = scan_once
 
 
 def read_json(path):
-    """The document in the JSON file at ``path``, decoded with the cyclic GC
-    paused, each list of [re, im] float pairs outside a list of objects as
-    an (n, 2) float array."""
+    """``json.load`` of the file at ``path`` with the cyclic GC paused, each
+    list of [re, im] float pairs in a top-level object's ``"channels"`` an
+    (n, 2) float array."""
     with open(path, "r", encoding="utf-8") as fh, _no_gc():
-        return json.load(fh, cls=_PairDecoder)
+        return json.load(fh, cls=_ChannelDecoder)
 
 
 def _pairs(values) -> np.ndarray:
@@ -245,29 +253,14 @@ def _known(entry: dict, fields: tuple, path: str = "") -> None:
         raise ConfigError(f"{path or 'document'} has unknown fields {sorted(extra)}")
 
 
-def _as_loaded(value):
-    """``value`` with each pair array back in the list form that ``json.load``
-    gives, so that a field that holds no pairs is checked, and named in its
-    errors, as it would be without them."""
-    if type(value) is np.ndarray:
-        return value.tolist()
-    if type(value) is list:
-        return [_as_loaded(v) for v in value]
-    if type(value) is dict:
-        return {k: _as_loaded(v) for k, v in value.items()}
-    return value
-
-
 def _count(doc, key: str) -> int:
     """A positive-integer field of a document."""
-    return _check_count(_as_loaded(_field(doc, key)), key)
+    return _check_count(_field(doc, key), key)
 
 
 def _list(doc, key: str, path: str = "") -> list:
-    """A list field; a pair array there is taken as its list of pairs."""
+    """A list field."""
     value = _field(doc, key, path)
-    if type(value) is np.ndarray:
-        value = value.tolist()
     if not isinstance(value, list):
         raise ConfigError(f"{_at(path, key)} must be a list")
     return value
@@ -372,15 +365,12 @@ def _stacks_from_matrix_set(doc: dict):
 # signals
 
 
-def signal_to_dict(block, truth: Optional[dict] = None) -> dict:
-    doc = {
+def signal_to_dict(block) -> dict:
+    return {
         "m": int(block.m),
         "T": int(block.T),
         "channels": [_pairs(row) for row in block.data],
     }
-    if truth is not None:
-        doc["truth"] = truth
-    return doc
 
 
 def signal_from_dict(doc: dict):
@@ -495,7 +485,6 @@ def config_from_dict(doc: dict, seed: Optional[int] = None) -> ExperimentConfig:
     here; ``ExperimentConfig`` and ``SourceSpec`` check the values.  Every
     malformed field raises ConfigError naming its JSON path.
     """
-    doc = _as_loaded(doc)  # a config holds no pairs
     entries = _list(doc, "sources")
     _known(doc, _CONFIG_FIELDS)
     sources = tuple(_source_from_dict(s, f"sources[{i}]") for i, s in enumerate(entries))

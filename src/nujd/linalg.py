@@ -14,11 +14,12 @@ other two steps of the PUT.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import KAPPA_MAX, POLAR_TOL, TAU_RHO, CongruenceKind, GLElement, TaggedMatrix, as_complex_matrix, below_floor
+from .core import KAPPA_MAX, POLAR_TOL, TAU_RHO, CongruenceKind, GLElement, TaggedMatrix, _exponent, as_complex_matrix, below_floor
 from .errors import (
     DefectiveMatrix,
     OrthogonalizationFailure,
@@ -101,7 +102,7 @@ def general_evd(c) -> tuple[GLElement, np.ndarray]:
     numerically defective input (eigenvector matrix condition above the
     global ceiling) is rejected.
     """
-    m = as_complex_matrix(c, square=True)
+    m = as_complex_matrix(c)
     lam, w = np.linalg.eig(m)
     order = np.lexsort((-lam.imag, -lam.real, -np.abs(lam)))
     lam = lam[order]
@@ -138,7 +139,9 @@ def symmetric_orthogonalize(w: GLElement) -> np.ndarray:
     are its |g_kk|) or when the result does not satisfy V^T V = I to the
     module tolerance.
     """
-    mat = w.matrix
+    # V does not change under W -> cW, so W is scaled by an exact power of two
+    # that keeps W^T W and its products clear of overflow and underflow
+    mat = w.matrix * math.ldexp(1.0, -_exponent(w.matrix))
     m = mat.T @ mat
     d = m.diagonal()
     mags = np.abs(d)

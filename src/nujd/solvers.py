@@ -102,8 +102,7 @@ def put(c1: TaggedMatrix, c2: TaggedMatrix) -> PutResult:
     if below_floor(tak.sigma[-1], tak.sigma[0]):
         raise SingularPseudoCovariance(
             f"Takagi singular value {m - 1} is below the floor "
-            f"({tak.sigma[-1]:.3e})",
-            index=m - 1,
+            f"({tak.sigma[-1]:.3e})"
         )
     isq = 1.0 / np.sqrt(tak.sigma)
     uh = tak.u.conj().T

@@ -68,6 +68,8 @@ class TestCheck:
             (b'{"m": 2, "spectra": [\n', "invalid JSON at line 2, column 1"),
             (b'\xff\xfe{"m": 2}', "not UTF-8 text (invalid start byte at byte 0)"),
             (b"[" * 100_000 + b"]" * 100_000, "JSON nested too deeply"),
+            (b'{"a": ' * 100_000 + b"1" + b"}" * 100_000, "JSON nested too deeply"),
+            (b'{"channels": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", "JSON nested too deeply"),
         ]
         for i, (content, message) in enumerate(cases):
             path = tmp_path / f"bad{i}.json"

@@ -59,7 +59,9 @@ class TestValidation:
 
     def test_square_enforced(self):
         with pytest.raises(DimensionMismatch):
-            as_complex_matrix(np.zeros((2, 3)), square=True)
+            as_complex_matrix(np.zeros((2, 3)))
+        with pytest.raises(DimensionMismatch):
+            as_complex_matrix(np.zeros((0, 0)))
 
     @pytest.mark.parametrize(
         "build",

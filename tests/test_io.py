@@ -497,8 +497,9 @@ def test_matrix_and_vector_pairs_match_per_entry_pairs(rng):
 @pytest.mark.parametrize("enabled", [True, False])
 @pytest.mark.parametrize(
     "text, stacked",
-    [('{"m": [[1, 2]]}', 0), ('{"m": [[1, 2]', 0), ('{"m": [[1.0, 2.0]], "n": [[3.0, 4.0]]}', 2),
-     ('{"m": [[1.0, 2.0]], "n": [[3.0, 4.0]', 1)],
+    [('{"channels": [[[1, 2]]]}', 0), ('{"channels": [[[1, 2]]', 0),
+     ('{"channels": [[[1.0, 2.0]], [[3.0, 4.0]]]}', 2), ('{"channels": [[[1.0, 2.0]], [[3.0, 4.0]', 1),
+     ('{"m": [[1.0, 2.0]], "n": [[3.0, 4.0]]}', 0)],
 )
 def test_read_json_restores_gc_state(tmp_path, monkeypatch, enabled, text, stacked):
     path = tmp_path / "d.json"
@@ -506,7 +507,7 @@ def test_read_json_restores_gc_state(tmp_path, monkeypatch, enabled, text, stack
     seen = []
     load, stack = json.load, nio._stack
     monkeypatch.setattr(json, "load", lambda fh, **kw: seen.append(gc.isenabled()) or load(fh, **kw))
-    # the decoder stacks each float pair list as it scans it
+    # the decoder stacks each float pair list of "channels" as it scans it
     monkeypatch.setattr(nio, "_stack", lambda pairs: seen.append(gc.isenabled()) or stack(pairs))
     was = gc.isenabled()
     try:
@@ -631,14 +632,14 @@ def _documents_of_every_format(rng) -> dict:
     }
 
 
-# where each format's float pair lists are arrays after read_json; those in a
-# list of objects (matrices[i].entries, spectra[i].diag) stay lists
+# where each format's float pair lists are arrays after read_json: only at a
+# signal's channels[i]; every other document is the one json.load gives
 _PAIR_ARRAY_FIELDS = {
     "matrix_set": [],
     "spectra": [],
     "signal": [("channels", 0), ("channels", 1)],
-    "solution": [("x",), ("lambda",)],
-    "report": [("witness", "entries")],
+    "solution": [],
+    "report": [],
 }
 
 
@@ -666,7 +667,37 @@ def test_every_format_reads_float_pairs_as_arrays(tmp_path, rng, fmt):
     assert {id(a) for a in _arrays_in(back)} == {id(a) for a in arrays}
     for keys in _PAIR_ARRAY_FIELDS[fmt]:
         assert _at_path(back, keys).tobytes() == _at_path(doc, keys).tobytes()
+    if not arrays:
+        assert back == json.loads(path.read_text())
     assert nio.write_json(back).encode() == path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"a": {"channels": [[[1.0, 2.0]]]}},
+        [{"channels": [[[1.0, 2.0]]]}],
+        {"m": 1, "matrices": [{"kind": "transpose", "entries": [[2.0, 0.0]], "channels": [[[1.0, 2.0]]]}]},
+        {"x": [[1.0, 2.0]], "lambda": [[1.0, 2.0]], "witness": {"m": 1, "entries": [[1.0, 0.5]]}},
+    ],
+)
+def test_pair_lists_outside_a_top_level_channels_stay_lists(tmp_path, doc):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(doc))
+    back = nio.read_json(path)
+    assert back == doc and not _arrays_in(back)
+
+
+@pytest.mark.parametrize("level", ['{"a": %s}', "[%s]"])
+@pytest.mark.parametrize("outer", ["%s", '{"channels": [[[1.0, 2.0]], %s]}'])
+def test_read_json_nests_as_deep_as_json_load(tmp_path, level, outer):
+    text = "1"
+    for _ in range(900):
+        text = level % text
+    text = outer % text
+    path = tmp_path / "d.json"
+    path.write_text(text)
+    assert nio.write_json(nio.read_json(path)) == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 _DECODERS = {
@@ -738,7 +769,7 @@ _VALID_DOCUMENTS = {
     "spectra": {"m": 1, "spectra": [{"kind": "transpose", "diag": [[1.0, 0.5]]}]},
     "config": dict(_CONFIG, solver="put", margin=0.01),
 }
-# values that read_json holds as pair arrays, or as lists or objects of them
+# pair-list values; in a signal's "channels" read_json holds the float pair lists among them as arrays
 _PAIR_JUNK = ['[[1.0, 2.0]]', '[[[1.0, 2.0]]]', '{"a": [[1.0, 2.0]]}', '[[[1.0, 2.0]], {"b": [[1.0, 2.0]]}]']
 
 

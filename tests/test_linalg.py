@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,17 @@ class TestSymmetricOrthogonalize:
         else:
             v = symmetric_orthogonalize(w)
             assert np.linalg.norm(v.T @ v - np.eye(2)) <= 2e-8
+
+    @pytest.mark.parametrize("scale", [1e100, 1e-160])
+    def test_polar_factor_is_scale_invariant(self, rng, scale):
+        # V = W (W^T W)^{-1/2} does not change under W -> cW; forming W^T W
+        # from 1e100 W overflowed, and from 1e-160 W fell below the floor
+        w, _ = general_evd(complex_symmetric(rng, 3))
+        v = symmetric_orthogonalize(w)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = symmetric_orthogonalize(GLElement(w.matrix * scale))
+        assert np.abs(scaled - v).max() <= 1e-15
 
     def test_scaled_rotation_of_complex_orthogonal(self, rng):
         theta = 0.3 + 0.2j

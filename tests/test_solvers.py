@@ -95,9 +95,8 @@ class TestPut:
         # the Takagi floor check reports index m - 1, as solve prints it
         c1 = TaggedMatrix(np.diag([2.0, 3.0]), CongruenceKind.HERMITIAN)
         c2 = TaggedMatrix(np.diag([1.0, 1e-15]), CongruenceKind.TRANSPOSE)
-        with pytest.raises(SingularPseudoCovariance) as exc:
+        with pytest.raises(SingularPseudoCovariance, match=r"^Takagi singular value 1 is below the floor \("):
             put(c1, c2)
-        assert exc.value.index == 1
 
     def test_degenerate_gap_warns_not_raises(self, rng):
         a = random_mixing(rng, 2, cond_cap=10)
@@ -387,6 +386,32 @@ class TestSolvePair:
         items = [TaggedMatrix(np.eye(2), CongruenceKind(k)) for k in kinds]
         with pytest.raises(ConfigError):
             solve_pair(items, method)
+
+
+class TestTwoGapRules:
+    """PUT measures the gap between eigenvalue magnitudes, GEVD the complex
+    distance between eigenvalues; each pair below is decided by that choice."""
+
+    def test_put_warns_on_a_conjugate_eigenpair(self):
+        # C1~ conj(C1~) has the eigenvalues +-2i: no demixer separates them
+        # (residual_offdiag 1), yet a complex-distance gap would read 2
+        c1 = TaggedMatrix(np.array([[1, 1j], [-1j, -1]]), CongruenceKind.HERMITIAN)
+        c2 = TaggedMatrix(np.eye(2), CongruenceKind.TRANSPOSE)
+        with pytest.warns(DegenerateSpectrumWarning, match="whitened eigenvalue gap"):
+            res = put(c1, c2)
+        assert res.eig_gap <= 1e-15
+        assert res.residual_offdiag == pytest.approx(1.0)
+
+    def test_gevd_solves_eigenvalues_of_one_modulus(self):
+        # C1 C2^{-1} = A diag(1, i) A^{-1}: a magnitude gap would read
+        # rounding level and refuse a pair that has an exact diagonalizer
+        a = np.array([[1, 2j], [0.5, 1]])
+        c1 = TaggedMatrix(a @ np.diag([1, 1j]) @ a.T, CongruenceKind.TRANSPOSE)
+        c2 = TaggedMatrix(a @ a.T, CongruenceKind.TRANSPOSE)
+        mags = np.abs(np.linalg.eigvals(c1.matrix @ np.linalg.inv(c2.matrix)))
+        assert np.ptp(mags) <= 1e-15
+        res = solve_pair([c1, c2], "gevd")
+        assert res.residual_offdiag <= 1e-15
 
 
 def test_numeric_errors_share_one_base_class():
