@@ -688,6 +688,17 @@ def test_pair_lists_outside_a_top_level_channels_stay_lists(tmp_path, doc):
     assert back == doc and not _arrays_in(back)
 
 
+def test_fields_after_a_top_level_channels_stay_lists(tmp_path):
+    text = '{"channels": [[[1.0, 2.0]]], "tail": [[[1.0, 2.0]]], "more": {"x": [[3.0, 4.0]]}}'
+    path = tmp_path / "d.json"
+    path.write_text(text)
+    back, want = nio.read_json(path), json.loads(text)
+    assert nio._is_pair_array(back["channels"][0])
+    assert back["channels"][0].tobytes() == np.array(want["channels"][0]).tobytes()
+    for key in ("tail", "more"):
+        assert back[key] == want[key] and not _arrays_in(back[key])
+
+
 @pytest.mark.parametrize("level", ['{"a": %s}', "[%s]"])
 @pytest.mark.parametrize("outer", ["%s", '{"channels": [[[1.0, 2.0]], %s]}'])
 def test_read_json_nests_as_deep_as_json_load(tmp_path, level, outer):
