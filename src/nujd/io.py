@@ -26,7 +26,7 @@ import hashlib
 import json
 from contextlib import contextmanager
 from itertools import chain
-from json.decoder import JSONArray, JSONObject
+from json.decoder import WHITESPACE, scanstring
 from typing import Optional, Sequence
 
 import numpy as np
@@ -145,57 +145,179 @@ def write_json(obj, path=None) -> Optional[str]:
         fh.writelines(chain(_encode(obj, ""), ("\n",)))
 
 
-class _KeyMemo(dict):
-    """``JSONObject``'s key memo, which also keeps the last key it was given:
-    ``JSONObject`` calls ``memo.setdefault(key, key)`` right before it scans
-    that key's value."""
+# Characters of a file's text that read_json reads at a time.
+_WINDOW = 1 << 20
 
-    key = None
-
-    def setdefault(self, key, default=None):
-        self.key = key
-        return super().setdefault(key, default)
+_scan_value = json.JSONDecoder().scan_once
 
 
-class _ChannelDecoder(json.JSONDecoder):
-    """The stdlib decoder, except that a top-level object's ``"channels"``
-    value is walked by ``JSONArray``, and each list of [re, im] float pairs
-    in it becomes an (n, 2) float array as soon as the C scanner has read it.
+def _invalid(s: str, idx: int) -> json.JSONDecodeError:
+    # never shown: read_json then raises json.load's own error
+    return json.JSONDecodeError("invalid JSON", s, idx)
 
-    Only the top-level object goes through the Python ``JSONObject``; every
-    other value goes to the C scanner whole.  So a signal exists as Python
-    objects one channel at a time, and the nesting limit is ``json.load``'s.
-    """
 
-    def __init__(self):
-        super().__init__()
-        scan_c, strict, memo = self.scan_once, self.strict, _KeyMemo()
+class _TextWindow:
+    """The text of an open file, read ``_WINDOW`` characters at a time and
+    decoded by the stdlib scanner.  ``s`` holds the text from the value
+    being decoded on; each method takes and returns an index into ``s``."""
 
-        def scan_channel(s, idx):
-            value, end = scan_c(s, idx)
-            if type(value) is list and value and _is_pair_list(value, _FLOAT_TYPE):
-                value = _stack(value)
-            return value, end
+    def __init__(self, fh):
+        self.fh, self.s = fh, ""
 
-        def scan_value(s, idx):
-            if memo.key == "channels" and s.startswith("[", idx):
-                return JSONArray((s, idx + 1), scan_channel)
-            return scan_c(s, idx)
+    def more(self, n: int = 0) -> bool:
+        """Append the next ``n`` (by default ``_WINDOW``) characters; false
+        at the end of the file."""
+        text = self.fh.read(n or _WINDOW)
+        self.s += text
+        return bool(text)
 
-        def scan_once(s, idx):
-            if s.startswith("{", idx):
-                return JSONObject((s, idx + 1), strict, scan_value, None, None, memo)
-            return scan_c(s, idx)
+    def drop(self, idx: int) -> int:
+        """Drop the text before ``idx``, which becomes 0."""
+        self.s = self.s[idx:]
+        return 0
 
-        self.scan_once = scan_once
+    def ws(self, idx: int) -> int:
+        """The first index at or after ``idx`` that is not JSON whitespace."""
+        while True:
+            idx = WHITESPACE.match(self.s, idx).end()
+            if idx < len(self.s) or not self.more():
+                return idx
+
+    def scan(self, scan, idx: int):
+        """``scan(s, idx)`` once the value ends strictly inside the window;
+        the text after ``idx`` doubles until it does or the file ends."""
+        while True:
+            try:
+                value, end = scan(self.s, idx)
+            except (StopIteration, json.JSONDecodeError):
+                end = None
+            if end is not None and end < len(self.s):
+                return value, end
+            if not self.more(max(_WINDOW, len(self.s) - idx)):
+                if end is None:
+                    raise _invalid(self.s, idx)
+                return value, end
+
+    def value(self, idx: int):
+        return self.scan(_scan_value, self.drop(idx))
+
+    def items(self, idx: int, close: str, item):
+        """The entries that ``item(idx) -> (entry, end)`` gives for the
+        object or list whose opening bracket ends at ``idx``, and the index
+        past its ``close``."""
+        out = []
+        idx = self.ws(idx)
+        if not self.s.startswith(close, idx):
+            while True:
+                entry, idx = item(idx)
+                out.append(entry)
+                idx = self.ws(idx)
+                if not self.s.startswith(",", idx):
+                    break
+                idx = self.ws(idx + 1)
+            if not self.s.startswith(close, idx):
+                raise _invalid(self.s, idx)
+        return out, idx + 1
+
+    def document(self):
+        """The file's value; only a top-level object is walked here, any
+        other value is scanned whole."""
+        idx = self.ws(0)
+        if self.s.startswith("{", idx):
+            pairs, idx = self.items(idx + 1, "}", self.member)
+            doc = dict(pairs)
+        else:
+            self.s += self.fh.read()
+            doc, idx = self.scan(_scan_value, idx)
+        if self.ws(idx) < len(self.s):
+            raise _invalid(self.s, idx)
+        return doc
+
+    def member(self, idx: int):
+        """One ``"key": value`` pair of the top-level object."""
+        if not self.s.startswith('"', idx):
+            raise _invalid(self.s, idx)
+        key, idx = self.scan(scanstring, idx + 1)
+        idx = self.ws(idx)
+        if not self.s.startswith(":", idx):
+            raise _invalid(self.s, idx)
+        idx = self.ws(idx + 1)
+        if key == "channels" and self.s.startswith("[", idx):
+            value, idx = self.items(idx + 1, "]", self.channel)
+        else:
+            value, idx = self.value(idx)
+        return (key, value), idx
+
+    def channel(self, idx: int):
+        """One entry of a top-level ``"channels"`` list.  A list is decoded
+        in pieces, each stacked at once while all pieces so far are float
+        pairs; a piece of anything else makes the channel the list json
+        gives, with the stacked pieces turned back into lists."""
+        if not self.s.startswith("[", idx):
+            return self.value(idx)
+        arrays, entries, closed = [], None, False
+        idx += 1
+        while not closed:
+            self.drop(idx)
+            piece, idx, closed = self.piece()
+            if not piece and (arrays or entries):
+                raise _invalid(self.s, idx)  # a "," right before the "]"
+            if entries is None and piece and _is_pair_list(piece, _FLOAT_TYPE):
+                arrays.append(_stack(piece))
+            elif entries is None:
+                entries = [pair for a in arrays for pair in a.tolist()] + piece
+            else:
+                entries += piece
+            del piece  # the next piece's lists are built without this one's
+        return np.concatenate(arrays) if entries is None else entries, idx
+
+    def piece(self):
+        """The entries of a list from the start of the window, just after
+        its "[" or a "," between entries, up to a cut after the last "]," in the first
+        ``_WINDOW`` characters, as one C-scanner call reads
+        ``"[" + text + "]"``; the index past them; and whether the list
+        closed inside the piece.  A cut that does not scan (inside a
+        string or a nested list) moves to a later "]," in a window twice
+        the size; past the last one, the piece is the rest of the file."""
+        size, tried = _WINDOW, 0
+        while True:
+            while len(self.s) <= size and self.more(size + 1 - len(self.s)):
+                pass
+            cut = self.s.rfind("],", 0, size) + 1
+            if cut <= tried:
+                if len(self.s) > size:
+                    size *= 2
+                    continue
+                if tried == len(self.s):
+                    raise _invalid(self.s, 0)
+                cut = len(self.s)
+            try:
+                entries, end = _scan_value("[" + self.s[:cut] + "]", 0)
+            except (StopIteration, json.JSONDecodeError):
+                tried = cut
+                continue
+            if end < cut + 2:  # the scan stopped before the appended "]"
+                return entries, end - 1, True
+            if cut == len(self.s):
+                raise _invalid(self.s, cut)
+            return entries, cut + 1, False
 
 
 def read_json(path):
     """``json.load`` of the file at ``path`` with the cyclic GC paused, each
     list of [re, im] float pairs in a top-level object's ``"channels"`` an
-    (n, 2) float array."""
-    with open(path, "r", encoding="utf-8") as fh, _no_gc():
-        return json.load(fh, cls=_ChannelDecoder)
+    (n, 2) float array.  The text is read through a window of about
+    ``_WINDOW`` characters, so the file's text is never held whole (but for
+    a top-level value that is not an object).  Invalid text is read once
+    more by ``json.load``, so that the error raised is json's own."""
+    with _no_gc():
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                return _TextWindow(fh).document()
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError):
+            with open(path, "r", encoding="utf-8") as fh:
+                json.load(fh)
+            raise
 
 
 def _pairs(values) -> np.ndarray:
