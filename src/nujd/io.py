@@ -7,11 +7,15 @@ list of float pairs in a top-level object's ``"channels"`` is such an array
 (the ``*_from_dict`` functions take either form).  Writers emit exactly the
 text of ``json.dumps(doc, indent=2)`` with each array as its ``.tolist()``,
 so a write -> read -> write cycle is byte identical; a write to a file
-streams a pair array's text one slice of pairs at a time.  Decoding runs
-with the cyclic GC paused: documents are trees, so its passes would find
-nothing to collect.  Channel and tensor-slot indices are 1-based at the
-file surface and 0-based inside the library; time offsets and window starts
-are plain 0-based sample indices.  A recipe entry, whether from a config
+streams a pair array's text one slice of pairs at a time.  ``read_json``
+reads a file through a window of ``_WINDOW`` characters and scans each
+value of a top-level object with the stdlib C scanner; a ``"channels"``
+list is scanned in pieces that end at a ``],``, each stacked at once, so
+neither the file's text nor a channel's Python lists are held whole.
+Decoding runs with the cyclic GC paused: documents are trees, so its
+passes would find nothing to collect.  Channel and tensor-slot indices are
+1-based at the file surface and 0-based inside the library; time offsets
+and window starts are plain 0-based sample indices.  A recipe entry, whether from a config
 file or from ``nujd estimate``'s flags, is decoded by
 ``_statistic_from_dict``, which only makes a slice's 1-based ``axes`` and
 ``fixed`` 0-based, and then checked once, by ``simulation._check_statistic``
@@ -149,6 +153,7 @@ def write_json(obj, path=None) -> Optional[str]:
 _WINDOW = 1 << 20
 
 _scan_value = json.JSONDecoder().scan_once
+_AFTER_VALUE = frozenset(' \t\n\r,:]}')
 
 
 def _invalid(s: str, idx: int) -> json.JSONDecodeError:
@@ -184,14 +189,16 @@ class _TextWindow:
                 return idx
 
     def scan(self, scan, idx: int):
-        """``scan(s, idx)`` once the value ends strictly inside the window;
-        the text after ``idx`` doubles until it does or the file ends."""
+        """``scan(s, idx)`` once the value ends strictly inside the window
+        at a character that can follow a JSON value (a number cut at "1."
+        or "1e" scans as "1"); the text after ``idx`` doubles until it does
+        or the file ends."""
         while True:
             try:
                 value, end = scan(self.s, idx)
             except (StopIteration, json.JSONDecodeError):
                 end = None
-            if end is not None and end < len(self.s):
+            if end is not None and end < len(self.s) and self.s[end] in _AFTER_VALUE:
                 return value, end
             if not self.more(max(_WINDOW, len(self.s) - idx)):
                 if end is None:

@@ -77,7 +77,8 @@ def search_diagonalizers(mats, restarts=500, iters=220, seed=0, lr=0.15):
         vel = b2 * vel + (1 - b2) * np.abs(g) ** 2
         x = x - lr * (mom / (1 - b1**t)) / (np.sqrt(vel / (1 - b2**t)) + 1e-12)
         x /= np.linalg.norm(x, axis=2, keepdims=True)
-    return x, np.sqrt(_residual_sq(x, gh, gs, den))
+    # the residual can round below zero; a NaN would count as no hit
+    return x, np.sqrt(np.maximum(_residual_sq(x, gh, gs, den), 0.0))
 
 
 def find_counterexample(mats, restarts=500, iters=220, seed=0):

@@ -78,6 +78,19 @@ class TestCheck:
             assert res.exit_code == 1
             assert f"error: {path}: {message}" in res.output
 
+    @pytest.mark.parametrize("window", [7, 64, 4096])
+    def test_bad_byte_past_the_window_exits_1_at_its_offset(self, runner, tmp_path, monkeypatch, window):
+        path = tmp_path / "s.json"
+        write_signal(path, t=400)
+        raw = path.read_bytes()
+        at = 3 * window + 1
+        path.write_bytes(raw[:at] + b"\xff" + raw[at + 1:])
+        monkeypatch.setattr(nio, "_WINDOW", window, raising=False)
+        for args in (["check"], ["estimate", "--cov"]):
+            res = invoke(runner, *args, str(path))
+            assert res.exit_code == 1
+            assert f"error: {path}: not UTF-8 text (invalid start byte at byte {at})" in res.output
+
     def test_diagonal_matrix_set_accepted(self, runner, tmp_path):
         items = [
             TaggedMatrix(np.diag([1.0, 2.0]), CongruenceKind.HERMITIAN),

@@ -2,8 +2,10 @@ import dataclasses
 import gc
 import json
 import re
+import struct
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -496,19 +498,26 @@ def test_matrix_and_vector_pairs_match_per_entry_pairs(rng):
 
 @pytest.mark.parametrize("enabled", [True, False])
 @pytest.mark.parametrize(
-    "text, stacked",
-    [('{"channels": [[[1, 2]]]}', 0), ('{"channels": [[[1, 2]]', 0),
-     ('{"channels": [[[1.0, 2.0]], [[3.0, 4.0]]]}', 2), ('{"channels": [[[1.0, 2.0]], [[3.0, 4.0]', 1),
-     ('{"m": [[1.0, 2.0]], "n": [[3.0, 4.0]]}', 0)],
+    "text, window, stacked, loads",
+    [('{"channels": [[[1, 2]]]}', None, 0, 0), ('{"channels": [[[1, 2]]', None, 0, 1),
+     ('{"channels": [[[1.0, 2.0]], [[3.0, 4.0]]]}', None, 2, 0),
+     ('{"channels": [[[1.0, 2.0]], [[3.0, 4.0]', None, 1, 1),
+     ('{"channels": [[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]]}', 16, 3, 0),
+     ('{"channels": [[[1.0, 2.0], [3.0, 4.0], [5, 6.0]]]}', 16, 2, 0),
+     ('{"channels": [[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0],]]}', 16, 3, 1),
+     ('{"m": [[1.0, 2.0]], "n": [[3.0, 4.0]]}', None, 0, 0)],
 )
-def test_read_json_restores_gc_state(tmp_path, monkeypatch, enabled, text, stacked):
+def test_read_json_restores_gc_state(tmp_path, monkeypatch, enabled, text, window, stacked, loads):
     path = tmp_path / "d.json"
     path.write_text(text)
+    if window:
+        monkeypatch.setattr(nio, "_WINDOW", window)
     seen = []
     load, stack = json.load, nio._stack
-    monkeypatch.setattr(json, "load", lambda fh, **kw: seen.append(gc.isenabled()) or load(fh, **kw))
-    # the decoder stacks each float pair list of "channels" as it scans it
-    monkeypatch.setattr(nio, "_stack", lambda pairs: seen.append(gc.isenabled()) or stack(pairs))
+    # only invalid text is read again, by json.load
+    monkeypatch.setattr(json, "load", lambda fh, **kw: seen.append(("load", gc.isenabled())) or load(fh, **kw))
+    # the decoder stacks each piece of float pairs of "channels" as it scans it
+    monkeypatch.setattr(nio, "_stack", lambda pairs: seen.append(("stack", gc.isenabled())) or stack(pairs))
     was = gc.isenabled()
     try:
         (gc.enable if enabled else gc.disable)()
@@ -519,7 +528,7 @@ def test_read_json_restores_gc_state(tmp_path, monkeypatch, enabled, text, stack
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
-    assert seen == [False] * (1 + stacked)
+    assert seen == [("stack", False)] * stacked + [("load", False)] * loads
 
 
 @pytest.mark.parametrize(
@@ -615,6 +624,25 @@ def test_read_json_holds_one_pair_list_of_python_objects(tmp_path, rng):
         tracemalloc.stop()
     assert np.array_equal(block.data, data)
     assert peak < 2.5 * path.stat().st_size
+
+
+def test_read_json_holds_a_window_of_the_text(tmp_path, rng, monkeypatch):
+    """read_json's peak is the arrays it returns plus a fixed multiple of
+    the window, not the file's text."""
+    data = rng.standard_normal((4, 20_000)) + 1j * rng.standard_normal((4, 20_000))
+    path = tmp_path / "signal.json"
+    nio.write_json(nio.signal_to_dict(SignalBlock(data)), path)
+    window = 64 * 1024
+    monkeypatch.setattr(nio, "_WINDOW", window, raising=False)
+    tracemalloc.start()
+    try:
+        doc = nio.read_json(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    arrays = sum(ch.nbytes for ch in doc["channels"])
+    assert arrays == data.size * 16 and path.stat().st_size > 4 * arrays
+    assert peak < arrays + 12 * window
 
 
 def _documents_of_every_format(rng) -> dict:
@@ -720,11 +748,16 @@ _DECODERS = {
 
 
 def _bits(value):
-    """``value`` with every array replaced by its dtype, shape and bytes."""
+    """``value`` with every array replaced by its dtype, shape and bytes,
+    and every float by its bytes."""
     if isinstance(value, np.ndarray):
         return value.dtype.str, value.shape, value.tobytes()
     if isinstance(value, (list, tuple)):
         return [_bits(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _bits(v) for k, v in value.items()}
+    if type(value) is float:
+        return "float", struct.pack("<d", value)
     return value
 
 
@@ -839,3 +872,147 @@ def test_read_json_decodes_what_json_load_does(tmp_path_factory, doc, indent):
     path = tmp_path_factory.getbasetemp() / "read_json_doc.json"
     path.write_text(text, encoding="utf-8")
     assert nio.write_json(nio.read_json(path)) == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# read_json reads the text through a window of _WINDOW characters: every cut
+# of a "channels" list decodes as the whole text does
+
+
+def _as_read(text: str):
+    """What read_json gives for ``text``: json.loads's document, with each
+    non-empty list of float pairs in a top-level object's "channels" list an
+    (n, 2) float array."""
+    doc = json.loads(text)
+    if type(doc) is dict and type(doc.get("channels")) is list:
+        doc["channels"] = [
+            np.array(ch, dtype=float) if type(ch) is list and ch and nio._is_pair_list(ch, {float}) else ch
+            for ch in doc["channels"]
+        ]
+    return doc
+
+
+def _window_texts() -> dict:
+    rng = np.random.default_rng(31)
+    data = rng.standard_normal((3, 300)) + 1j * rng.standard_normal((3, 300))
+    data[0, :3] = [-0.0, complex(5e-324, -0.0), 1e16]
+    doc = nio.signal_to_dict(SignalBlock(data))
+    lists = dict(doc, channels=[ch.tolist() for ch in doc["channels"]])
+    tail = dict(lists, channels=[*lists["channels"][:2], lists["channels"][2][:-1] + [[1, 2]]])
+    odd = " ,".join(f"[ {re!r} ,{im!r} ] " for re, im in lists["channels"][1])
+    odd = f'{{ "m" : 1 ,"T":300, "channels" :[ [ {odd}] \n] , "x" : [ 1 ,2 ] }}'
+    strings = '[[1.0, 2.0], ["a],b", 1.0], [[1.0, 2.0], [3.0]], "],]", [1.0, [2.0, []]], "\\"],"]'
+    strings = '{"channels": [[%s], [[3.0, 4.0]]], "tail": "],"}' % ", ".join([strings] * 40)
+    deep = "[" * 900 + "1" + "]" * 900
+    numbers = [0.0, 12.5, 1e5, -0.0, 1.5e-300, 7, -3, 1e16, 2.5e20, -1e-7]
+    return {
+        "numbers_across_cuts": json.dumps({f"k{i}": numbers[i % 10] for i in range(900)}),
+        "indent_2": nio.write_json(doc),
+        "compact": json.dumps(lists),
+        "odd_spacing": odd,
+        "int_pair_in_the_last_piece": json.dumps(tail),
+        "strings_and_nested_lists": strings,
+        "top_level_list": json.dumps([lists, lists["channels"]]),
+        "deep_in_channels": '{"channels": [[[1.0, 2.0]], %s, [[1.0, 2.0], %s]]}' % (deep, deep),
+        "channels_not_lists": '{"channels": [1, "x", {"a": [[1.0, 2.0]]}, [], [[1.0, 2.0]]], "channels ": [[[1.0, 2.0]]]}',
+    }
+
+
+_WINDOW_TEXTS = _window_texts()
+
+
+@pytest.mark.parametrize("window", [7, 64, 4096])
+@pytest.mark.parametrize("name", sorted(_WINDOW_TEXTS))
+def test_read_json_reads_the_same_in_any_window(tmp_path, monkeypatch, window, name):
+    text = _WINDOW_TEXTS[name]
+    path = tmp_path / "d.json"
+    path.write_text(text, encoding="utf-8")
+    monkeypatch.setattr(nio, "_WINDOW", window)
+    back, want = nio.read_json(path), _as_read(text)
+    assert nio.write_json(back) == nio.write_json(want)
+    if name == "deep_in_channels":  # deeper than _bits can recurse
+        assert [type(ch) for ch in back["channels"]] == [np.ndarray, list, list]
+        assert _bits(back["channels"][0]) == _bits(want["channels"][0])
+    else:
+        assert _bits(back) == _bits(want)
+
+
+def test_window_texts_hold_what_they_are_named_for():
+    texts = {name: _as_read(text) for name, text in _WINDOW_TEXTS.items() if name != "top_level_list"}
+    assert all(nio._is_pair_array(ch) for ch in texts["indent_2"]["channels"])
+    assert len(_WINDOW_TEXTS["compact"]) > 3 * 4096
+    assert [type(ch) for ch in texts["int_pair_in_the_last_piece"]["channels"]] == [np.ndarray, np.ndarray, list]
+    assert nio._is_pair_array(texts["odd_spacing"]["channels"][0]) and "]," not in _WINDOW_TEXTS["odd_spacing"]
+    assert [type(ch) for ch in texts["strings_and_nested_lists"]["channels"]] == [list, np.ndarray]
+
+
+def _invalid_window_texts() -> list:
+    compact = _WINDOW_TEXTS["compact"]
+    cuts = [compact[: len(compact) * k // 7] for k in range(1, 7)]
+    return cuts + [
+        '{"channels": [[[1.0, 2.0], ]]}',
+        '{"channels": [[[1.0, 2.0],, [3.0, 4.0]]]}',
+        '{"channels": [[[1.0, 2.0] [3.0, 4.0]]]}',
+        '{"channels": [[[1.0, 2.0], [3.0, 4.0]], ]}',
+        '{"channels": [[[1.0, 2.0], [3.0, 4.0]]] "m": 1}',
+        '{"channels": [[[1.0, 2.0], ["a],b]]]}',
+        '{"channels": [[[1.0, 2.0], [3.0, 4.0]]]} [',
+        '{"channels": [[[1.0, 2.0], [3.0, 4.0]',
+        '{"channels": [[[1.0, 2.0], [3.0, 4.0],',
+        '{"channels": [[[1.0, 2.0], [3.0, 4.0],]',
+        '{"channels": [[[1.0, 2.0], [3.0, 4.0]]], "channels": [[]]',
+        '{"chan',
+        '{"m": 1, "T": 12345',
+        compact.replace("], [", "], , [", 1),
+        compact.replace("], [", "] [", 1),
+        compact[:-1] + ",}",
+    ]
+
+
+@pytest.mark.parametrize("window", [7, 64, 4096])
+@pytest.mark.parametrize("text", _invalid_window_texts())
+def test_read_json_fails_as_json_load_does_in_any_window(tmp_path, monkeypatch, window, text):
+    path = tmp_path / "d.json"
+    path.write_text(text, encoding="utf-8")
+    monkeypatch.setattr(nio, "_WINDOW", window)
+    with pytest.raises(json.JSONDecodeError) as expected:
+        json.loads(text)
+    with pytest.raises(json.JSONDecodeError) as got:
+        nio.read_json(path)
+    assert (got.value.msg, got.value.pos) == (expected.value.msg, expected.value.pos)
+
+
+@pytest.mark.parametrize("window", [7, 64, 4096])
+@pytest.mark.parametrize("head", ["", '{"a": %s, ' % ("[" * 100_000 + "]" * 100_000)])
+def test_read_json_names_a_bad_byte_past_the_window_as_json_load_does(tmp_path, monkeypatch, window, head):
+    """An invalid byte after the first window, also after a value nested
+    too deeply, fails with json.load's UnicodeDecodeError and offset."""
+    raw = (head + _WINDOW_TEXTS["compact"][len(head) > 0:]).encode()
+    at = 2 * window + 5 + len(head)
+    raw = raw[:at] + b"\xff" + raw[at + 1:]
+    path = tmp_path / "d.json"
+    path.write_bytes(raw)
+    monkeypatch.setattr(nio, "_WINDOW", window)
+    with open(path, encoding="utf-8") as fh, pytest.raises(UnicodeDecodeError) as expected:
+        json.load(fh)
+    with pytest.raises(UnicodeDecodeError) as got:
+        nio.read_json(path)
+    assert (got.value.reason, got.value.start) == (expected.value.reason, expected.value.start) == ("invalid start byte", at)
+
+
+_signal_like = st.fixed_dictionaries(
+    {"channels": st.lists(st.one_of(st.lists(st.one_of(_pair, _near_pair), max_size=6), _documents), max_size=4)},
+    optional={"m": _documents, "channels ": _documents},
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_documents, _signal_like), st.sampled_from([None, 2]), st.sampled_from([1, 7]))
+def test_read_json_decodes_what_json_load_does_in_a_tiny_window(tmp_path_factory, doc, indent, window):
+    text = json.dumps(doc, indent=indent)
+    path = tmp_path_factory.getbasetemp() / "read_json_window_doc.json"
+    path.write_text(text, encoding="utf-8")
+    with mock.patch.object(nio, "_WINDOW", window):
+        back = nio.read_json(path)
+    assert _bits(back) == _bits(_as_read(text))
+    assert nio.write_json(back) == json.dumps(json.loads(text), indent=2) + "\n"

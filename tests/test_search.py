@@ -6,11 +6,14 @@ of the squared residual in the Wirtinger convention the Adam step uses,
 g = d f / d conj(X) = (df/d Re X + i df/d Im X) / 2.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
 from nujd.core import CongruenceKind, GLElement, TaggedMatrix, offdiag_residual
 
+import _search
 from _search import _gradient, _residual_sq, _split
 
 
@@ -63,3 +66,12 @@ def test_gradient_is_the_conjugate_wirtinger_derivative(seed):
 def test_non_diagonal_matrix_is_rejected():
     with pytest.raises(ValueError, match="diagonal matrices only"):
         _split([("h", np.array([[1.0, 1e-300], [1e-300, 1.0]]))])
+
+
+def test_a_residual_rounded_below_zero_counts_as_zero(monkeypatch):
+    """A squared residual that rounds below zero is a converged point, not NaN."""
+    monkeypatch.setattr(_search, "_residual_sq", lambda x, *gram: np.full(len(x), -1e-33))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, r = _search.search_diagonalizers([("h", np.eye(2))], restarts=3, iters=1)
+    assert np.array_equal(r, np.zeros(3))

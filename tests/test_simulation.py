@@ -16,6 +16,7 @@ from nujd.simulation import (
     _check_statistic,
     _entry_kind,
     _generate_channel,
+    _pop_cum4,
     _population,
     amari_index,
     estimate_statistic,
@@ -414,6 +415,23 @@ class TestPopulationValues:
         assert np.allclose(auto, [0.81, 0.0])
         pa = population_diagonal(truth, {"statistic": "pseudo_autocorrelation", "lag": 1}, 200)
         assert np.allclose(pa, [0.45, 0.0])
+
+    @pytest.mark.parametrize("profile, value", [((1.0, 4.0, 0.25), 11.8125), ((1.0, 9.0), 72.0)])
+    def test_block_nonstationary_cum4_is_the_sample_cumulant(self, profile, value):
+        # a Gaussian variance mixture: with two slots conjugated, the
+        # cumulant is twice the variance of the block powers; else zero
+        spec = SourceSpec("block_nonstationary", power=1.5, variance_profile=profile)
+        for bits in ((0, 0, 1, 1), (0, 1, 0, 1), (1, 1, 0, 0)):
+            assert _pop_cum4(spec, bits) == value
+        for bits in ((0, 0, 0, 0), (0, 0, 0, 1), (1, 1, 1, 0), (1, 1, 1, 1)):
+            assert _pop_cum4(spec, bits) == 0.0
+        samples = []
+        for seed in range(10):
+            block, _ = generate((spec,), 120_000, seed)
+            s = block.data[0]
+            power = np.abs(s) ** 2
+            samples.append(np.mean(power**2) - 2 * np.mean(power) ** 2 - abs(np.mean(s**2)) ** 2)
+        assert abs(np.mean(samples) - value) < 4 * np.std(samples, ddof=1) / math.sqrt(len(samples))
 
     def test_population_stacks_drop_zero_rows(self):
         specs = (SourceSpec("circular_gaussian"), SourceSpec("circular_gaussian"))

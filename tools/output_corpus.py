@@ -42,7 +42,12 @@ a non-diagonal set and ``solve --method put`` on a set whose transpose matrix
 [[1, 1], [1.001, 1]] is not symmetric.  Last, two inputs whose pair lists
 hold ints, which the reader keeps as lists: ``estimate --cov --pseudocov``
 on a seeded signal with the real part of every third sample an int, and
-``check`` on a spectra file of integer pairs.
+``check`` on a spectra file of integer pairs.  After them, three signals
+of ``T`` = 40,000, each several times the reader's window of text
+(``io._WINDOW``): ``estimate --cov --pseudocov`` on compact ``json.dumps``
+text and on a signal whose last two samples of each channel have int real
+parts, and ``estimate --cov`` on a signal with an invalid UTF-8 byte past
+the first window.
 Each command runs in ``OUTDIR``, so that a relative ``--out`` names the same
 path under every ``OUTDIR``.  Each command's stdout and stderr go to
 ``OUTDIR/<case>.out`` and ``OUTDIR/<case>.err`` and its exit code to
@@ -76,6 +81,9 @@ from nujd.simulation import SourceSpec, generate, mix
 T_SIGNAL = 4000
 # more than two of the writer's pair-list slices
 T_LONG_SIGNAL = 10_000
+# several of the reader's windows of text
+T_WINDOW_SIGNAL = 40_000
+BAD_BYTE_AT = 3 << 19
 
 SIGNALS = {
     "noncircular": [SourceSpec("noncircular_gaussian", circularity=0.9),
@@ -348,6 +356,21 @@ def _mixed_signal(seed, t=400):
     return doc
 
 
+def _write_window_signals(inputs: Path) -> None:
+    """Compact text, ints in each channel's last two samples, and an
+    invalid byte at ``BAD_BYTE_AT``, each of a seeded ``T_WINDOW_SIGNAL``
+    signal."""
+    doc = _signal(SIGNALS["noncircular"], 1000, T_WINDOW_SIGNAL)
+    lists = dict(doc, channels=[ch.tolist() for ch in doc["channels"]])
+    (inputs / "signal_compact.json").write_text(json.dumps(lists), encoding="utf-8")
+    for ch in lists["channels"]:
+        for pair in ch[-2:]:
+            pair[0] = int(round(pair[0]))
+    nio.write_json(lists, inputs / "signal_int_tail.json")
+    raw = nio.write_json(doc).encode()
+    (inputs / "signal_bad_byte.json").write_bytes(raw[:BAD_BYTE_AT] + b"\xff" + raw[BAD_BYTE_AT + 1:])
+
+
 INT_SPECTRA = {"m": 3, "spectra": [{"kind": "transpose", "diag": [[1, 0], [2, 1], [-3, 2]]},
                                    {"kind": "hermitian", "diag": [[1, 0], [4, 0], [9, 0]]}]}
 
@@ -388,6 +411,7 @@ def write_inputs(inputs: Path) -> None:
         nio.write_json(_scaled_set(items), inputs / f"{name}.json")
     nio.write_json(_mixed_signal(900), inputs / "signal_mixed.json")
     nio.write_json(INT_SPECTRA, inputs / "spectra_int.json")
+    _write_window_signals(inputs)
 
 
 def cases(inputs: Path, out: Path):
@@ -439,6 +463,10 @@ def cases(inputs: Path, out: Path):
         "solve", str(inputs / "non_symmetric_transpose_1e200.json"), "--method", "put"]
     yield "estimate_cov_pseudocov_mixed", ["estimate", sig("mixed"), "--cov", "--pseudocov"]
     yield "check_int_spectra", ["check", str(inputs / "spectra_int.json")]
+    yield "estimate_cov_pseudocov_compact", ["estimate", sig("compact"), "--cov", "--pseudocov"]
+    yield "estimate_cov_pseudocov_int_tail", ["estimate", sig("int_tail"), "--cov", "--pseudocov"]
+    # relative to OUTDIR, where the command runs: the error names the path
+    yield "estimate_cov_bad_byte", ["estimate", str(Path(sig("bad_byte")).relative_to(out)), "--cov"]
 
 
 def main(argv) -> int:
