@@ -15,12 +15,13 @@ neither the file's text nor a channel's Python lists are held whole.
 Decoding runs with the cyclic GC paused: documents are trees, so its
 passes would find nothing to collect.  Channel and tensor-slot indices are
 1-based at the file surface and 0-based inside the library; time offsets
-and window starts are plain 0-based sample indices.  A recipe entry, whether from a config
-file or from ``nujd estimate``'s flags, is decoded by
-``_statistic_from_dict``, which only makes a slice's 1-based ``axes`` and
-``fixed`` 0-based, and then checked once, by ``simulation._check_statistic``
-(which ``ExperimentConfig`` runs).  Every other config value is checked by
-``ExperimentConfig`` or ``SourceSpec`` too.
+and window starts are plain 0-based sample indices.  A recipe entry,
+whether from a config file or from ``nujd estimate``'s flags, is decoded
+by ``_statistic_from_dict``, which only makes a slice's 1-based ``axes``
+and ``fixed`` 0-based, and then checked once, by
+``simulation._check_statistic`` (which ``ExperimentConfig`` runs).  Every
+other config value is checked by ``ExperimentConfig`` or ``SourceSpec``
+too.
 """
 
 from __future__ import annotations
@@ -280,8 +281,8 @@ class _TextWindow:
 
     def piece(self):
         """The entries of a list from the start of the window, just after
-        its "[" or a "," between entries, up to a cut after the last "]," in the first
-        ``_WINDOW`` characters, as one C-scanner call reads
+        its "[" or a "," between entries, up to a cut after the last "],"
+        in the first ``_WINDOW`` characters, as one C-scanner call reads
         ``"[" + text + "]"``; the index past them; and whether the list
         closed inside the piece.  A cut that does not scan (inside a
         string or a nested list) moves to a later "]," in a window twice
