@@ -2,12 +2,16 @@
 
 Complex scalars are encoded as [re, im] pairs; matrix entries are row-major.
 The ``*_to_dict`` functions hold each list of pairs as an (n, 2) float64
-array.  ``read_json`` returns what ``json.load`` returns, except that each
-list of float pairs in a top-level object's ``"channels"`` is such an array
-(the ``*_from_dict`` functions take either form).  Writers emit exactly the
-text of ``json.dumps(doc, indent=2)`` with each array as its ``.tolist()``,
-so a write -> read -> write cycle is byte identical; a write to a file
-streams a pair array's text one slice of pairs at a time.  ``read_json``
+array, a view of the complex data (``_pairs``).  ``read_json`` returns what
+``json.load`` returns, except that each list of float pairs in a top-level
+object's ``"channels"`` is such an array.  The ``*_from_dict`` functions
+take either form and view it back as complex (``_complex``), bit for bit,
+signed zeros included; a signal's channels are copied once, into its
+block.  Writers emit exactly the text of ``json.dumps(doc, indent=2)``
+with each array as its ``.tolist()``, so a write -> read -> write cycle,
+and one through the ``*_from_dict`` and ``*_to_dict`` functions, is byte
+identical; a write to a file streams a pair array's text one slice of
+pairs at a time.  ``read_json``
 reads a file through a window of ``_WINDOW`` characters and scans each
 value of a top-level object with the stdlib C scanner; a ``"channels"``
 list is scanned in pieces that end at a ``],``, each stacked at once, so
@@ -329,35 +333,23 @@ def read_json(path):
 
 
 def _pairs(values) -> np.ndarray:
-    """The (n, 2) float array of [re, im] pairs of a complex array's entries,
-    in row-major order."""
-    a = np.asarray(values, dtype=np.complex128)
-    return np.stack((a.real, a.imag), -1).reshape(-1, 2)
+    """The (n, 2) float view of a complex array's entries as [re, im] pairs,
+    in row-major order; a contiguous complex128 array is not copied."""
+    return np.ascontiguousarray(values, dtype=np.complex128).reshape(-1).view(np.float64).reshape(-1, 2)
 
 
-def _floats(pairs, path: str) -> np.ndarray:
-    """An (n, 2) float array from [re, im] pairs of JSON numbers: a list of
-    them, or the (n, 2) float array that ``read_json`` and ``_pairs`` give."""
-    if _is_pair_array(pairs):
-        return pairs
+def _complex(pairs, path: str) -> np.ndarray:
+    """The complex vector of [re, im] pairs of JSON numbers: a list of them,
+    or the (n, 2) float array that ``read_json`` and ``_pairs`` give, viewed
+    bit for bit (copied only when its rows are not contiguous)."""
     if type(pairs) is list and (not pairs or _is_pair_list(pairs)):
         try:
-            return _stack(pairs)
+            pairs = _stack(pairs)
         except OverflowError:  # an integer beyond the float range
             pass
-    raise ConfigError(f"{path} must hold numeric [re, im] pairs")
-
-
-def _matrix_from_pairs(pairs, rows: int, cols: int, path: str) -> np.ndarray:
-    arr = _floats(pairs, path)
-    if len(arr) != rows * cols:
-        raise ConfigError(f"{path}: expected {rows * cols} [re, im] entries, got {len(arr)}")
-    return (arr[:, 0] + 1j * arr[:, 1]).reshape(rows, cols)
-
-
-def _vector_from_pairs(pairs, path: str) -> np.ndarray:
-    arr = _floats(pairs, path)
-    return arr[:, 0] + 1j * arr[:, 1]
+    if not _is_pair_array(pairs):
+        raise ConfigError(f"{path} must hold numeric [re, im] pairs")
+    return np.ascontiguousarray(pairs).view(np.complex128).reshape(-1)
 
 
 def _at(path: str, key: str) -> str:
@@ -432,8 +424,10 @@ def matrix_set_from_dict(doc: dict) -> list:
     for i, entry in enumerate(_list(doc, "matrices")):
         path = f"matrices[{i}]"
         kind = _kind_at(entry, path)
-        entries = _field(entry, "entries", path)
-        out.append(TaggedMatrix(_matrix_from_pairs(entries, m, m, f"{path}.entries"), kind))
+        entries = _complex(_field(entry, "entries", path), f"{path}.entries")
+        if entries.size != m * m:
+            raise ConfigError(f"{path}.entries: expected {m * m} [re, im] entries, got {entries.size}")
+        out.append(TaggedMatrix(entries.reshape(m, m), kind))
     if not out:
         raise ConfigError("matrix-set document lists no matrices")
     return out
@@ -469,7 +463,7 @@ def stacks_from_dict(doc: dict):
     for i, entry in enumerate(_list(doc, "spectra")):
         path = f"spectra[{i}]"
         kind = _kind_at(entry, path)
-        diag = _vector_from_pairs(_field(entry, "diag", path), f"{path}.diag")
+        diag = _complex(_field(entry, "diag", path), f"{path}.diag")
         if diag.size != m:
             raise ConfigError(f"{path}.diag has length {diag.size}, m = {m}")
         rows.append((kind, diag))
@@ -513,7 +507,7 @@ def signal_from_dict(doc: dict):
         raise ConfigError(f"channels has {len(channels)} entries, m = {m}")
     rows = []
     for i, ch in enumerate(channels):
-        v = _vector_from_pairs(ch, f"channels[{i}]")
+        v = _complex(ch, f"channels[{i}]")
         if v.size != t:
             raise ConfigError(f"channels[{i}] has length {v.size}, T = {t}")
         rows.append(v)

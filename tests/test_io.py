@@ -481,15 +481,68 @@ def test_signal_to_dict_matches_per_sample_pairs(rng):
     # equal lists can still differ in the sign of a zero; the text cannot
     assert json.dumps(channels) == json.dumps(reference)
     assert nio.write_json(doc) == json.dumps(dict(doc, channels=reference), indent=2) + "\n"
+    # each channel is a read-only view of the block's data, not a copy
+    for ch, row in zip(doc["channels"], block.data):
+        assert np.shares_memory(ch, row) and not ch.flags.writeable
 
 
 def test_matrix_and_vector_pairs_match_per_entry_pairs(rng):
     mat = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     mat[0, 0] = complex(-0.0, -0.0)
-    assert json.dumps(nio._pairs(mat).tolist()) == json.dumps([_pair_reference(z) for z in mat.ravel()])
     real = np.array([1.5, -0.0, 2.0])
-    assert json.dumps(nio._pairs(real).tolist()) == json.dumps([_pair_reference(z) for z in real])
+    strided = (rng.standard_normal(12) + 1j * rng.standard_normal(12))[::3]
+    # a transposed matrix and a strided vector give their pairs in row-major order
+    for values in (mat, mat.T, strided, real):
+        reference = [_pair_reference(z) for z in values.ravel()]
+        assert json.dumps(nio._pairs(values).tolist()) == json.dumps(reference)
     assert nio.write_json(nio._pairs(real)) == json.dumps([_pair_reference(z) for z in real], indent=2) + "\n"
+    # a contiguous complex128 array is viewed, not copied
+    assert np.shares_memory(nio._pairs(mat), mat)
+
+
+# a document of each format around one list of [re, im] pairs
+_PAIR_DOCS = {
+    "signal": lambda pairs: {"m": 1, "T": 4, "channels": [pairs]},
+    "matrix_set": lambda pairs: {"m": 2, "matrices": [{"kind": "transpose", "entries": pairs}]},
+    "spectra": lambda pairs: {"m": 4, "spectra": [{"kind": "transpose", "diag": pairs}]},
+}
+
+
+@pytest.mark.parametrize("layout", ["fortran", "column_strided"])
+@pytest.mark.parametrize("fmt", _PAIR_DOCS)
+def test_non_contiguous_pair_arrays_decode_as_their_lists(fmt, layout):
+    """An (n, 2) float array whose rows are not contiguous cannot be viewed
+    as complex; it is copied and decodes as its list does."""
+    pairs = [[1.0, -0.0], [-2.5, 3.0], [-2.5, 3.0], [5e-324, -4.0]]  # a symmetric 2x2 matrix
+    if layout == "fortran":
+        arr = np.asfortranarray(pairs)
+    else:
+        arr = np.zeros((4, 4))
+        arr[:, ::2] = pairs
+        arr = arr[:, ::2]
+    assert nio._is_pair_array(arr) and not arr.flags.c_contiguous
+    expected = _outcome(fmt, _PAIR_DOCS[fmt](pairs))
+    assert type(expected) is not str  # the list decodes
+    assert _outcome(fmt, _PAIR_DOCS[fmt](arr)) == expected
+
+
+def test_signal_codec_copies_a_signal_at_most_once(rng):
+    """signal_to_dict allocates no signal-sized array, and signal_from_dict
+    only the block it returns."""
+    block = SignalBlock(rng.standard_normal((4, 200_000)) + 1j * rng.standard_normal((4, 200_000)))
+    size = block.data.nbytes
+    tracemalloc.start()
+    try:
+        doc = nio.signal_to_dict(block)
+        written, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        back = nio.signal_from_dict(doc)
+        read_peak = tracemalloc.get_traced_memory()[1] - written
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.01 * size
+    assert read_peak < 1.25 * size
+    assert back.data.tobytes() == block.data.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -834,19 +887,59 @@ def test_pair_arrays_in_other_fields_fail_as_lists_do(tmp_path, fmt, key, junk):
 _EDGE_VALUES = [-0.0, 5e-324, 1e16, 1e300, -1e300]
 
 
+def _hermitian_around(z):
+    """A Hermitian matrix with ``z``'s real parts on its diagonal and ``z[0]``
+    above it (a Hermitian matrix's diagonal is real)."""
+    h = np.diag(z.real).astype(complex)
+    h[0, 1], h[1, 0] = z[0], z[0].conjugate()
+    return h
+
+
+# (arrays of complex data, writer, reader) per format; the reader gives
+# back the arrays that the writer was given
+_EDGE_FORMATS = {
+    "signal": (
+        lambda z: [z[None, :]],
+        lambda arrays: nio.signal_to_dict(SignalBlock(arrays[0])),
+        lambda doc: [nio.signal_from_dict(doc).data],
+    ),
+    "matrix_set": (
+        lambda z: [np.diag(z), _hermitian_around(z)],
+        lambda arrays: nio.matrix_set_to_dict(
+            [TaggedMatrix(arrays[0], CongruenceKind.TRANSPOSE), TaggedMatrix(arrays[1], CongruenceKind.HERMITIAN)]
+        ),
+        lambda doc: [t.matrix for t in nio.matrix_set_from_dict(doc)],
+    ),
+    "spectra": (
+        # a Hermitian row is real; a 1 keeps each stack nonzero
+        lambda z: [np.vstack([z, np.ones(4)]), np.vstack([z.real, np.ones(4)]).astype(complex)],
+        lambda arrays: nio.stacks_to_dict(
+            DiagonalStack(CongruenceKind.TRANSPOSE, arrays[0]), DiagonalStack(CongruenceKind.HERMITIAN, arrays[1])
+        ),
+        lambda doc: [stack.spectra for stack in nio.stacks_from_dict(doc)[:2]],
+    ),
+}
+
+
 @pytest.mark.parametrize("value", _EDGE_VALUES)
 def test_edge_floats_round_trip_byte_for_byte(tmp_path, value):
+    """Write -> read -> decode gives the written bits, a zero's sign
+    included, and encoding them again writes the same text."""
     z = np.array([complex(value, -value), complex(-value, value), complex(value, 0.0), complex(0.0, value)])
-    block = SignalBlock(z[None, :])
-    doc = nio.signal_to_dict(block)
-    path = tmp_path / "signal.json"
-    nio.write_json(doc, path)
-    text = path.read_text()
-    assert text == json.dumps(dict(doc, channels=[[_pair_reference(v) for v in z]]), indent=2) + "\n"
-    back = nio.read_json(path)
-    assert back["channels"][0].tobytes() == doc["channels"][0].tobytes()
-    assert nio.signal_from_dict(back).data.tobytes() == nio.signal_from_dict(json.loads(text)).data.tobytes()
-    assert nio.write_json(back) == text
+    for fmt, (build, encode, decode) in _EDGE_FORMATS.items():
+        arrays = build(z)
+        doc = encode(arrays)
+        path = tmp_path / f"{fmt}.json"
+        nio.write_json(doc, path)
+        text = path.read_text()
+        if fmt == "signal":
+            assert text == json.dumps(dict(doc, channels=[[_pair_reference(v) for v in z]]), indent=2) + "\n"
+            assert nio.read_json(path)["channels"][0].tobytes() == doc["channels"][0].tobytes()
+        assert nio.write_json(nio.read_json(path)) == text
+        for back in (nio.read_json(path), json.loads(text)):
+            decoded = decode(back)
+            assert [a.tobytes() for a in decoded] == [a.tobytes() for a in arrays], fmt
+            assert nio.write_json(encode(decoded)) == text, fmt
 
 
 @pytest.mark.parametrize(

@@ -47,7 +47,10 @@ of ``T`` = 40,000, each several times the reader's window of text
 (``io._WINDOW``): ``estimate --cov --pseudocov`` on compact ``json.dumps``
 text and on a signal whose last two samples of each channel have int real
 parts, and ``estimate --cov`` on a signal with an invalid UTF-8 byte past
-the first window.
+the first window.  Last, three inputs that hold ``-0.0`` parts, which the
+readers keep bit for bit: ``estimate --cov --pseudocov`` on a seeded
+signal, ``solve --method put`` on a matrix set and ``check`` on a spectra
+file.
 Each command runs in ``OUTDIR``, so that a relative ``--out`` names the same
 path under every ``OUTDIR``.  Each command's stdout and stderr go to
 ``OUTDIR/<case>.out`` and ``OUTDIR/<case>.err`` and its exit code to
@@ -77,6 +80,7 @@ import nujd
 from nujd import io as nio
 from nujd.core import CongruenceKind, DiagonalStack, TaggedMatrix
 from nujd.simulation import SourceSpec, generate, mix
+from nujd.statistics import SignalBlock
 
 T_SIGNAL = 4000
 # more than two of the writer's pair-list slices
@@ -371,6 +375,26 @@ def _write_window_signals(inputs: Path) -> None:
     (inputs / "signal_bad_byte.json").write_bytes(raw[:BAD_BYTE_AT] + b"\xff" + raw[BAD_BYTE_AT + 1:])
 
 
+def _signed_zero_signal(seed, t=400):
+    """A seeded signal with -0.0 real parts in every fifth sample of the
+    first channel and -0.0 imaginary parts in every seventh of the second."""
+    sources, truth = generate(SIGNALS["noncircular"], t, seed)
+    data = mix(sources, truth.a).data.copy()
+    data.real[0, ::5] = -0.0
+    data.imag[1, ::7] = -0.0
+    return nio.signal_to_dict(SignalBlock(data))
+
+
+_NEG_ZERO = complex(-0.0, -0.0)
+# -0.0 off the diagonals and in imaginary parts
+SIGNED_ZERO_SET = [
+    TaggedMatrix([[2.0, _NEG_ZERO], [_NEG_ZERO.conjugate(), complex(1.0, -0.0)]], CongruenceKind.HERMITIAN),
+    TaggedMatrix([[1.0 + 1.0j, _NEG_ZERO], [_NEG_ZERO, complex(3.0, -0.0)]], CongruenceKind.TRANSPOSE),
+]
+# (transpose rows, Hermitian rows) with -0.0 parts
+SIGNED_ZERO_SPECTRA = ([[complex(1.0, -0.0), complex(-0.0, 0.3)], [complex(0.2, 0.0), complex(1.0, -0.0)]],
+                       [[1.0, 2.0], [-0.0, 1.0]])
+
 INT_SPECTRA = {"m": 3, "spectra": [{"kind": "transpose", "diag": [[1, 0], [2, 1], [-3, 2]]},
                                    {"kind": "hermitian", "diag": [[1, 0], [4, 0], [9, 0]]}]}
 
@@ -412,6 +436,9 @@ def write_inputs(inputs: Path) -> None:
     nio.write_json(_mixed_signal(900), inputs / "signal_mixed.json")
     nio.write_json(INT_SPECTRA, inputs / "spectra_int.json")
     _write_window_signals(inputs)
+    nio.write_json(_signed_zero_signal(1100), inputs / "signal_signed_zeros.json")
+    nio.write_json(nio.matrix_set_to_dict(SIGNED_ZERO_SET), inputs / "signed_zero_set.json")
+    nio.write_json(_spectra(*SIGNED_ZERO_SPECTRA), inputs / "spectra_signed_zeros.json")
 
 
 def cases(inputs: Path, out: Path):
@@ -467,6 +494,9 @@ def cases(inputs: Path, out: Path):
     yield "estimate_cov_pseudocov_int_tail", ["estimate", sig("int_tail"), "--cov", "--pseudocov"]
     # relative to OUTDIR, where the command runs: the error names the path
     yield "estimate_cov_bad_byte", ["estimate", str(Path(sig("bad_byte")).relative_to(out)), "--cov"]
+    yield "estimate_cov_pseudocov_signed_zeros", ["estimate", sig("signed_zeros"), "--cov", "--pseudocov"]
+    yield "solve_put_signed_zero_set", ["solve", str(inputs / "signed_zero_set.json"), "--method", "put"]
+    yield "check_signed_zero_spectra", ["check", str(inputs / "spectra_signed_zeros.json")]
 
 
 def main(argv) -> int:
